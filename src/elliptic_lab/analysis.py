@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import DomainError
 from ._extrapolate import aitken_limit
@@ -199,16 +198,6 @@ class ResidualReport:
         ]
 
 
-def _nonuniform_derivatives(r: np.ndarray, u: np.ndarray):
-    """Centered first and second derivatives on a nonuniform grid (interior nodes)."""
-    hm = r[1:-1] - r[:-2]
-    hp = r[2:] - r[1:-1]
-    um, u0, up = u[:-2], u[1:-1], u[2:]
-    d1 = (hm * hm * up - hp * hp * um + (hp * hp - hm * hm) * u0) / (hp * hm * (hp + hm))
-    d2 = 2.0 * (hm * up + hp * um - (hp + hm) * u0) / (hp * hm * (hp + hm))
-    return d1, d2
-
-
 def _flux_negative_laplacian(r: np.ndarray, u: np.ndarray, N: int) -> np.ndarray:
     """-Lap(u) at interior nodes via the conservative flux stencil.
 
@@ -310,6 +299,8 @@ def field_sample_table(
         raise DomainError("field dimension mismatch")
     lo = centers.min(axis=0) - box_pad
     hi = centers.max(axis=0) + box_pad
+    from scipy.stats import qmc
+
     sampler = qmc.Halton(d=N, seed=seed)
     pts = qmc.scale(sampler.random(samples), lo, hi)
     margin = V.delta(pts)

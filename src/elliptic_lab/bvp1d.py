@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.linalg import solve_banded
 
 from .errors import DomainError, NonConvergenceError, NoSolutionError, SolverFault
 from . import funcs as _funcs
@@ -146,6 +144,8 @@ class RadialProfile:
 
     def _build(self) -> PchipInterpolator:
         if self._interp is None:
+            from scipy.interpolate import PchipInterpolator
+
             r, v = self._positive_view()
             if r[0] <= 0:
                 r = r[1:]
@@ -244,6 +244,17 @@ def _cell_volumes(nodes: np.ndarray, N: int) -> np.ndarray:
     """int_{m-}^{m+} s^{N-1} ds around each interior node."""
     m = 0.5 * (nodes[:-1] + nodes[1:])
     return (m[1:] ** N - m[:-1] ** N) / N
+
+
+def solve_banded(l_and_u, ab, b) -> np.ndarray:
+    """scipy.linalg.solve_banded, imported on first use to keep imports light.
+
+    solve_on_nodes looks this name up on every call, so a tracer that replaces
+    the module attribute sees every banded solve.
+    """
+    from scipy.linalg import solve_banded as _solve_banded
+
+    return _solve_banded(l_and_u, ab, b)
 
 
 def solve_on_nodes(

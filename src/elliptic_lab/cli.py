@@ -110,6 +110,14 @@ _VERIFY_KEYS = {"target", "mode", "tol", "r1", "samples", "h"}
 _CERTIFY_KEYS = {"regime", "r0", "levels"}
 
 
+def _section(raw: dict, name: str, allowed: set[str]) -> dict:
+    obj = raw.get(name, {})
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{name} must be an object")
+    _require_keys(obj, allowed, name)
+    return obj
+
+
 class RunConfig:
     """Validated run configuration; unknown keys are rejected everywhere."""
 
@@ -120,8 +128,7 @@ class RunConfig:
                             "output_dir", "seed"}, "root")
         if "problem" not in raw:
             raise ConfigError("config requires a 'problem' section")
-        prob = raw["problem"]
-        _require_keys(prob, {"N", "phi", "f", "K"}, "problem")
+        prob = _section(raw, "problem", {"N", "phi", "f", "K"})
         for key in ("N", "phi", "f", "K"):
             if key not in prob:
                 raise ConfigError(f"problem.{key} is required")
@@ -131,30 +138,29 @@ class RunConfig:
             f=parse_f(prob["f"]),
             K=parse_K(prob["K"]),
         )
-        solve = raw.get("solve", {})
-        _require_keys(solve, _SOLVE_KEYS, "solve")
+        solve = _section(raw, "solve", _SOLVE_KEYS)
         self.solve_config = _bvp1d.SolveConfig(
             tol_sup=float(solve.get("tol_sup", 1e-8)),
             max_outer=int(solve.get("max_outer", 64)),
             max_picard=int(solve.get("max_picard", 600)),
         )
-        self.nodes = int(solve.get("nodes", 2048))
+        self.nodes = solve.get("nodes", 2048)
+        if isinstance(self.nodes, bool) or not isinstance(self.nodes, int) or self.nodes < 16:
+            raise ConfigError("solve.nodes must be an integer >= 16")
         self.which = str(solve.get("which", "minimal"))
         self.n_max = int(solve.get("n_max", 64))
         self.a = float(solve.get("a", 0.0))
         self.b = float(solve.get("b", 0.0))
         self.t_min = float(solve.get("t_min", 1e-7))
         self.delta_min = float(solve.get("delta_min", 1e-6))
-        verify = raw.get("verify", {})
-        _require_keys(verify, _VERIFY_KEYS, "verify")
+        verify = _section(raw, "verify", _VERIFY_KEYS)
         self.verify_target = verify.get("target", "minimal")
         self.verify_mode = str(verify.get("mode", "inequality"))
         self.verify_tol = None if "tol" not in verify else float(verify["tol"])
-        self.verify_r1 = verify.get("r1")
+        self.verify_r1 = None if "r1" not in verify else float(verify["r1"])
         self.verify_samples = int(verify.get("samples", 10_000))
         self.verify_h = float(verify.get("h", 0.01))
-        certify = raw.get("certify", {})
-        _require_keys(certify, _CERTIFY_KEYS, "certify")
+        certify = _section(raw, "certify", _CERTIFY_KEYS)
         self.certify_regime = str(certify.get("regime", "tail"))
         self.certify_r0 = float(certify.get("r0", 1.0))
         self.certify_levels = int(certify.get("levels", 24))
@@ -173,7 +179,14 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: line {exc.lineno}: {exc.msg}") from exc
-    return RunConfig(raw)
+    try:
+        return RunConfig(raw)
+    except ConfigError:
+        raise
+    except KeyError as exc:
+        raise ConfigError(f"missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad value: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConstructionError, DomainError, NoSolutionError
 from . import quad as _quad
@@ -35,9 +34,6 @@ class PowerPhi:
     def tail_exponent(self) -> float:
         return self.alpha
 
-    def has_log_factor(self) -> bool:
-        return False
-
 
 @dataclass(frozen=True)
 class PowerSplitPhi:
@@ -51,9 +47,6 @@ class PowerSplitPhi:
 
     def tail_exponent(self) -> float:
         return self.beta
-
-    def has_log_factor(self) -> bool:
-        return False
 
 
 @dataclass(frozen=True)
@@ -73,9 +66,6 @@ class PowerLogPhi:
 
     def tail_exponent(self) -> float:
         return self.alpha
-
-    def has_log_factor(self) -> bool:
-        return True
 
 
 @dataclass(frozen=True)
@@ -102,9 +92,6 @@ class IterLogPhi:
 
     def tail_exponent(self) -> float:
         return self.alpha
-
-    def has_log_factor(self) -> bool:
-        return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,9 +122,6 @@ class TabulatedPhi:
 
     def tail_exponent(self) -> float:
         return self.tail_exp
-
-    def has_log_factor(self) -> bool:
-        return False
 
     @property
     def is_zero(self) -> bool:
@@ -275,6 +259,8 @@ def G_and_inverse(f: FSpec) -> tuple[Callable, Callable]:
             return ((1.0 + p) * s) ** (1.0 / (1.0 + p))
 
         return G, Ginv
+
+    from scipy.optimize import brentq
 
     nodes, wts = np.polynomial.legendre.leggauss(48)
 

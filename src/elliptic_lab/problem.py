@@ -48,16 +48,6 @@ class PointSet:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.centers, dtype=float)
 
-    def min_separation(self) -> float:
-        arr = self.as_array()
-        if len(arr) == 1:
-            return np.inf
-        d = np.inf
-        for i in range(len(arr)):
-            for j in range(i + 1, len(arr)):
-                d = min(d, float(np.linalg.norm(arr[i] - arr[j])))
-        return d
-
 
 KSet = Origin | Ball | PointSet
 

@@ -634,28 +634,6 @@ def divergence_certificate_boundary(
     return BoundaryCertificate(tuple(radii), tuple(values), divergent, limit)
 
 
-def monotone_tail_minorant(phi: "_funcs.PhiSpec", r0: float) -> Callable:
-    """Running-minimum wrapper min_{r0/2 <= rho <= r} phi(rho) for non-monotone tails.
-
-    Valid for evaluation streams with nondecreasing maxima, which is how the
-    tail scans sample.
-    """
-    state = {"min": float(_funcs.eval_phi(phi, r0 / 2.0)), "hi": r0 / 2.0}
-
-    def psi(r: np.ndarray) -> np.ndarray:
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.empty_like(r)
-        for i, ri in enumerate(np.maximum(r, r0 / 2.0)):
-            if ri > state["hi"]:
-                grid = np.geomspace(state["hi"], ri, 17)
-                state["min"] = min(state["min"], float(np.min(_funcs.phi_values(phi, grid))))
-                state["hi"] = ri
-            out[i] = min(state["min"], _funcs.eval_phi(phi, ri))
-        return out
-
-    return psi
-
-
 def phi_tail_monotone(phi: "_funcs.PhiSpec", r0: float, samples: int = 64) -> bool:
     """Sampled monotonicity of the weight beyond r0 (hypothesis check for tail verdicts)."""
     r = np.geomspace(r0, r0 * 1e6, samples)

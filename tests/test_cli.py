@@ -84,13 +84,20 @@ def test_classify_inconclusive_tabulated_boundaryish(tmp_path):
     ({"bogus": 1}, "unknown keys"),
     ({"problem": {"N": 3, "phi": {"kind": "nope"},
                   "f": {"kind": "power", "p": 1}, "K": {"kind": "origin"}}}, "weight kind"),
+    ({"problem": {"phi": {"kind": "power"}}}, "missing key 'alpha'"),
+    ({"problem": {"phi": {"kind": "power", "alpha": "x"}}}, "bad value"),
+    ({"solve": []}, "solve must be an object"),
+    ({"solve": {"nodes": 8}}, "solve.nodes must be an integer >= 16"),
+    ({"verify": {"r1": "x"}}, "bad value"),
 ])
 def test_malformed_config(tmp_path, capsys, mutation, message):
     cfg = tmp_path / "cfg.json"
     write_config(cfg, **mutation)
     rc = main(["classify", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
     assert rc == 1
-    assert message in capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
 def test_config_not_json(tmp_path, capsys):

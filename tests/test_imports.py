@@ -1,0 +1,69 @@
+"""Cold-start contract: importing the package and the quadrature-only commands
+load numpy but no scipy module; scipy submodules are imported on first use."""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+from scipy.linalg import solve_banded as scipy_solve_banded
+
+from elliptic_lab import bvp1d
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+SPLIT_CUBIC = {"N": 3, "phi": {"kind": "power_split", "alpha": -3, "beta": -3},
+               "f": {"kind": "power", "p": 1}, "K": {"kind": "origin"}}
+BOUNDARY_POWER = {
+    "problem": {"N": 3, "phi": {"kind": "power", "alpha": -2},
+                "f": {"kind": "power", "p": 1}, "K": {"kind": "origin"}},
+    "certify": {"regime": "boundary", "r0": 1.0},
+}
+
+
+def scipy_modules_after(code: str) -> list[str]:
+    """Run ``code`` in a fresh interpreter; return the scipy modules it loaded."""
+    probe = (code + "\nimport json, sys\n"
+             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def cli_probe(tmp_path, command: str, config: dict) -> str:
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    return f"from elliptic_lab.cli import main\nassert main({argv!r}) == 0"
+
+
+def test_import_loads_no_scipy():
+    assert scipy_modules_after("import elliptic_lab") == []
+
+
+def test_classify_loads_no_scipy(tmp_path):
+    assert scipy_modules_after(cli_probe(tmp_path, "classify", {"problem": SPLIT_CUBIC})) == []
+
+
+def test_certify_divergence_loads_no_scipy(tmp_path):
+    code = cli_probe(tmp_path, "certify-divergence", BOUNDARY_POWER)
+    assert scipy_modules_after(code) == []
+
+
+def test_solve_banded_matches_scipy_exactly():
+    rng = np.random.default_rng(7)
+    n = 200
+    ab = np.zeros((3, n))
+    ab[0, 1:] = -rng.uniform(0.1, 1.0, n - 1)
+    ab[2, :-1] = -rng.uniform(0.1, 1.0, n - 1)
+    ab[1] = 2.5 + rng.uniform(0.0, 1.0, n)
+    b = rng.standard_normal(n)
+    assert np.array_equal(bvp1d.solve_banded((1, 1), ab, b),
+                          scipy_solve_banded((1, 1), ab, b))
