@@ -26,7 +26,6 @@ from .funcs import (
     ClosedFormPower,
     FSpec,
     GeneralDecreasingF,
-    G_and_inverse,
     IterLogPhi,
     PhiSpec,
     PowerF,
@@ -35,7 +34,6 @@ from .funcs import (
     PowerSplitPhi,
     TabulatedPhi,
     double_integral_profile,
-    eval_phi,
     supersolution_values,
     xi_closed_form,
 )

@@ -13,7 +13,6 @@ from .errors import DomainError
 from ._extrapolate import aitken_limit
 from .bvp1d import RadialGrid, RadialProfile
 from .problem import Ball, Origin, PointSet, ProblemSpec
-from . import funcs as _funcs
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +52,7 @@ class KelvinWeight:
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
-        return r ** self.exponent_shift * _funcs.phi_values(self.base, 1.0 / r)
+        return r ** self.exponent_shift * self.base(1.0 / r)
 
 
 def kelvin_weight(phi, N: int, p: float) -> KelvinWeight:
@@ -61,12 +60,7 @@ def kelvin_weight(phi, N: int, p: float) -> KelvinWeight:
     if N < 3:
         raise DomainError("requires N >= 3")
     shift = -2.0 - N - p * (N - 2.0)
-    exact = None
-    if isinstance(phi, _funcs.PowerPhi):
-        exact = _funcs.PowerPhi(alpha=shift - phi.alpha)
-    elif isinstance(phi, _funcs.PowerSplitPhi):
-        exact = _funcs.PowerSplitPhi(alpha=shift - phi.beta, beta=shift - phi.alpha)
-    return KelvinWeight(base=phi, N=N, p=p, exact=exact)
+    return KelvinWeight(base=phi, N=N, p=p, exact=phi.kelvin_image(shift))
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +180,7 @@ class ResidualReport:
     sup_norm_equation_defect: float
     stencil_spacing: float
     skipped: int = 0
+    worst_radius: float | None = None  # of the largest |residual|, radial audits only
 
     def csv_row(self) -> list[str]:
         return [
@@ -242,20 +237,23 @@ def residual_radial(
         delta = problem.delta_radial(rin) if problem.N > 1 else rin
     else:
         raise DomainError("radial residuals need an origin or ball compact set")
-    rhs = _funcs.phi_values(problem.phi, delta) * _funcs.f_values(problem.f, u[1:-1])
+    rhs = problem.phi(delta) * problem.f(u[1:-1])
     residual = (neg_lap - rhs) / np.maximum(1.0, rhs)
     if r_window is not None:
         keep = (rin >= r_window[0]) & (rin <= r_window[1])
         if not np.any(keep):
             raise DomainError("residual window contains no interior nodes")
         residual = residual[keep]
+        rin = rin[keep]
     spacing = float(np.max(np.diff(r)))
+    worst = int(np.argmax(np.abs(residual)))
     return ResidualReport(
         sample_count=len(residual),
         min_residual=float(np.min(residual)),
         fraction_nonnegative=float(np.mean(residual >= -tol)),
-        sup_norm_equation_defect=float(np.max(np.abs(residual))),
+        sup_norm_equation_defect=float(np.abs(residual[worst])),
         stencil_spacing=spacing,
+        worst_radius=float(rin[worst]),
     )
 
 
@@ -291,7 +289,7 @@ def field_sample_table(
     """Field audit plus the full sample table (x_1..x_N, V, residual) for plotting."""
     if not isinstance(problem.K, (PointSet, Origin)):
         raise DomainError("field audits expect a point-set compact set")
-    if isinstance(problem.phi, _funcs.TabulatedPhi) and problem.phi.is_zero:
+    if problem.phi.is_zero:
         raise DomainError("field audits require a positive weight")
     centers = V.centers
     N = problem.N
@@ -318,7 +316,7 @@ def field_sample_table(
         vm = V(pts - hloc[:, None] * e[None, :])
         lap += (vp - 2.0 * v0 + vm) / hloc ** 2
     delta = problem.delta_points(pts)
-    rhs = _funcs.phi_values(problem.phi, delta) * _funcs.f_values(problem.f, v0)
+    rhs = problem.phi(delta) * problem.f(v0)
     residual = (-lap - rhs) / np.maximum(1.0, rhs)
     report = ResidualReport(
         sample_count=len(residual),

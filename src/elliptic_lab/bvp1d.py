@@ -14,13 +14,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError, NoSolutionError, SolverFault
-from . import funcs as _funcs
 from . import quad as _quad
+
+if TYPE_CHECKING:
+    from . import funcs as _funcs
 
 
 # ---------------------------------------------------------------------------
@@ -228,15 +230,10 @@ def _face_conductance(nodes: np.ndarray, N: int) -> np.ndarray:
     lo, hi = nodes[:-1], nodes[1:]
     if N == 1:
         return hi - lo
+    if lo[0] <= 0:
+        raise DomainError(f"N={N} grids must have positive nodes")
     if N == 2:
-        if lo[0] <= 0:
-            raise DomainError("N=2 grids must have positive nodes")
         return np.log(hi / lo)
-    if lo[0] == 0.0:
-        c = np.empty_like(lo)
-        c[0] = np.inf  # handled by caller guards; never hit for N>=3 with positive nodes
-        c[1:] = (lo[1:] ** (2 - N) - hi[1:] ** (2 - N)) / (N - 2)
-        return c
     return (lo ** (2.0 - N) - hi ** (2.0 - N)) / (N - 2)
 
 
@@ -306,8 +303,8 @@ def solve_on_nodes(
         delta = None
         for it in range(config.max_picard):
             ueps = u + eps
-            fvals = _funcs.f_values(f, ueps)
-            lam = V * w_i * _funcs.f_slope_bound(f, ueps)
+            fvals = f(ueps)
+            lam = V * w_i * f.slope_bound(ueps)
             ab = ab_base.copy()
             ab[1, :] = diag + lam
             rhs = V * w_i * fvals + lam * u
@@ -372,9 +369,8 @@ def solve_radial_dirichlet(
                               grading="uniform")
         else:
             grid = RadialGrid.geometric(ra, rb, nodes, N)
-    w = weight if callable(weight) else _funcs.phi_callable(weight)
     va, vb = boundary
-    interior = solve_on_nodes(grid.nodes, N, w, f, va, vb, config, initial=initial)
+    interior = solve_on_nodes(grid.nodes, N, weight, f, va, vb, config, initial=initial)
     vals = np.concatenate(([va], interior, [vb]))
     return RadialProfile(grid=grid, values=vals)
 
@@ -393,15 +389,14 @@ def solve_H(
     difference.
     """
     config = config or SolveConfig()
-    w = _funcs.phi_callable(phi)
-    moment = _quad.integrate_singular(lambda s: s * w(s), 0.0, 1.0,
+    moment = _quad.integrate_singular(lambda s: s * phi(s), 0.0, 1.0,
                                       criterion="gauge-moment")
     if moment.status == _quad.INFINITE:
         raise NoSolutionError("near-zero first moment of the weight diverges",
                               certificate=moment.certificate)
     grid = RadialGrid.two_sided_unit(t_min, nodes)
     t = grid.nodes
-    interior = solve_on_nodes(t, 1, w, f, 0.0, 0.0, config)
+    interior = solve_on_nodes(t, 1, phi, f, 0.0, 0.0, config)
     vals = np.concatenate(([0.0], interior, [0.0]))
     # concavity: second differences of a concave profile are nonpositive
     h = np.diff(t)

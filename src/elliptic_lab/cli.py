@@ -42,30 +42,49 @@ def _require_keys(obj: dict, allowed: set[str], path: str) -> None:
         raise ConfigError(f"unknown keys at {path}: {sorted(unknown)}")
 
 
+def _float(value, path: str) -> float:
+    """A number field; inf and nan are rejected (JSON parses the overflow 1e400 as inf)."""
+    x = float(value)
+    if not np.isfinite(x):
+        raise ConfigError(f"{path} must be a finite number")
+    return x
+
+
+def _int(value, path: str, minimum: int) -> int:
+    """An integer field; bools and non-integral numbers are rejected, not truncated."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (isinstance(value, float) and not value.is_integer()) or value < minimum):
+        raise ConfigError(f"{path} must be an integer >= {minimum}")
+    return int(value)
+
+
 def parse_phi(obj: dict, path: str = "problem.phi"):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError(f"{path} must be an object with a 'kind'")
     kind = obj["kind"]
+    alpha = f"{path}.alpha"
     if kind == "power":
         _require_keys(obj, {"kind", "alpha"}, path)
-        return _funcs.PowerPhi(alpha=float(obj["alpha"]))
+        return _funcs.PowerPhi(alpha=_float(obj["alpha"], alpha))
     if kind == "power_split":
         _require_keys(obj, {"kind", "alpha", "beta"}, path)
-        return _funcs.PowerSplitPhi(alpha=float(obj["alpha"]), beta=float(obj["beta"]))
+        return _funcs.PowerSplitPhi(alpha=_float(obj["alpha"], alpha),
+                                    beta=_float(obj["beta"], f"{path}.beta"))
     if kind == "power_log":
         _require_keys(obj, {"kind", "alpha", "beta"}, path)
-        return _funcs.PowerLogPhi(alpha=float(obj["alpha"]), beta=float(obj["beta"]))
+        return _funcs.PowerLogPhi(alpha=_float(obj["alpha"], alpha),
+                                  beta=_float(obj["beta"], f"{path}.beta"))
     if kind == "iter_log":
         _require_keys(obj, {"kind", "alpha", "betas"}, path)
-        return _funcs.IterLogPhi(alpha=float(obj["alpha"]),
-                                 betas=tuple(float(b) for b in obj["betas"]))
+        return _funcs.IterLogPhi(alpha=_float(obj["alpha"], alpha),
+                                 betas=tuple(_float(b, f"{path}.betas") for b in obj["betas"]))
     if kind == "tabulated":
         _require_keys(obj, {"kind", "knots", "values", "near0_exponent", "tail_exponent"}, path)
         return _funcs.TabulatedPhi(
-            knots=np.asarray(obj["knots"], dtype=float),
-            values=np.asarray(obj["values"], dtype=float),
-            near0_exp=float(obj["near0_exponent"]),
-            tail_exp=float(obj["tail_exponent"]),
+            knots=np.asarray([_float(x, f"{path}.knots") for x in obj["knots"]]),
+            values=np.asarray([_float(x, f"{path}.values") for x in obj["values"]]),
+            near0_exp=_float(obj["near0_exponent"], f"{path}.near0_exponent"),
+            tail_exp=_float(obj["tail_exponent"], f"{path}.tail_exponent"),
         )
     raise ConfigError(f"{path}.kind: unknown weight kind {kind!r}")
 
@@ -76,10 +95,10 @@ def parse_f(obj: dict, path: str = "problem.f"):
     kind = obj["kind"]
     if kind == "power":
         _require_keys(obj, {"kind", "p"}, path)
-        return _funcs.PowerF(p=float(obj["p"]))
+        return _funcs.PowerF(p=_float(obj["p"], f"{path}.p"))
     if kind == "constant":
         _require_keys(obj, {"kind", "value"}, path)
-        c = float(obj["value"])
+        c = _float(obj["value"], f"{path}.value")
         if c <= 0:
             raise ConfigError(f"{path}.value must be positive")
         return _funcs.GeneralDecreasingF(lambda t, c=c: np.full_like(np.asarray(t, dtype=float), c),
@@ -96,10 +115,10 @@ def parse_K(obj: dict, path: str = "problem.K"):
         return _problem.Origin()
     if kind == "ball":
         _require_keys(obj, {"kind", "radius"}, path)
-        return _problem.Ball(radius=float(obj["radius"]))
+        return _problem.Ball(radius=_float(obj["radius"], f"{path}.radius"))
     if kind == "point_set":
         _require_keys(obj, {"kind", "centers"}, path)
-        return _problem.PointSet(centers=tuple(tuple(float(x) for x in pt)
+        return _problem.PointSet(centers=tuple(tuple(_float(x, f"{path}.centers") for x in pt)
                                                for pt in obj["centers"]))
     raise ConfigError(f"{path}.kind: unknown compact-set kind {kind!r}")
 
@@ -133,41 +152,37 @@ class RunConfig:
             if key not in prob:
                 raise ConfigError(f"problem.{key} is required")
         self.problem = _problem.ProblemSpec(
-            N=int(prob["N"]),
+            N=_int(prob["N"], "problem.N", 2),
             phi=parse_phi(prob["phi"]),
             f=parse_f(prob["f"]),
             K=parse_K(prob["K"]),
         )
         solve = _section(raw, "solve", _SOLVE_KEYS)
         self.solve_config = _bvp1d.SolveConfig(
-            tol_sup=float(solve.get("tol_sup", 1e-8)),
-            max_outer=int(solve.get("max_outer", 64)),
-            max_picard=int(solve.get("max_picard", 600)),
+            tol_sup=_float(solve.get("tol_sup", 1e-8), "solve.tol_sup"),
+            max_outer=_int(solve.get("max_outer", 64), "solve.max_outer", 1),
+            max_picard=_int(solve.get("max_picard", 600), "solve.max_picard", 1),
         )
-        self.nodes = solve.get("nodes", 2048)
-        if isinstance(self.nodes, bool) or not isinstance(self.nodes, int) or self.nodes < 16:
-            raise ConfigError("solve.nodes must be an integer >= 16")
+        self.nodes = _int(solve.get("nodes", 2048), "solve.nodes", 16)
         self.which = str(solve.get("which", "minimal"))
-        self.n_max = int(solve.get("n_max", 64))
-        self.a = float(solve.get("a", 0.0))
-        self.b = float(solve.get("b", 0.0))
-        self.t_min = float(solve.get("t_min", 1e-7))
-        self.delta_min = float(solve.get("delta_min", 1e-6))
+        self.n_max = _int(solve.get("n_max", 64), "solve.n_max", 4)
+        self.a = _float(solve.get("a", 0.0), "solve.a")
+        self.b = _float(solve.get("b", 0.0), "solve.b")
+        self.t_min = _float(solve.get("t_min", 1e-7), "solve.t_min")
+        self.delta_min = _float(solve.get("delta_min", 1e-6), "solve.delta_min")
         verify = _section(raw, "verify", _VERIFY_KEYS)
         self.verify_target = verify.get("target", "minimal")
         self.verify_mode = str(verify.get("mode", "inequality"))
-        self.verify_tol = None if "tol" not in verify else float(verify["tol"])
-        self.verify_r1 = None if "r1" not in verify else float(verify["r1"])
-        self.verify_samples = int(verify.get("samples", 10_000))
-        self.verify_h = float(verify.get("h", 0.01))
+        self.verify_tol = None if "tol" not in verify else _float(verify["tol"], "verify.tol")
+        self.verify_r1 = None if "r1" not in verify else _float(verify["r1"], "verify.r1")
+        self.verify_samples = _int(verify.get("samples", 10_000), "verify.samples", 1)
+        self.verify_h = _float(verify.get("h", 0.01), "verify.h")
         certify = _section(raw, "certify", _CERTIFY_KEYS)
         self.certify_regime = str(certify.get("regime", "tail"))
-        self.certify_r0 = float(certify.get("r0", 1.0))
-        self.certify_levels = int(certify.get("levels", 24))
+        self.certify_r0 = _float(certify.get("r0", 1.0), "certify.r0")
+        self.certify_levels = _int(certify.get("levels", 24), "certify.levels", 3)
         self.output_dir = str(raw.get("output_dir", "out"))
-        self.seed = int(raw.get("seed", 42))
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
+        self.seed = _int(raw.get("seed", 42), "seed", 0)
         self.echo = raw
 
 
@@ -185,7 +200,7 @@ def load_config(path: str) -> RunConfig:
         raise
     except KeyError as exc:
         raise ConfigError(f"missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad value: {exc}") from exc
 
 
@@ -385,6 +400,8 @@ def _load_profile_csv(path: Path, dimension: int) -> _bvp1d.RadialProfile:
         raise ConfigError(f"unreadable target: {path}") from exc
     if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 16:
         raise ConfigError(f"target {path} is not a profile table")
+    if not np.all(data[:, 0] > 0):
+        raise ConfigError(f"target {path} has radii that are not positive")
     grid = _bvp1d.RadialGrid(nodes=data[:, 0], dimension=dimension, grading="geometric")
     return _bvp1d.RadialProfile(grid=grid, values=data[:, 1])
 
@@ -443,8 +460,7 @@ def cmd_verify(cfg: RunConfig, out: Path, target: str | None = None) -> int:
         else:
             ok = rep.min_residual >= -tol
             worst = rep.min_residual + tol
-        add(f"residual-{mode}", ok, float(worst),
-            _worst_residual_location(profile, cfg, window))
+        add(f"residual-{mode}", ok, float(worst), f"r={rep.worst_radius:.6g}")
         r1 = cfg.verify_r1
         if r1 is None:
             lo = window[0] if window else profile.r_min
@@ -474,24 +490,6 @@ def cmd_verify(cfg: RunConfig, out: Path, target: str | None = None) -> int:
     return 0 if all_pass else 2
 
 
-def _worst_residual_location(profile, cfg, window=None) -> str:
-    from .analysis import _flux_negative_laplacian
-
-    r = profile.grid.nodes
-    u = profile.values
-    neg_lap = _flux_negative_laplacian(r, u, cfg.problem.N)
-    rin = r[1:-1]
-    delta = cfg.problem.delta_radial(rin) if cfg.problem.N > 1 else rin
-    rhs = _funcs.phi_values(cfg.problem.phi, delta) * _funcs.f_values(cfg.problem.f, u[1:-1])
-    res = (neg_lap - rhs) / np.maximum(1.0, rhs)
-    if window is not None:
-        keep = (rin >= window[0]) & (rin <= window[1])
-        rin = rin[keep]
-        res = res[keep]
-    worst = int(np.argmax(np.abs(res)))
-    return f"r={rin[worst]:.6g}"
-
-
 def _solve_target_profile(cfg: RunConfig, target: str):
     """Raw iterate (stencil-smooth) plus the trusted audit window for a construction."""
     if target == "minimal":
@@ -517,13 +515,11 @@ def _build_reference_bound(cfg: RunConfig):
     f = cfg.problem.f
     N = cfg.problem.N
     single = _problem.ProblemSpec(N=N, phi=phi, f=f, K=_problem.Origin())
-    outer = _funcs.supersolution_profile(phi, f, N, inner_lower=1.0, r_min=1.0, nodes=800)
-    kw = _analysis.kelvin_weight(phi, N, getattr(f, "p", 1.0))
-    base = kw.exact if kw.exact is not None else kw
-    wprof = _funcs.supersolution_profile(base, f, N, inner_lower=1.0, r_min=1.0, nodes=800) \
-        if kw.exact is not None else None
-    if wprof is None:
+    kw = _analysis.kelvin_weight(phi, N, f.power_exponent() or 1.0)
+    if kw.exact is None:
         raise ConfigError("superposition verification requires a power-type weight")
+    outer = _funcs.supersolution_profile(phi, f, N, inner_lower=1.0, r_min=1.0, nodes=800)
+    wprof = _funcs.supersolution_profile(kw.exact, f, N, inner_lower=1.0, r_min=1.0, nodes=800)
     inner = _analysis.kelvin_transform(wprof, N)
     return _construct.glue_supersolution(inner, outer, single)
 
@@ -531,7 +527,7 @@ def _build_reference_bound(cfg: RunConfig):
 def cmd_certify_divergence(cfg: RunConfig, out: Path) -> int:
     t0 = time.perf_counter()
     regime = cfg.certify_regime
-    w = _funcs.phi_callable(cfg.problem.phi)
+    phi = cfg.problem.phi
     rows: list[list[str]] = []
     if regime == "boundary":
         cert = _quad.divergence_certificate_boundary(cfg.problem.phi, cfg.certify_r0,
@@ -545,10 +541,10 @@ def cmd_certify_divergence(cfg: RunConfig, out: Path) -> int:
         monotone_ok = _quad.phi_tail_monotone(cfg.problem.phi, cfg.certify_r0) \
             if regime == "tail" else True
         if regime == "tail":
-            rep = _quad.integrate_tail(lambda s: s * w(s), cfg.certify_r0,
+            rep = _quad.integrate_tail(lambda s: s * phi(s), cfg.certify_r0,
                                        criterion="first-moment-tail")
         else:
-            rep = _quad.integrate_singular(lambda s: s * w(s), 0.0, cfg.certify_r0,
+            rep = _quad.integrate_singular(lambda s: s * phi(s), 0.0, cfg.certify_r0,
                                            criterion="first-moment-near0")
         if not monotone_ok:
             verdict = "inconclusive"

@@ -26,7 +26,6 @@ from .errors import (
 from ._extrapolate import aitken_limit_rows
 from .bvp1d import RadialGrid, RadialProfile, SolveConfig, solve_on_nodes
 from .problem import Ball, Origin, ProblemSpec
-from . import funcs as _funcs
 from . import quad as _quad
 
 # extrapolation ladder refinement: steps of 2^(1/3) below the final annulus
@@ -35,7 +34,7 @@ _COVER_MARGIN = 1.10
 
 
 def _require_positive_weight(phi) -> None:
-    if isinstance(phi, _funcs.TabulatedPhi) and phi.is_zero:
+    if phi.is_zero:
         raise DomainError("constructions require a positive weight")
 
 
@@ -125,7 +124,6 @@ def minimal_solution(
         _refuse(prediction)
     if n_max < 4:
         raise DomainError("n_max must be at least 4")
-    w = _funcs.phi_callable(problem.phi)
     decades_final = math.log10(float(n_max) ** 2)
 
     raw_ns: list[float] = []
@@ -144,7 +142,8 @@ def minimal_solution(
     prev_raw: RadialProfile | None = None
     for nv in all_ns:
         grid = _grid_for_annulus(1.0 / nv, nv, nodes, decades_final, problem.N)
-        interior = solve_on_nodes(grid.nodes, problem.N, w, problem.f, 0.0, 0.0, config)
+        interior = solve_on_nodes(grid.nodes, problem.N, problem.phi, problem.f,
+                                  0.0, 0.0, config)
         prof = RadialProfile(grid=grid, values=np.concatenate(([0.0], interior, [0.0])))
         levels[nv] = prof
         if nv in raw_ns:
@@ -247,9 +246,8 @@ def family_member(
         raise DomainError("family parameters must be nonnegative")
     if not isinstance(problem.K, Origin):
         raise DomainError("family members are built around the origin")
-    if not isinstance(problem.f, _funcs.PowerF):
+    if problem.f.power_exponent() is None:
         raise UnsupportedCombinationError("family construction requires a power nonlinearity")
-    w = _funcs.phi_callable(problem.phi)
     Nd = problem.N
 
     ladder_ns = [nv for nv in xi.ladder_ns if nv <= n_max]
@@ -273,7 +271,7 @@ def family_member(
         if initial_scale > 0.0:
             initial = np.full(len(rn) - 2, initial_scale)
         interior = solve_on_nodes(
-            grid.nodes, Nd, w, problem.f, float(data[0]), float(data[-1]),
+            grid.nodes, Nd, problem.phi, problem.f, float(data[0]), float(data[-1]),
             config, initial=initial,
         )
         vals = np.concatenate(([data[0]], interior, [data[-1]]))
@@ -339,10 +337,9 @@ def exterior_ball_minimal(
     if prediction.exists is not True:
         _refuse(prediction)
     R = problem.K.radius
-    w = _funcs.phi_callable(problem.phi)
 
     def shifted_weight(r: np.ndarray) -> np.ndarray:
-        return w(np.maximum(np.asarray(r, dtype=float) - R, 1e-300))
+        return problem.phi(np.maximum(np.asarray(r, dtype=float) - R, 1e-300))
 
     prev: RadialProfile | None = None
     increments: list[float] = []
@@ -457,7 +454,7 @@ def _radial_inequality_residual(
     d2 = 2.0 * (hm * up + hp * um - (hp + hm) * u0) / (hp * hm * (hp + hm))
     lap = d2 + (problem.N - 1) / r * d1
     delta = problem.delta_radial(r)
-    rhs = _funcs.phi_values(problem.phi, delta) * _funcs.f_values(problem.f, u0)
+    rhs = problem.phi(delta) * problem.f(u0)
     return (-lap - rhs) / np.maximum(1.0, rhs)
 
 
@@ -547,5 +544,4 @@ def superposition_field(U, centers) -> SuperpositionField:
         for j in range(i + 1, centers.shape[0]):
             if np.linalg.norm(centers[i] - centers[j]) == 0.0:
                 raise DomainError("centers must be pairwise distinct")
-    fn = U if callable(U) else _funcs.phi_callable(U)
-    return SuperpositionField(U=fn, centers=centers)
+    return SuperpositionField(U=U, centers=centers)

@@ -4,12 +4,14 @@ The weight families model phi(delta): pure powers, a spliced two-exponent power,
 power-log corrections, iterated-log corrections, and tabulated data with declared
 endpoint growth.  The nonlinearity families model positive nonincreasing f(t),
 with the antiderivative map G(v) = int_0^v dt/f(t) and its inverse.
+Each family carries its own operations (the PhiSpec and FSpec protocols), so
+quad and bvp1d take the families as callables and do not import this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -22,11 +24,33 @@ from . import bvp1d as _bvp1d
 # weight families
 # ---------------------------------------------------------------------------
 
+class PhiSpec:
+    """Protocol of the weight families: one class per family, with its formula
+    ``_formula(r)`` and its exponents ``near0_exponent()`` and ``tail_exponent()``.
+
+    ``phi(r)`` evaluates through ``phi_values``, which checks r > 0.  Exponents
+    that are declared, not exact (``exact_exponents``), cannot decide a criterion.
+    """
+
+    exact_exponents = True
+    is_zero = False
+
+    def __call__(self, r) -> np.ndarray:
+        return phi_values(self, r)
+
+    def kelvin_image(self, shift: float) -> "PhiSpec | None":
+        """The family member equal to r**shift * phi(1/r), or None if there is none."""
+        return None
+
+
 @dataclass(frozen=True)
-class PowerPhi:
+class PowerPhi(PhiSpec):
     """phi(r) = r**alpha."""
 
     alpha: float
+
+    def _formula(self, r: np.ndarray) -> np.ndarray:
+        return r ** self.alpha
 
     def near0_exponent(self) -> float:
         return self.alpha
@@ -34,13 +58,19 @@ class PowerPhi:
     def tail_exponent(self) -> float:
         return self.alpha
 
+    def kelvin_image(self, shift: float) -> "PowerPhi":
+        return PowerPhi(alpha=shift - self.alpha)
+
 
 @dataclass(frozen=True)
-class PowerSplitPhi:
+class PowerSplitPhi(PhiSpec):
     """phi(r) = r**alpha on (0,1], r**beta on (1,inf); both branches equal 1 at r=1."""
 
     alpha: float
     beta: float
+
+    def _formula(self, r: np.ndarray) -> np.ndarray:
+        return np.where(r <= 1.0, r ** self.alpha, r ** self.beta)
 
     def near0_exponent(self) -> float:
         return self.alpha
@@ -48,9 +78,12 @@ class PowerSplitPhi:
     def tail_exponent(self) -> float:
         return self.beta
 
+    def kelvin_image(self, shift: float) -> "PowerSplitPhi":
+        return PowerSplitPhi(alpha=shift - self.beta, beta=shift - self.alpha)
+
 
 @dataclass(frozen=True)
-class PowerLogPhi:
+class PowerLogPhi(PhiSpec):
     """phi(r) = r**alpha * log(1+r)**beta with beta > 0."""
 
     alpha: float
@@ -59,6 +92,9 @@ class PowerLogPhi:
     def __post_init__(self):
         if self.beta <= 0:
             raise DomainError("PowerLogPhi requires beta > 0")
+
+    def _formula(self, r: np.ndarray) -> np.ndarray:
+        return r ** self.alpha * np.log1p(r) ** self.beta
 
     def near0_exponent(self) -> float:
         # log(1+r) ~ r as r -> 0, so the log factor contributes a full power.
@@ -69,7 +105,7 @@ class PowerLogPhi:
 
 
 @dataclass(frozen=True)
-class IterLogPhi:
+class IterLogPhi(PhiSpec):
     """phi(r) = r**alpha * prod_k ell_k(r)**beta_k with iterated logs.
 
     ell_1(r) = log(1+r) and ell_{k+1}(r) = log(1 + ell_k(r)).  Every factor
@@ -87,6 +123,14 @@ class IterLogPhi:
         if any(b <= 0 for b in self.betas):
             raise DomainError("IterLogPhi exponents must be positive")
 
+    def _formula(self, r: np.ndarray) -> np.ndarray:
+        factors = np.ones_like(r)
+        ell = np.log1p(r)
+        for b in self.betas:
+            factors = factors * ell ** b
+            ell = np.log1p(ell)
+        return r ** self.alpha * factors
+
     def near0_exponent(self) -> float:
         return self.alpha + sum(self.betas)
 
@@ -95,13 +139,15 @@ class IterLogPhi:
 
 
 @dataclass(frozen=True, eq=False)
-class TabulatedPhi:
+class TabulatedPhi(PhiSpec):
     """Log-log interpolated weight with declared power behavior outside the knots."""
 
     knots: np.ndarray
     values: np.ndarray
     near0_exp: float
     tail_exp: float
+
+    exact_exponents = False
 
     def __post_init__(self):
         knots = np.asarray(self.knots, dtype=float)
@@ -117,6 +163,19 @@ class TabulatedPhi:
         if np.any(values < 0):
             raise DomainError("TabulatedPhi values must be nonnegative")
 
+    def _formula(self, r: np.ndarray) -> np.ndarray:
+        if self.is_zero:
+            return np.zeros_like(r)
+        logk = np.log(self.knots)
+        with np.errstate(divide="ignore"):
+            logv = np.log(self.values)
+        out = np.exp(np.interp(np.log(r), logk, logv))
+        lo = r < self.knots[0]
+        hi = r > self.knots[-1]
+        out = np.where(lo, self.values[0] * (r / self.knots[0]) ** self.near0_exp, out)
+        out = np.where(hi, self.values[-1] * (r / self.knots[-1]) ** self.tail_exp, out)
+        return out
+
     def near0_exponent(self) -> float:
         return self.near0_exp
 
@@ -128,62 +187,95 @@ class TabulatedPhi:
         return bool(np.all(self.values == 0.0))
 
 
-PhiSpec = PowerPhi | PowerSplitPhi | PowerLogPhi | IterLogPhi | TabulatedPhi
-
-
-def _iterlog_factors(r: np.ndarray, betas: Sequence[float]) -> np.ndarray:
-    out = np.ones_like(r)
-    ell = np.log1p(r)
-    for b in betas:
-        out = out * ell ** b
-        ell = np.log1p(ell)
-    return out
-
-
 def phi_values(phi: PhiSpec, r: np.ndarray) -> np.ndarray:
-    """Vectorized weight evaluation on positive radii."""
+    """Vectorized weight evaluation on positive radii; every weight call goes through here."""
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
         raise DomainError("weight evaluation requires r > 0")
-    if isinstance(phi, PowerPhi):
-        return r ** phi.alpha
-    if isinstance(phi, PowerSplitPhi):
-        return np.where(r <= 1.0, r ** phi.alpha, r ** phi.beta)
-    if isinstance(phi, PowerLogPhi):
-        return r ** phi.alpha * np.log1p(r) ** phi.beta
-    if isinstance(phi, IterLogPhi):
-        return r ** phi.alpha * _iterlog_factors(r, phi.betas)
-    if isinstance(phi, TabulatedPhi):
-        if phi.is_zero:
-            return np.zeros_like(r)
-        logk = np.log(phi.knots)
-        with np.errstate(divide="ignore"):
-            logv = np.log(phi.values)
-        out = np.exp(np.interp(np.log(r), logk, logv))
-        lo = r < phi.knots[0]
-        hi = r > phi.knots[-1]
-        out = np.where(lo, phi.values[0] * (r / phi.knots[0]) ** phi.near0_exp, out)
-        out = np.where(hi, phi.values[-1] * (r / phi.knots[-1]) ** phi.tail_exp, out)
-        return out
-    raise DomainError(f"unknown weight family: {type(phi).__name__}")
-
-
-def eval_phi(phi: PhiSpec, r: float) -> float:
-    """Weight value at a single radius r > 0."""
-    return float(phi_values(phi, np.asarray([r]))[0])
-
-
-def phi_callable(phi: PhiSpec) -> Callable[[np.ndarray], np.ndarray]:
-    return lambda r: phi_values(phi, r)
+    return phi._formula(r)
 
 
 # ---------------------------------------------------------------------------
 # nonlinearity families
 # ---------------------------------------------------------------------------
 
+class FSpec:
+    """Protocol of the nonlinearity families: one class per family, called as ``f(t)``.
+
+    The slope bound and the map G default to numerical forms built on those
+    values; closed families override them.
+    """
+
+    def power_exponent(self) -> float | None:
+        """p for f(t) = t**(-p), None for the other families."""
+        return None
+
+    def slope_bound(self, t: np.ndarray) -> np.ndarray:
+        """Pointwise bound on |f'(t)|, used by the monotone solver shift."""
+        t = np.asarray(t, dtype=float)
+        h = 1e-6 * (1.0 + np.abs(t))
+        lo = np.maximum(t - h, 1e-300)
+        return np.abs(self(t + h) - self(lo)) / (t + h - lo)
+
+    def G_and_inverse(self) -> tuple[Callable, Callable]:
+        """Antiderivative map G(v) = int_0^v dt/f(t) and its inverse.
+
+        G is computed by composite Gauss quadrature and the inverse by
+        bracketed root finding on the strictly increasing G (relative
+        tolerance 1e-12).
+        """
+        from scipy.optimize import brentq
+
+        nodes, wts = np.polynomial.legendre.leggauss(48)
+
+        def G_scalar(v: float) -> float:
+            if v < 0:
+                raise DomainError("G requires v >= 0")
+            if v == 0.0:
+                return 0.0
+            total = 0.0
+            pieces = 64
+            edges = np.geomspace(v / 2.0 ** pieces, v, pieces + 1)
+            edges[0] = 0.0
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                x = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
+                fx = self(x)
+                if np.any(fx <= 0):
+                    raise ConstructionError("1/f not integrable: f vanishes")
+                total += 0.5 * (hi - lo) * float(np.sum(wts / fx))
+            return total
+
+        def G(v):
+            arr = np.asarray(v, dtype=float)
+            out = np.array([G_scalar(x) for x in np.atleast_1d(arr)])
+            return out.reshape(arr.shape) if arr.ndim else float(out[0])
+
+        def Ginv_scalar(s: float) -> float:
+            if s < 0:
+                raise DomainError("G inverse requires s >= 0")
+            if s == 0.0:
+                return 0.0
+            hi = 1.0
+            for _ in range(200):
+                if G_scalar(hi) >= s:
+                    break
+                hi *= 2.0
+            else:
+                raise ConstructionError("G appears bounded; cannot invert")
+            lo = 0.0
+            return brentq(lambda v: G_scalar(v) - s, lo, hi, xtol=1e-300, rtol=1e-12)
+
+        def Ginv(s):
+            arr = np.asarray(s, dtype=float)
+            out = np.array([Ginv_scalar(x) for x in np.atleast_1d(arr)])
+            return out.reshape(arr.shape) if arr.ndim else float(out[0])
+
+        return G, Ginv
+
+
 @dataclass(frozen=True)
-class PowerF:
-    """f(t) = t**(-p), p > 0."""
+class PowerF(FSpec):
+    """f(t) = t**(-p), p > 0; the slope bound and G are closed form."""
 
     p: float
 
@@ -191,9 +283,33 @@ class PowerF:
         if self.p <= 0:
             raise DomainError("PowerF requires p > 0")
 
+    def power_exponent(self) -> float:
+        return self.p
+
+    def __call__(self, t) -> np.ndarray:
+        return np.asarray(t, dtype=float) ** (-self.p)
+
+    def slope_bound(self, t: np.ndarray) -> np.ndarray:
+        return self.p * np.asarray(t, dtype=float) ** (-self.p - 1.0)
+
+    def G_and_inverse(self) -> tuple[Callable, Callable]:
+        p = self.p
+
+        def G(v):
+            v = np.asarray(v, dtype=float)
+            return v ** (1.0 + p) / (1.0 + p)
+
+        def Ginv(s):
+            s = np.asarray(s, dtype=float)
+            if np.any(s < 0):
+                raise DomainError("G inverse requires s >= 0")
+            return ((1.0 + p) * s) ** (1.0 / (1.0 + p))
+
+        return G, Ginv
+
 
 @dataclass(frozen=True, eq=False)
-class GeneralDecreasingF:
+class GeneralDecreasingF(FSpec):
     """Positive nonincreasing nonlinearity given by an evaluator callable.
 
     Positivity and monotonicity are spot-checked on a log-spaced sample grid at
@@ -217,96 +333,8 @@ class GeneralDecreasingF:
         if np.any(np.diff(v) > 1e-12 * np.maximum(v[:-1], v[1:])):
             raise ConstructionError("f must be nonincreasing on (0, inf)")
 
-
-FSpec = PowerF | GeneralDecreasingF
-
-
-def f_values(f: FSpec, t: np.ndarray) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    if isinstance(f, PowerF):
-        return t ** (-f.p)
-    return np.asarray(f.evaluator(t), dtype=float)
-
-
-def f_slope_bound(f: FSpec, t: np.ndarray) -> np.ndarray:
-    """Pointwise bound on |f'(t)|, used by the monotone solver shift."""
-    t = np.asarray(t, dtype=float)
-    if isinstance(f, PowerF):
-        return f.p * t ** (-f.p - 1.0)
-    h = 1e-6 * (1.0 + np.abs(t))
-    lo = np.maximum(t - h, 1e-300)
-    return np.abs(f_values(f, t + h) - f_values(f, lo)) / (t + h - lo)
-
-
-def G_and_inverse(f: FSpec) -> tuple[Callable, Callable]:
-    """Antiderivative map G(v) = int_0^v dt/f(t) and its inverse.
-
-    For f = t**(-p) both directions are closed form.  Otherwise G is computed
-    by composite Gauss quadrature and the inverse by bracketed root finding on
-    the strictly increasing G (relative tolerance 1e-12).
-    """
-    if isinstance(f, PowerF):
-        p = f.p
-
-        def G(v):
-            v = np.asarray(v, dtype=float)
-            return v ** (1.0 + p) / (1.0 + p)
-
-        def Ginv(s):
-            s = np.asarray(s, dtype=float)
-            if np.any(s < 0):
-                raise DomainError("G inverse requires s >= 0")
-            return ((1.0 + p) * s) ** (1.0 / (1.0 + p))
-
-        return G, Ginv
-
-    from scipy.optimize import brentq
-
-    nodes, wts = np.polynomial.legendre.leggauss(48)
-
-    def G_scalar(v: float) -> float:
-        if v < 0:
-            raise DomainError("G requires v >= 0")
-        if v == 0.0:
-            return 0.0
-        total = 0.0
-        pieces = 64
-        edges = np.geomspace(v / 2.0 ** pieces, v, pieces + 1)
-        edges[0] = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            x = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-            fx = f_values(f, x)
-            if np.any(fx <= 0):
-                raise ConstructionError("1/f not integrable: f vanishes")
-            total += 0.5 * (hi - lo) * float(np.sum(wts / fx))
-        return total
-
-    def G(v):
-        arr = np.asarray(v, dtype=float)
-        out = np.array([G_scalar(x) for x in np.atleast_1d(arr)])
-        return out.reshape(arr.shape) if arr.ndim else float(out[0])
-
-    def Ginv_scalar(s: float) -> float:
-        if s < 0:
-            raise DomainError("G inverse requires s >= 0")
-        if s == 0.0:
-            return 0.0
-        hi = 1.0
-        for _ in range(200):
-            if G_scalar(hi) >= s:
-                break
-            hi *= 2.0
-        else:
-            raise ConstructionError("G appears bounded; cannot invert")
-        lo = 0.0
-        return brentq(lambda v: G_scalar(v) - s, lo, hi, xtol=1e-300, rtol=1e-12)
-
-    def Ginv(s):
-        arr = np.asarray(s, dtype=float)
-        out = np.array([Ginv_scalar(x) for x in np.atleast_1d(arr)])
-        return out.reshape(arr.shape) if arr.ndim else float(out[0])
-
-    return G, Ginv
+    def __call__(self, t) -> np.ndarray:
+        return np.asarray(self.evaluator(np.asarray(t, dtype=float)), dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -373,10 +401,9 @@ def double_integral_profile(
         raise DomainError("inner_lower must be >= 0")
     if inner_lower > 0 and r < inner_lower * (1.0 - 1e-12):
         raise DomainError("evaluation radius must not precede inner_lower")
-    if isinstance(phi, TabulatedPhi) and phi.is_zero:
+    if phi.is_zero:
         return 0.0
-    w = phi_callable(phi)
-    return _quad.iterated_tail_value(w, N, inner_lower, r, rel_tol=rel_tol)
+    return _quad.iterated_tail_value(phi, N, inner_lower, r, rel_tol=rel_tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -413,10 +440,9 @@ def supersolution_values(
         raise DomainError("r_max must exceed r_min")
     if inner_lower > 0 and r_min < inner_lower * (1.0 - 1e-12):
         raise DomainError("grid must start at or after inner_lower")
-    w = phi_callable(phi)
     r = np.geomspace(r_min, r_max, nodes)
-    A = _quad.iterated_tail_profile(w, N, inner_lower, r, rel_tol=rel_tol)
-    _, Ginv = G_and_inverse(f)
+    A = _quad.iterated_tail_profile(phi, N, inner_lower, r, rel_tol=rel_tol)
+    _, Ginv = f.G_and_inverse()
     v = np.asarray(Ginv(A), dtype=float)
     if np.any(v <= 0):
         raise ConstructionError("supersolution profile must be positive")

@@ -16,7 +16,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import DivergenceError, DomainError, UnsupportedCombinationError
-from . import funcs as _funcs
 from . import problem as _problem
 
 FINITE = "finite"
@@ -439,23 +438,16 @@ def _analytic_report(criterion: str, finite: bool) -> ConditionReport:
     return ConditionReport(criterion, FINITE if finite else INFINITE, None, None, "analytic", 0)
 
 
-def _analytic_near0_finite(phi, weight_shift: float) -> bool | None:
-    """Finiteness of int_0^1 r^(1+weight_shift) phi(r) dr for the exact families."""
-    if isinstance(phi, (_funcs.PowerPhi, _funcs.PowerSplitPhi, _funcs.PowerLogPhi,
-                        _funcs.IterLogPhi)):
-        sigma = phi.near0_exponent() + 1.0 + weight_shift
-        # at sigma = -1 the integral is logarithmically divergent
-        return sigma > -1.0
-    return None
+def _analytic_exists(phi, weight_shift: float) -> bool | None:
+    """Closed-form finiteness of int_0^1 r^(1+weight_shift) phi(r) dr and int_1^inf r phi(r) dr.
 
-
-def _analytic_tail_finite(phi) -> bool | None:
-    if isinstance(phi, (_funcs.PowerPhi, _funcs.PowerSplitPhi)):
-        return phi.tail_exponent() + 1.0 < -1.0
-    if isinstance(phi, (_funcs.PowerLogPhi, _funcs.IterLogPhi)):
-        # positive slowly-varying log factors push the boundary case to divergence
-        return phi.tail_exponent() + 1.0 < -1.0
-    return None
+    None when the exponents are declared, not exact.  Both boundary cases diverge:
+    the near-zero one logarithmically, the tail one through positive log factors.
+    """
+    if not phi.exact_exponents:
+        return None
+    sigma = phi.near0_exponent() + 1.0 + weight_shift
+    return sigma > -1.0 and phi.tail_exponent() + 1.0 < -1.0
 
 
 def classify_existence(problem: "_problem.ProblemSpec", rel_tol: float = DEFAULT_REL_TOL) -> ExistencePrediction:
@@ -468,42 +460,37 @@ def classify_existence(problem: "_problem.ProblemSpec", rel_tol: float = DEFAULT
     exponent inequalities; disagreement yields an inconclusive prediction.
     """
     phi = problem.phi
-    w = _funcs.phi_callable(phi)
     if problem.N == 2:
         # positive superharmonic functions on the plane admit no decaying states
         return ExistencePrediction(False, "two-dimensional-obstruction", ())
 
     if isinstance(problem.K, _problem.Ball):
-        near0 = integrate_singular(lambda s: s * w(s), 0.0, 1.0,
+        near0 = integrate_singular(lambda s: s * phi(s), 0.0, 1.0,
                                    criterion="first-moment-near0", rel_tol=rel_tol)
-        tail = integrate_tail(lambda s: s * w(s), 1.0,
+        tail = integrate_tail(lambda s: s * phi(s), 1.0,
                               criterion="first-moment-tail", rel_tol=rel_tol)
         reports = [near0, tail]
         quad_exists = _both_finite(near0, tail)
-        ana0 = _analytic_near0_finite(phi, 0.0)
-        ana1 = _analytic_tail_finite(phi)
-        analytic_exists = None if (ana0 is None or ana1 is None) else (ana0 and ana1)
+        analytic_exists = _analytic_exists(phi, 0.0)
         if analytic_exists is not None:
             reports.append(_analytic_report("first-moment-analytic", analytic_exists))
         exists = _combine(quad_exists, analytic_exists)
         return ExistencePrediction(exists, "first-moment", tuple(reports))
 
     # degenerate compact set: origin or a finite set of points
-    if not isinstance(problem.f, _funcs.PowerF):
+    p = problem.f.power_exponent()
+    if p is None:
         raise UnsupportedCombinationError(
             "point-set compact sets are classified only for power nonlinearities"
         )
-    p = problem.f.p
     shift = (1.0 + p) * (problem.N - 2)
-    near0 = integrate_singular(lambda s: s ** (1.0 + shift) * w(s), 0.0, 1.0,
+    near0 = integrate_singular(lambda s: s ** (1.0 + shift) * phi(s), 0.0, 1.0,
                                criterion="shifted-moment-near0", rel_tol=rel_tol)
-    tail = integrate_tail(lambda s: s * w(s), 1.0,
+    tail = integrate_tail(lambda s: s * phi(s), 1.0,
                           criterion="first-moment-tail", rel_tol=rel_tol)
     reports = [near0, tail]
     quad_exists = _both_finite(near0, tail)
-    ana0 = _analytic_near0_finite(phi, shift)
-    ana1 = _analytic_tail_finite(phi)
-    analytic_exists = None if (ana0 is None or ana1 is None) else (ana0 and ana1)
+    analytic_exists = _analytic_exists(phi, shift)
     if analytic_exists is not None:
         reports.append(_analytic_report("shifted-moment-analytic", analytic_exists))
     exists = _combine(quad_exists, analytic_exists)
@@ -529,7 +516,7 @@ def _combine(quad_exists: bool | None, analytic_exists: bool | None) -> bool | N
 # ---------------------------------------------------------------------------
 
 def lemma_zero_check(
-    phi: "_funcs.PhiSpec",
+    phi: Callable[[np.ndarray], np.ndarray],
     N: int,
     regime: str,
     rel_tol: float = DEFAULT_REL_TOL,
@@ -543,30 +530,29 @@ def lemma_zero_check(
         raise DomainError("equivalence check requires N >= 3")
     if regime not in ("near0", "tail", "full"):
         raise DomainError("regime must be near0 | tail | full")
-    w = _funcs.phi_callable(phi)
     if regime == "near0":
-        simple = integrate_singular(lambda s: s * w(s), 0.0, 1.0,
+        simple = integrate_singular(lambda s: s * phi(s), 0.0, 1.0,
                                     criterion="simple-near0", rel_tol=rel_tol)
-        iterated = iterated_near0(w, N, 1.0, rel_tol=rel_tol)
+        iterated = iterated_near0(phi, N, 1.0, rel_tol=rel_tol)
         return simple, iterated
     if regime == "tail":
-        simple = integrate_tail(lambda s: s * w(s), 1.0,
+        simple = integrate_tail(lambda s: s * phi(s), 1.0,
                                 criterion="simple-tail", rel_tol=rel_tol)
-        iterated = iterated_tail(w, N, 1.0, rel_tol=rel_tol)
+        iterated = iterated_tail(phi, N, 1.0, rel_tol=rel_tol)
         return simple, iterated
-    s0 = integrate_singular(lambda s: s * w(s), 0.0, 1.0,
+    s0 = integrate_singular(lambda s: s * phi(s), 0.0, 1.0,
                             criterion="simple-full", rel_tol=rel_tol)
-    s1 = integrate_tail(lambda s: s * w(s), 1.0, criterion="simple-full", rel_tol=rel_tol)
+    s1 = integrate_tail(lambda s: s * phi(s), 1.0, criterion="simple-full", rel_tol=rel_tol)
     simple = _merge_reports("simple-full", s0, s1)
-    it0 = iterated_near0(w, N, 1.0, rel_tol=rel_tol)
+    it0 = iterated_near0(phi, N, 1.0, rel_tol=rel_tol)
     if it0.status == FINITE:
-        counter = _EvalCounter(w)
+        counter = _EvalCounter(phi)
         base_rep = _scan(
             _EvalCounter(lambda s: counter.g(s) * s ** (N - 1)),
             _windows_to_point(0.0, 1.0), "inner-near0", rel_tol,
         )
         base = base_rep.value if base_rep.value is not None else 0.0
-        it1 = iterated_tail(w, N, 1.0, inner_lower=1.0, inner_base=base, rel_tol=rel_tol)
+        it1 = iterated_tail(phi, N, 1.0, inner_lower=1.0, inner_base=base, rel_tol=rel_tol)
     else:
         it1 = it0
     iterated = _merge_reports("iterated-full", it0, it1)
@@ -595,7 +581,7 @@ class BoundaryCertificate:
 
 
 def divergence_certificate_boundary(
-    phi: "_funcs.PhiSpec",
+    phi: Callable[[np.ndarray], np.ndarray],
     r0: float,
     levels: int = 24,
 ) -> BoundaryCertificate:
@@ -604,11 +590,10 @@ def divergence_certificate_boundary(
         raise DomainError("levels must be >= 3")
     if r0 <= 0:
         raise DomainError("r0 must be positive")
-    w = _funcs.phi_callable(phi)
     radii = [r0 * 2.0 ** -(k + 1) for k in range(levels)]
     values = []
     for rk in radii:
-        counter = _EvalCounter(lambda rho, rk=rk: np.maximum(rho - rk, 0.0) * w(rho))
+        counter = _EvalCounter(lambda rho, rk=rk: np.maximum(rho - rk, 0.0) * phi(rho))
         # each level is a proper integral: the integrand vanishes linearly at rk,
         # so the scan runs in convergence-only mode and divergence is judged
         # across levels below
@@ -634,10 +619,10 @@ def divergence_certificate_boundary(
     return BoundaryCertificate(tuple(radii), tuple(values), divergent, limit)
 
 
-def phi_tail_monotone(phi: "_funcs.PhiSpec", r0: float, samples: int = 64) -> bool:
+def phi_tail_monotone(phi: Callable[[np.ndarray], np.ndarray], r0: float, samples: int = 64) -> bool:
     """Sampled monotonicity of the weight beyond r0 (hypothesis check for tail verdicts)."""
     r = np.geomspace(r0, r0 * 1e6, samples)
-    v = _funcs.phi_values(phi, r)
+    v = phi(r)
     dv = np.diff(v)
     tol = 1e-12 * np.maximum(v[:-1], v[1:])
     return bool(np.all(dv <= tol) or np.all(dv >= -tol))

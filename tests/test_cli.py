@@ -89,6 +89,11 @@ def test_classify_inconclusive_tabulated_boundaryish(tmp_path):
     ({"solve": []}, "solve must be an object"),
     ({"solve": {"nodes": 8}}, "solve.nodes must be an integer >= 16"),
     ({"verify": {"r1": "x"}}, "bad value"),
+    ({"problem": {"N": 3.7}}, "problem.N must be an integer"),
+    ({"seed": 1.9}, "seed must be an integer"),
+    ({"solve": {"n_max": -4}}, "solve.n_max must be an integer >= 4"),
+    ({"problem": {"phi": {"kind": "power", "alpha": 1e400}}}, "problem.phi.alpha must be a finite number"),
+    ({"problem": {"phi": {"kind": "power", "alpha": "nan"}}}, "problem.phi.alpha must be a finite number"),
 ])
 def test_malformed_config(tmp_path, capsys, mutation, message):
     cfg = tmp_path / "cfg.json"
@@ -262,6 +267,24 @@ def test_verify_unreadable_target(tmp_path, capsys):
     rc = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o"),
                "--target", str(tmp_path / "missing.csv")])
     assert rc == 1
+
+
+def test_verify_target_nonpositive_radius(tmp_path, capsys, recwarn):
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg)
+    target = tmp_path / "zero.csv"
+    r = np.concatenate(([0.0], np.geomspace(1e-2, 1e2, 31)))
+    with open(target, "w") as fh:
+        fh.write("r,u\n")
+        for ri in r:
+            fh.write(f"{ri:.16e},{1.0:.16e}\n")
+    rc = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o"),
+               "--target", str(target)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "radii that are not positive" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import elliptic_lab as el
 from elliptic_lab.funcs import (
-    f_values,
     phi_values,
     supersolution_profile,
     supersolution_values,
@@ -23,19 +22,19 @@ from elliptic_lab.funcs import (
 # ---------------------------------------------------------------------------
 
 def test_power_eval():
-    assert el.eval_phi(el.PowerPhi(-3.0), 2.0) == pytest.approx(0.125, abs=0)
+    assert el.PowerPhi(-3.0)(2.0) == pytest.approx(0.125, abs=0)
 
 
 def test_power_split_continuous_at_splice():
     phi = el.PowerSplitPhi(-1.0, -3.0)
-    assert el.eval_phi(phi, 1.0) == 1.0
-    assert el.eval_phi(phi, 1.0 - 1e-12) == pytest.approx(1.0, rel=1e-10)
-    assert el.eval_phi(phi, 1.0 + 1e-12) == pytest.approx(1.0, rel=1e-10)
+    assert phi(1.0) == 1.0
+    assert phi(1.0 - 1e-12) == pytest.approx(1.0, rel=1e-10)
+    assert phi(1.0 + 1e-12) == pytest.approx(1.0, rel=1e-10)
 
 
 def test_power_log_eval():
     # direct evaluation of r^alpha log(1+r)^beta at r=1
-    assert el.eval_phi(el.PowerLogPhi(-3.0, 1.0), 1.0) == pytest.approx(math.log(2.0), rel=1e-12)
+    assert el.PowerLogPhi(-3.0, 1.0)(1.0) == pytest.approx(math.log(2.0), rel=1e-12)
 
 
 def test_iterlog_near0_exponent_matches_evaluation():
@@ -44,8 +43,8 @@ def test_iterlog_near0_exponent_matches_evaluation():
     phi = el.IterLogPhi(-3.0, (1.5, 0.5))
     target = phi.near0_exponent()
     r1, r2 = 1e-6, 1e-8
-    c1 = el.eval_phi(phi, r1) / r1 ** target
-    c2 = el.eval_phi(phi, r2) / r2 ** target
+    c1 = phi(r1) / r1 ** target
+    c2 = phi(r2) / r2 ** target
     assert c1 == pytest.approx(c2, rel=1e-4)
 
 
@@ -53,19 +52,19 @@ def test_tabulated_interp_and_extrapolation():
     phi = el.TabulatedPhi(knots=np.array([0.5, 1.0, 2.0]),
                           values=np.array([2.0, 1.0, 0.5]),
                           near0_exp=-1.0, tail_exp=-1.0)
-    assert el.eval_phi(phi, 1.0) == pytest.approx(1.0)
+    assert phi(1.0) == pytest.approx(1.0)
     # log-log interpolation of a pure power is exact
-    assert el.eval_phi(phi, 0.7071067811865476) == pytest.approx(2.0 ** 0.5, rel=1e-12)
+    assert phi(0.7071067811865476) == pytest.approx(2.0 ** 0.5, rel=1e-12)
     # declared power extension outside the knots
-    assert el.eval_phi(phi, 0.25) == pytest.approx(4.0, rel=1e-12)
-    assert el.eval_phi(phi, 8.0) == pytest.approx(0.125, rel=1e-12)
+    assert phi(0.25) == pytest.approx(4.0, rel=1e-12)
+    assert phi(8.0) == pytest.approx(0.125, rel=1e-12)
 
 
 def test_eval_phi_domain_error():
     with pytest.raises(el.DomainError):
-        el.eval_phi(el.PowerPhi(-1.0), 0.0)
+        el.PowerPhi(-1.0)(0.0)
     with pytest.raises(el.DomainError):
-        el.eval_phi(el.PowerPhi(-1.0), -2.0)
+        el.PowerPhi(-1.0)(-2.0)
 
 
 @given(st.floats(-3.0, -0.1), st.floats(0.01, 10.0), st.floats(1.1, 10.0))
@@ -73,8 +72,8 @@ def test_eval_phi_domain_error():
 def test_negative_power_weights_nonincreasing(alpha, r1, factor):
     phi = el.PowerSplitPhi(alpha, -2.5)
     r2 = r1 * factor
-    assert el.eval_phi(phi, r2) <= el.eval_phi(phi, r1) * (1 + 1e-12)
-    assert el.eval_phi(phi, r1) > 0
+    assert phi(r2) <= phi(r1) * (1 + 1e-12)
+    assert phi(r1) > 0
 
 
 def test_positivity_on_samples():
@@ -90,7 +89,7 @@ def test_positivity_on_samples():
 # ---------------------------------------------------------------------------
 
 def test_G_power_values():
-    G, Ginv = el.G_and_inverse(el.PowerF(1.0))
+    G, Ginv = el.PowerF(1.0).G_and_inverse()
     assert G(2.0) == pytest.approx(2.0, abs=0)
     assert Ginv(2.0) == pytest.approx(2.0, abs=0)
 
@@ -98,7 +97,7 @@ def test_G_power_values():
 @given(st.floats(0.3, 3.0), st.floats(-6, 6))
 @settings(max_examples=60, deadline=None)
 def test_G_inverse_roundtrip_power(p, log10_s):
-    G, Ginv = el.G_and_inverse(el.PowerF(p))
+    G, Ginv = el.PowerF(p).G_and_inverse()
     s = 10.0 ** log10_s
     assert G(Ginv(s)) == pytest.approx(s, rel=1e-10)
 
@@ -106,7 +105,7 @@ def test_G_inverse_roundtrip_power(p, log10_s):
 def test_G_general_decreasing_exponential():
     # oracle: the antiderivative of 1/f = e^t on (0, 1) is e - 1
     f = el.GeneralDecreasingF(lambda t: np.exp(-t))
-    G, Ginv = el.G_and_inverse(f)
+    G, Ginv = f.G_and_inverse()
     assert G(1.0) == pytest.approx(math.expm1(1.0), rel=1e-10)
     assert Ginv(math.expm1(1.0)) == pytest.approx(1.0, rel=1e-9)
 
@@ -202,7 +201,7 @@ def test_profile_monotone_nonincreasing_in_r():
 
 def test_supersolution_power_map():
     # with p=1 the inverse map is v = sqrt(2 s); s = 2 gives v = 2
-    _, Ginv = el.G_and_inverse(el.PowerF(1.0))
+    _, Ginv = el.PowerF(1.0).G_and_inverse()
     assert Ginv(2.0) == pytest.approx(2.0)
 
 
@@ -231,6 +230,6 @@ def test_supersolution_residual_sign():
     d1 = (hm**2 * up - hp**2 * um + (hp**2 - hm**2) * u0) / (hp * hm * (hp + hm))
     d2 = 2.0 * (hm * up + hp * um - (hp + hm) * u0) / (hp * hm * (hp + hm))
     lap = d2 + 2.0 / radii * d1
-    rhs = phi_values(problem.phi, radii) * f_values(problem.f, u0)
+    rhs = problem.phi(radii) * problem.f(u0)
     residual = (-lap - rhs) / np.maximum(1.0, rhs)
     assert np.min(residual) >= -1e-6

@@ -1,8 +1,11 @@
-"""Cold-start contract: importing the package and the quadrature-only commands
-load numpy but no scipy module; scipy submodules are imported on first use."""
+"""Import contracts: the package modules form a dependency order, and importing
+the package and the quadrature-only commands load numpy but no scipy module;
+scipy submodules are imported on first use."""
 
 from __future__ import annotations
 
+import ast
+import graphlib
 import json
 import os
 import subprocess
@@ -15,6 +18,7 @@ from scipy.linalg import solve_banded as scipy_solve_banded
 from elliptic_lab import bvp1d
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+PACKAGE = SRC / "elliptic_lab"
 
 SPLIT_CUBIC = {"N": 3, "phi": {"kind": "power_split", "alpha": -3, "beta": -3},
                "f": {"kind": "power", "p": 1}, "K": {"kind": "origin"}}
@@ -23,6 +27,52 @@ BOUNDARY_POWER = {
                 "f": {"kind": "power", "p": 1}, "K": {"kind": "origin"}},
     "certify": {"regime": "boundary", "r0": 1.0},
 }
+
+
+class _ImportTimeImports(ast.NodeVisitor):
+    """Package-relative imports among the statements that run when a module is imported.
+
+    Function bodies run later, and ``if TYPE_CHECKING:`` blocks never run.
+    """
+
+    def __init__(self, modules: set[str]):
+        self.modules = modules
+        self.found: set[str] = set()
+
+    def visit_FunctionDef(self, node):
+        pass
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_If(self, node):
+        if isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING":
+            for stmt in node.orelse:
+                self.visit(stmt)
+        else:
+            self.generic_visit(node)
+
+    def visit_ImportFrom(self, node):
+        if node.level == 1:
+            names = [node.module.split(".")[0]] if node.module else [a.name for a in node.names]
+            self.found.update(name for name in names if name in self.modules)
+
+
+def import_graph() -> dict[str, set[str]]:
+    modules = {p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__"}
+    graph = {}
+    for name in modules:
+        visitor = _ImportTimeImports(modules)
+        visitor.visit(ast.parse((PACKAGE / f"{name}.py").read_text()))
+        graph[name] = visitor.found
+    return graph
+
+
+def test_modules_form_a_dependency_order():
+    graph = import_graph()
+    order = list(graphlib.TopologicalSorter(graph).static_order())  # CycleError on a cycle
+    assert "funcs" not in graph["quad"]
+    assert "funcs" not in graph["bvp1d"]
+    assert order.index("quad") < order.index("bvp1d") < order.index("funcs")
 
 
 def scipy_modules_after(code: str) -> list[str]:
