@@ -12,7 +12,7 @@ import numpy as np
 from .errors import DomainError
 from ._extrapolate import aitken_limit
 from .bvp1d import RadialGrid, RadialProfile
-from .problem import Ball, Origin, PointSet, ProblemSpec
+from .problem import Origin, PointSet, ProblemSpec
 
 
 # ---------------------------------------------------------------------------
@@ -233,11 +233,7 @@ def residual_radial(
         raise DomainError("residual audit needs at least 32 nodes")
     neg_lap = _flux_negative_laplacian(r, u, problem.N)
     rin = r[1:-1]
-    if isinstance(problem.K, (Origin, Ball)):
-        delta = problem.delta_radial(rin) if problem.N > 1 else rin
-    else:
-        raise DomainError("radial residuals need an origin or ball compact set")
-    rhs = problem.phi(delta) * problem.f(u[1:-1])
+    rhs = problem.phi(problem.delta_radial(rin)) * problem.f(u[1:-1])
     residual = (neg_lap - rhs) / np.maximum(1.0, rhs)
     if r_window is not None:
         keep = (rin >= r_window[0]) & (rin <= r_window[1])

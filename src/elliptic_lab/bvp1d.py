@@ -299,9 +299,7 @@ def solve_on_nodes(
     schedule = config.schedule()
     for eps in schedule:
         last_inc = np.inf
-        prev_inc = np.inf
-        delta = None
-        for it in range(config.max_picard):
+        for _ in range(config.max_picard):
             ueps = u + eps
             fvals = f(ueps)
             lam = V * w_i * f.slope_bound(ueps)
@@ -311,18 +309,11 @@ def solve_on_nodes(
             rhs[0] += va / c[0]
             rhs[-1] += vb / c[-1]
             unew = solve_banded((1, 1), ab, rhs)
-            delta = unew - u
-            prev_inc, last_inc = last_inc, float(np.max(np.abs(delta)))
+            last_inc = float(np.max(np.abs(unew - u)))
             u = unew
             scale = max(1.0, float(np.max(u)))
             if last_inc < max(1e-13 * scale, 3e-13):
                 break
-            # geometric jump past slow monotone creep: the shifted map is
-            # isotone, so an overshoot relaxes back monotonically
-            if it % 20 == 19 and np.isfinite(prev_inc) and prev_inc > 0:
-                rho = last_inc / prev_inc
-                if 0.5 < rho < 0.99995:
-                    u = np.maximum(u + delta * (rho / (1.0 - rho)), 0.0)
         else:
             raise NonConvergenceError(
                 f"fixed-point iteration cap at eps={eps:g}", last_increment=last_inc
@@ -409,8 +400,6 @@ def solve_H(
 def comparison_check(
     u_super: RadialProfile,
     v_sub: RadialProfile,
-    weight=None,
-    f=None,
     tol: float = 1e-8,
 ) -> bool:
     """Nodewise ordering u >= v on a shared grid, within tol * scale slack.

@@ -42,11 +42,21 @@ def _require_keys(obj: dict, allowed: set[str], path: str) -> None:
         raise ConfigError(f"unknown keys at {path}: {sorted(unknown)}")
 
 
-def _float(value, path: str) -> float:
-    """A number field; inf and nan are rejected (JSON parses the overflow 1e400 as inf)."""
+def _float(value, path: str, above: float | None = None, below: float | None = None,
+           minimum: float | None = None) -> float:
+    """A number field; inf and nan are rejected (JSON parses the overflow 1e400 as inf).
+
+    Optional bounds: above < x < below and x >= minimum.
+    """
     x = float(value)
     if not np.isfinite(x):
         raise ConfigError(f"{path} must be a finite number")
+    if above is not None and x <= above:
+        raise ConfigError(f"{path} must be > {above:g}")
+    if minimum is not None and x < minimum:
+        raise ConfigError(f"{path} must be >= {minimum:g}")
+    if below is not None and x >= below:
+        raise ConfigError(f"{path} must be < {below:g}")
     return x
 
 
@@ -166,20 +176,21 @@ class RunConfig:
         self.nodes = _int(solve.get("nodes", 2048), "solve.nodes", 16)
         self.which = str(solve.get("which", "minimal"))
         self.n_max = _int(solve.get("n_max", 64), "solve.n_max", 4)
-        self.a = _float(solve.get("a", 0.0), "solve.a")
-        self.b = _float(solve.get("b", 0.0), "solve.b")
-        self.t_min = _float(solve.get("t_min", 1e-7), "solve.t_min")
-        self.delta_min = _float(solve.get("delta_min", 1e-6), "solve.delta_min")
+        self.a = _float(solve.get("a", 0.0), "solve.a", minimum=0.0)
+        self.b = _float(solve.get("b", 0.0), "solve.b", minimum=0.0)
+        self.t_min = _float(solve.get("t_min", 1e-7), "solve.t_min", above=0.0, below=0.25)
+        self.delta_min = _float(solve.get("delta_min", 1e-6), "solve.delta_min", above=0.0)
         verify = _section(raw, "verify", _VERIFY_KEYS)
         self.verify_target = verify.get("target", "minimal")
         self.verify_mode = str(verify.get("mode", "inequality"))
         self.verify_tol = None if "tol" not in verify else _float(verify["tol"], "verify.tol")
-        self.verify_r1 = None if "r1" not in verify else _float(verify["r1"], "verify.r1")
+        self.verify_r1 = (None if "r1" not in verify
+                          else _float(verify["r1"], "verify.r1", above=0.0))
         self.verify_samples = _int(verify.get("samples", 10_000), "verify.samples", 1)
-        self.verify_h = _float(verify.get("h", 0.01), "verify.h")
+        self.verify_h = _float(verify.get("h", 0.01), "verify.h", above=0.0)
         certify = _section(raw, "certify", _CERTIFY_KEYS)
         self.certify_regime = str(certify.get("regime", "tail"))
-        self.certify_r0 = _float(certify.get("r0", 1.0), "certify.r0")
+        self.certify_r0 = _float(certify.get("r0", 1.0), "certify.r0", above=0.0)
         self.certify_levels = _int(certify.get("levels", 24), "certify.levels", 3)
         self.output_dir = str(raw.get("output_dir", "out"))
         self.seed = _int(raw.get("seed", 42), "seed", 0)
@@ -268,7 +279,7 @@ def write_profile_svg(path: Path, r: np.ndarray, u: np.ndarray, title: str) -> N
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_classify(cfg: RunConfig, out: Path, svg: bool) -> int:
+def cmd_classify(cfg: RunConfig, out: Path) -> int:
     t0 = time.perf_counter()
     prediction = _quad.classify_existence(cfg.problem)
     rows = [rep.csv_row() for rep in prediction.reports]
@@ -295,6 +306,30 @@ def _power_fit(profile, window=(0.1, 10.0)) -> tuple[float, float]:
     return float(np.exp(coef[0])), float(coef[1])
 
 
+def _build_construction(cfg: RunConfig, which: str):
+    """Run the minimal, family or exterior-ball construction.
+
+    Returns the result, the profile to audit and the audit window.  The
+    exhaustion constructions are audited on their raw last iterate, which is
+    stencil-smooth, inside their trusted window.
+    """
+    if which in ("minimal", "family"):
+        result = _construct.minimal_solution(cfg.problem, n_max=cfg.n_max,
+                                             config=cfg.solve_config, nodes=cfg.nodes)
+        if which == "family":
+            result = _construct.family_member(cfg.problem, cfg.a, cfg.b, result,
+                                              n_max=cfg.n_max, config=cfg.solve_config,
+                                              nodes=cfg.nodes)
+        return result, result.raw_last, result.trusted_window
+    if which == "exterior-ball":
+        result = _construct.exterior_ball_minimal(cfg.problem, n_max=cfg.n_max,
+                                                  config=cfg.solve_config, nodes=cfg.nodes,
+                                                  delta_min=cfg.delta_min)
+        R = cfg.problem.K.radius
+        return result, result.profile, (R + 1e-2, R + cfg.n_max / 4.0)
+    raise ConfigError(f"unknown solve target {which!r}")
+
+
 def cmd_solve(cfg: RunConfig, out: Path, svg: bool, which: str | None = None) -> int:
     which = which or cfg.which
     t0 = time.perf_counter()
@@ -308,55 +343,30 @@ def cmd_solve(cfg: RunConfig, out: Path, svg: bool, which: str | None = None) ->
                                  nodes=cfg.nodes, t_min=cfg.t_min)
         headline["H_mid"] = float(profile(0.5))
         residual = None
-    elif which == "minimal":
-        result = _construct.minimal_solution(cfg.problem, n_max=cfg.n_max,
-                                             config=cfg.solve_config, nodes=cfg.nodes)
-        profile = result.profile
-        c_fit, q_fit = _power_fit(profile)
-        headline.update({
-            "c_fit": c_fit, "q_fit": q_fit,
-            "n_reached": cfg.n_max,
-            "converged": result.converged,
-            "window_increments": [float(x) for x in result.window_increments],
-        })
-        # residual audit on the raw iterate, which is stencil-smooth
-        residual = _analysis.residual_radial(result.raw_last, cfg.problem, "equality",
-                                             r_window=result.trusted_window)
-        asym = _analysis.asymptotics(profile, cfg.problem.N,
-                                     window=result.trusted_window)
-    elif which == "family":
-        ms = _construct.minimal_solution(cfg.problem, n_max=cfg.n_max,
-                                         config=cfg.solve_config, nodes=cfg.nodes)
-        result = _construct.family_member(cfg.problem, cfg.a, cfg.b, ms,
-                                          n_max=cfg.n_max, config=cfg.solve_config,
-                                          nodes=cfg.nodes)
-        profile = result.profile
-        headline.update({
-            "a": cfg.a, "b": cfg.b,
-            "sandwich_lower_margin": result.sandwich_lower_margin,
-            "sandwich_upper_margin": result.sandwich_upper_margin,
-        })
-        residual = _analysis.residual_radial(result.raw_last, cfg.problem, "equality",
-                                             r_window=result.trusted_window)
-        asym = _analysis.asymptotics(profile, cfg.problem.N,
-                                     window=result.trusted_window)
-        headline.update({"a_hat": asym.a_hat, "b_hat": asym.b_hat})
-    elif which == "exterior-ball":
-        result = _construct.exterior_ball_minimal(cfg.problem, n_max=cfg.n_max,
-                                                  config=cfg.solve_config,
-                                                  nodes=cfg.nodes,
-                                                  delta_min=cfg.delta_min)
-        profile = result.profile
-        headline.update({
-            "layer_window": list(result.layer_window),
-            "converged": result.converged,
-            "window_increments": [float(x) for x in result.window_increments],
-        })
-        R = cfg.problem.K.radius
-        residual = _analysis.residual_radial(profile, cfg.problem, "equality",
-                                             r_window=(R + 1e-2, R + cfg.n_max / 4.0))
     else:
-        raise ConfigError(f"unknown solve target {which!r}")
+        result, audited, window = _build_construction(cfg, which)
+        profile = result.profile
+        residual = _analysis.residual_radial(audited, cfg.problem, "equality",
+                                             r_window=window)
+        if which == "exterior-ball":
+            headline["layer_window"] = list(result.layer_window)
+        else:
+            asym = _analysis.asymptotics(profile, cfg.problem.N, window=window)
+        if which == "minimal":
+            c_fit, q_fit = _power_fit(profile)
+            headline.update({"c_fit": c_fit, "q_fit": q_fit, "n_reached": cfg.n_max})
+        if which == "family":
+            headline.update({
+                "a": cfg.a, "b": cfg.b,
+                "sandwich_lower_margin": result.sandwich_lower_margin,
+                "sandwich_upper_margin": result.sandwich_upper_margin,
+                "a_hat": asym.a_hat, "b_hat": asym.b_hat,
+            })
+        else:
+            headline.update({
+                "converged": result.converged,
+                "window_increments": [float(x) for x in result.window_increments],
+            })
     timings["solve"] = time.perf_counter() - t0
 
     write_csv_atomic(out / "profile.csv", ["r", "u"], profile.to_csv_rows())
@@ -402,6 +412,8 @@ def _load_profile_csv(path: Path, dimension: int) -> _bvp1d.RadialProfile:
         raise ConfigError(f"target {path} is not a profile table")
     if not np.all(data[:, 0] > 0):
         raise ConfigError(f"target {path} has radii that are not positive")
+    if not np.all(np.diff(data[:, 0]) > 0):
+        raise ConfigError(f"target {path} has radii that are not strictly increasing")
     grid = _bvp1d.RadialGrid(nodes=data[:, 0], dimension=dimension, grading="geometric")
     return _bvp1d.RadialProfile(grid=grid, values=data[:, 1])
 
@@ -438,7 +450,7 @@ def cmd_verify(cfg: RunConfig, out: Path, target: str | None = None) -> int:
                          [[_fmt(a), _fmt(b)] for a, b in zip(rr, U(rr))])
     else:
         if target in ("minimal", "family", "exterior-ball"):
-            profile, window = _solve_target_profile(cfg, target)
+            _, profile, window = _build_construction(cfg, target)
             mode = "equality"
         else:
             profile = _load_profile_csv(Path(target), cfg.problem.N)
@@ -488,25 +500,6 @@ def cmd_verify(cfg: RunConfig, out: Path, target: str | None = None) -> int:
     for row in rows:
         print(f"{row[0]}: {row[1]} (margin {row[2]})")
     return 0 if all_pass else 2
-
-
-def _solve_target_profile(cfg: RunConfig, target: str):
-    """Raw iterate (stencil-smooth) plus the trusted audit window for a construction."""
-    if target == "minimal":
-        res = _construct.minimal_solution(cfg.problem, n_max=cfg.n_max,
-                                          config=cfg.solve_config, nodes=cfg.nodes)
-        return res.raw_last, res.trusted_window
-    if target == "family":
-        ms = _construct.minimal_solution(cfg.problem, n_max=cfg.n_max,
-                                         config=cfg.solve_config, nodes=cfg.nodes)
-        res = _construct.family_member(cfg.problem, cfg.a, cfg.b, ms, n_max=cfg.n_max,
-                                       config=cfg.solve_config, nodes=cfg.nodes)
-        return res.raw_last, res.trusted_window
-    res = _construct.exterior_ball_minimal(cfg.problem, n_max=cfg.n_max,
-                                           config=cfg.solve_config, nodes=cfg.nodes,
-                                           delta_min=cfg.delta_min)
-    R = cfg.problem.K.radius
-    return res.profile, (R + 1e-2, R + cfg.n_max / 4.0)
 
 
 def _build_reference_bound(cfg: RunConfig):
@@ -590,10 +583,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="path to the JSON run config")
         sp.add_argument("--out", default=None, help="output directory (default: config output_dir)")
-        sp.add_argument("--svg", action="store_true", help="also write SVG plots")
         if name == "solve":
             sp.add_argument("--which", default=None,
                             choices=["h", "minimal", "family", "exterior-ball"])
+            sp.add_argument("--svg", action="store_true", help="also write an SVG plot")
         if name == "verify":
             sp.add_argument("--target", default=None,
                             help="profile CSV path or construction id")
@@ -611,7 +604,7 @@ def main(argv: list[str] | None = None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         if args.command == "classify":
-            return cmd_classify(cfg, out, args.svg)
+            return cmd_classify(cfg, out)
         if args.command == "solve":
             return cmd_solve(cfg, out, args.svg, which=args.which)
         if args.command == "verify":

@@ -25,7 +25,7 @@ from .errors import (
 )
 from ._extrapolate import aitken_limit_rows
 from .bvp1d import RadialGrid, RadialProfile, SolveConfig, solve_on_nodes
-from .problem import Ball, Origin, ProblemSpec
+from .problem import Ball, Origin, ProblemSpec, check_centers, nearest_center_distance
 from . import quad as _quad
 
 # extrapolation ladder refinement: steps of 2^(1/3) below the final annulus
@@ -239,7 +239,8 @@ def family_member(
     The data uses the level-matched raw minimal iterate xi_n (same grid), which
     makes a r^{2-N} + b a discrete subsolution and a r^{2-N} + b + xi_n a
     discrete supersolution of the same tridiagonal system; the sandwich then
-    holds at solver tolerance independent of discretization error.
+    holds at solver tolerance independent of discretization error.  The grids
+    come from xi, so nodes is not read; it is kept for callers that pass it.
     """
     config = config or SolveConfig()
     if a < 0 or b < 0:
@@ -462,7 +463,6 @@ def glue_supersolution(
     inner: RadialProfile,
     outer: RadialProfile,
     problem: ProblemSpec,
-    audit_radii: Sequence[float] | None = None,
     tol: float = 1e-6,
     max_pow: int = 40,
 ) -> GluedField:
@@ -470,7 +470,8 @@ def glue_supersolution(
 
     The amplitude M runs over powers of two until the finite-difference
     inequality residual is >= -tol (normalized by the local equation scale) at
-    every audit radius.  Residual improvement is monotone in M because the bump
+    every audit radius: 200 geometric radii across both branches plus 32 in
+    the blend zone.  Residual improvement is monotone in M because the bump
     is superharmonic with -Lap bounded away from zero on compact annuli.
     """
     if inner.r_min >= outer.r_min:
@@ -479,15 +480,10 @@ def glue_supersolution(
     rho0 = R_blend / 2.0
     if inner.r_max < rho0:
         raise DomainError("branches must overlap enough to blend")
-    if audit_radii is None:
-        lo = inner.r_min * 2.0
-        hi = outer.r_max / 2.0
-        audit = np.concatenate(
-            [np.geomspace(lo, hi, 200), np.geomspace(rho0, R_blend, 32)]
-        )
-        audit = np.sort(audit)
-    else:
-        audit = np.sort(np.asarray(list(audit_radii), dtype=float))
+    audit = np.sort(np.concatenate([
+        np.geomspace(inner.r_min * 2.0, outer.r_max / 2.0, 200),
+        np.geomspace(rho0, R_blend, 32),
+    ]))
 
     M = 1.0
     for _ in range(max_pow + 1):
@@ -517,15 +513,10 @@ class SuperpositionField:
 
     def __post_init__(self):
         self.centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
-        if self.centers.shape[0] < 1:
-            raise DomainError("superposition requires at least one center")
+        check_centers(self.centers)
 
     def delta(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        d = np.full(x.shape[0], np.inf)
-        for a in self.centers:
-            d = np.minimum(d, np.linalg.norm(x - a[None, :], axis=1))
-        return d
+        return nearest_center_distance(x, self.centers)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -537,11 +528,4 @@ class SuperpositionField:
 
 def superposition_field(U, centers) -> SuperpositionField:
     """Superpose a positive decreasing radial bound over finitely many centers."""
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    if centers.shape[0] == 0:
-        raise DomainError("superposition requires at least one center")
-    for i in range(centers.shape[0]):
-        for j in range(i + 1, centers.shape[0]):
-            if np.linalg.norm(centers[i] - centers[j]) == 0.0:
-                raise DomainError("centers must be pairwise distinct")
     return SuperpositionField(U=U, centers=centers)

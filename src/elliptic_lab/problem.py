@@ -9,6 +9,25 @@ import numpy as np
 from .errors import DomainError
 
 
+def check_centers(centers: np.ndarray) -> None:
+    """Raise DomainError unless the rows of centers are nonempty and pairwise distinct."""
+    if centers.size == 0:  # also catches atleast_2d([]), shape (1, 0)
+        raise DomainError("at least one center is required")
+    for i in range(len(centers)):
+        for j in range(i + 1, len(centers)):
+            if np.linalg.norm(centers[i] - centers[j]) == 0.0:
+                raise DomainError("centers must be pairwise distinct")
+
+
+def nearest_center_distance(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Distance from each row of x to the nearest row of centers."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    d = np.full(x.shape[0], np.inf)
+    for a in centers:
+        d = np.minimum(d, np.linalg.norm(x - a[None, :], axis=1))
+    return d
+
+
 @dataclass(frozen=True)
 class Origin:
     """The single point at the origin."""
@@ -34,16 +53,9 @@ class PointSet:
     def __post_init__(self):
         centers = tuple(tuple(float(c) for c in pt) for pt in self.centers)
         object.__setattr__(self, "centers", centers)
-        if not centers:
-            raise DomainError("point set must be nonempty")
-        dims = {len(pt) for pt in centers}
-        if len(dims) != 1:
+        if len({len(pt) for pt in centers}) > 1:
             raise DomainError("all centers must share one dimension")
-        arr = np.asarray(centers)
-        for i in range(len(centers)):
-            for j in range(i + 1, len(centers)):
-                if np.linalg.norm(arr[i] - arr[j]) == 0.0:
-                    raise DomainError("centers must be pairwise distinct")
+        check_centers(self.as_array())
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.centers, dtype=float)
@@ -87,9 +99,5 @@ class ProblemSpec:
         if isinstance(self.K, Origin):
             return np.linalg.norm(x, axis=1)
         if isinstance(self.K, PointSet):
-            centers = self.K.as_array()
-            d = np.full(x.shape[0], np.inf)
-            for a in centers:
-                d = np.minimum(d, np.linalg.norm(x - a[None, :], axis=1))
-            return d
+            return nearest_center_distance(x, self.K.as_array())
         raise DomainError("delta_points supports Origin and PointSet")

@@ -155,15 +155,14 @@ def integrate_singular(
     g: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
-    endpoint_exponents: tuple[float, float] = (0.0, 0.0),
     rel_tol: float = DEFAULT_REL_TOL,
     criterion: str = "integral",
 ) -> ConditionReport:
     """Improper integral on (a, b) with possible power singularities at both ends.
 
-    The declared endpoint exponents document the expected local behavior
-    g(x) ~ (x-a)**sigma_a, (b-x)**sigma_b; the verdict itself comes from the
-    windowed scan.  Divergent cases carry the monotone partial-sum certificate.
+    The interval is split at sqrt(a b) (the midpoint when a = 0) and each half
+    is a windowed scan toward its endpoint.  Divergent cases carry the
+    monotone partial-sum certificate.
     """
     if not (a < b):
         raise DomainError("integrate_singular requires a < b")
@@ -189,7 +188,6 @@ def integrate_singular(
 def integrate_tail(
     g: Callable[[np.ndarray], np.ndarray],
     a: float,
-    tail_exponent: float = 0.0,
     rel_tol: float = DEFAULT_REL_TOL,
     criterion: str = "tail-integral",
 ) -> ConditionReport:
@@ -204,7 +202,7 @@ def integrate_tail(
 # iterated double integrals
 # ---------------------------------------------------------------------------
 
-def _dyadic_anchors_up(w, N: int, lo: float, hi: float, counter: _EvalCounter):
+def _dyadic_anchors_up(N: int, lo: float, hi: float, counter: _EvalCounter):
     """Cumulative J(t) = int_lo^t s^{N-1} w(s) ds at dyadic anchors, ascending.
 
     All additions are of positive segment integrals, so no cancellation occurs.
@@ -236,18 +234,18 @@ class _InnerCumulative:
     of the cumulative of a power-like integrand.
     """
 
-    def __init__(self, w, N: int, lo: float, hi: float, counter: _EvalCounter,
+    def __init__(self, N: int, lo: float, hi: float, counter: _EvalCounter,
                  base: float = 0.0, base_kappa: float | None = None):
         self.N = N
         self.counter = counter
         self.base = base
         self.base_kappa = base_kappa
-        self.edges, self.J = _dyadic_anchors_up(w, N, lo, hi, counter)
+        self.edges, self.J = _dyadic_anchors_up(N, lo, hi, counter)
 
-    def extend_to(self, w, hi: float):
+    def extend_to(self, hi: float):
         if hi <= self.edges[-1]:
             return
-        edges2, J2 = _dyadic_anchors_up(w, self.N, self.edges[-1], hi, self.counter)
+        edges2, J2 = _dyadic_anchors_up(self.N, self.edges[-1], hi, self.counter)
         self.edges = np.concatenate([self.edges, edges2[1:]])
         self.J = np.concatenate([self.J, self.J[-1] + J2[1:]])
 
@@ -325,7 +323,7 @@ def iterated_near0(
         return ConditionReport("iterated-near0", INCONCLUSIVE, None, None,
                                "quadrature", inner_report.evaluations)
     stub, kappa = _near0_stub(w, N, floor, rel_tol)
-    J = _InnerCumulative(w, N, floor, t_hi, counter, base=stub, base_kappa=kappa)
+    J = _InnerCumulative(N, floor, t_hi, counter, base=stub, base_kappa=kappa)
     outer = _EvalCounter(lambda t: J(t) * t ** (1 - N))
     rep = _scan(outer, _windows_to_point(0.0, t_hi), "iterated-near0", rel_tol)
     evals = counter.count + outer.count + inner_report.evaluations
@@ -347,10 +345,10 @@ def iterated_tail(
     if inner_lower is None:
         inner_lower = t_lo
     counter = _EvalCounter(w)
-    J = _InnerCumulative(w, N, inner_lower, 2.0 * t_lo, counter, base=inner_base)
+    J = _InnerCumulative(N, inner_lower, 2.0 * t_lo, counter, base=inner_base)
 
     def outer_fn(t: np.ndarray) -> np.ndarray:
-        J.extend_to(w, float(np.max(t)))
+        J.extend_to(float(np.max(t)))
         return J(t) * t ** (1 - N)
 
     outer = _EvalCounter(outer_fn)
@@ -419,7 +417,7 @@ def iterated_tail_profile(
     else:
         lo_anchor = inner_lower
     start = min(lo_anchor, float(radii[0]))
-    J = _InnerCumulative(w, N, start, r_last, counter, base=stub, base_kappa=kappa)
+    J = _InnerCumulative(N, start, r_last, counter, base=stub, base_kappa=kappa)
     out = np.empty_like(radii)
     out[-1] = tail_val
     for i in range(len(radii) - 2, -1, -1):
@@ -453,11 +451,12 @@ def _analytic_exists(phi, weight_shift: float) -> bool | None:
 def classify_existence(problem: "_problem.ProblemSpec", rel_tol: float = DEFAULT_REL_TOL) -> ExistencePrediction:
     """Existence verdict for the inequality on the complement of the compact set.
 
-    Compact sets with a smooth solid component use the full-line first-moment
-    criterion; finite point sets (power nonlinearity only) use the tail first
-    moment together with the shifted near-zero moment.  For the exact weight
-    families the quadrature verdict is cross-checked against the closed
-    exponent inequalities; disagreement yields an inconclusive prediction.
+    One moment test for every compact set: the tail first moment together with
+    the near-zero moment of s^(1+shift) phi(s).  A ball (solid K) uses shift 0,
+    the plain first moment; the origin or a finite point set (power
+    nonlinearity only) uses shift (1+p)(N-2).  For the exact weight families
+    the quadrature verdict is cross-checked against the closed exponent
+    inequalities; disagreement yields an inconclusive prediction.
     """
     phi = problem.phi
     if problem.N == 2:
@@ -465,36 +464,25 @@ def classify_existence(problem: "_problem.ProblemSpec", rel_tol: float = DEFAULT
         return ExistencePrediction(False, "two-dimensional-obstruction", ())
 
     if isinstance(problem.K, _problem.Ball):
-        near0 = integrate_singular(lambda s: s * phi(s), 0.0, 1.0,
-                                   criterion="first-moment-near0", rel_tol=rel_tol)
-        tail = integrate_tail(lambda s: s * phi(s), 1.0,
-                              criterion="first-moment-tail", rel_tol=rel_tol)
-        reports = [near0, tail]
-        quad_exists = _both_finite(near0, tail)
-        analytic_exists = _analytic_exists(phi, 0.0)
-        if analytic_exists is not None:
-            reports.append(_analytic_report("first-moment-analytic", analytic_exists))
-        exists = _combine(quad_exists, analytic_exists)
-        return ExistencePrediction(exists, "first-moment", tuple(reports))
-
-    # degenerate compact set: origin or a finite set of points
-    p = problem.f.power_exponent()
-    if p is None:
-        raise UnsupportedCombinationError(
-            "point-set compact sets are classified only for power nonlinearities"
-        )
-    shift = (1.0 + p) * (problem.N - 2)
+        shift, name = 0.0, "first-moment"
+    else:
+        p = problem.f.power_exponent()
+        if p is None:
+            raise UnsupportedCombinationError(
+                "point-set compact sets are classified only for power nonlinearities"
+            )
+        shift, name = (1.0 + p) * (problem.N - 2), "shifted-moment"
     near0 = integrate_singular(lambda s: s ** (1.0 + shift) * phi(s), 0.0, 1.0,
-                               criterion="shifted-moment-near0", rel_tol=rel_tol)
+                               criterion=f"{name}-near0", rel_tol=rel_tol)
     tail = integrate_tail(lambda s: s * phi(s), 1.0,
                           criterion="first-moment-tail", rel_tol=rel_tol)
     reports = [near0, tail]
     quad_exists = _both_finite(near0, tail)
     analytic_exists = _analytic_exists(phi, shift)
     if analytic_exists is not None:
-        reports.append(_analytic_report("shifted-moment-analytic", analytic_exists))
+        reports.append(_analytic_report(f"{name}-analytic", analytic_exists))
     exists = _combine(quad_exists, analytic_exists)
-    return ExistencePrediction(exists, "shifted-moment", tuple(reports))
+    return ExistencePrediction(exists, name, tuple(reports))
 
 
 def _both_finite(*reports: ConditionReport) -> bool | None:

@@ -94,6 +94,15 @@ def test_classify_inconclusive_tabulated_boundaryish(tmp_path):
     ({"solve": {"n_max": -4}}, "solve.n_max must be an integer >= 4"),
     ({"problem": {"phi": {"kind": "power", "alpha": 1e400}}}, "problem.phi.alpha must be a finite number"),
     ({"problem": {"phi": {"kind": "power", "alpha": "nan"}}}, "problem.phi.alpha must be a finite number"),
+    ({"certify": {"regime": "tail", "r0": -1}}, "certify.r0 must be > 0"),
+    ({"certify": {"regime": "boundary", "r0": 0}}, "certify.r0 must be > 0"),
+    ({"solve": {"which": "family", "a": -1}}, "solve.a must be >= 0"),
+    ({"solve": {"b": -0.5}}, "solve.b must be >= 0"),
+    ({"solve": {"delta_min": 0}}, "solve.delta_min must be > 0"),
+    ({"solve": {"t_min": 0}}, "solve.t_min must be > 0"),
+    ({"solve": {"t_min": 0.25}}, "solve.t_min must be < 0.25"),
+    ({"verify": {"h": -0.01}}, "verify.h must be > 0"),
+    ({"verify": {"r1": -3}}, "verify.r1 must be > 0"),
 ])
 def test_malformed_config(tmp_path, capsys, mutation, message):
     cfg = tmp_path / "cfg.json"
@@ -269,11 +278,18 @@ def test_verify_unreadable_target(tmp_path, capsys):
     assert rc == 1
 
 
-def test_verify_target_nonpositive_radius(tmp_path, capsys, recwarn):
+SWAPPED_RADII = np.geomspace(1e-2, 1e2, 32)
+SWAPPED_RADII[[10, 11]] = SWAPPED_RADII[[11, 10]]
+
+
+@pytest.mark.parametrize("r,message", [
+    (np.concatenate(([0.0], np.geomspace(1e-2, 1e2, 31))), "radii that are not positive"),
+    (SWAPPED_RADII, "radii that are not strictly increasing"),
+], ids=["zero-radius", "swapped-radii"])
+def test_verify_target_nonpositive_radius(tmp_path, capsys, recwarn, r, message):
     cfg = tmp_path / "cfg.json"
     write_config(cfg)
-    target = tmp_path / "zero.csv"
-    r = np.concatenate(([0.0], np.geomspace(1e-2, 1e2, 31)))
+    target = tmp_path / "target.csv"
     with open(target, "w") as fh:
         fh.write("r,u\n")
         for ri in r:
@@ -282,7 +298,7 @@ def test_verify_target_nonpositive_radius(tmp_path, capsys, recwarn):
                "--target", str(target)])
     err = capsys.readouterr().err
     assert rc == 1
-    assert "radii that are not positive" in err
+    assert message in err
     assert len(err.strip().splitlines()) == 1
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 

@@ -275,3 +275,6 @@ def test_superposition_two_center_audit(glued_split):
 def test_superposition_empty_centers():
     with pytest.raises(el.DomainError):
         el.superposition_field(lambda r: 1.0 / r, np.zeros((0, 3)))
+    # an empty list becomes a (1, 0) array, one center with no coordinates
+    with pytest.raises(el.DomainError):
+        el.superposition_field(lambda r: 1.0 / r, [])

@@ -68,6 +68,18 @@ def test_classify_origin_exists():
         el.ProblemSpec(3, el.PowerSplitPhi(-3.0, -3.0), el.PowerF(1.0), el.Origin()))
     assert pr.exists is True
     assert pr.criterion_used == "shifted-moment"
+    # one moment test: the compact set picks the near-zero shift and the names
+    points = el.PointSet(((0.0, 0.0, 0.0), (3.0, 0.0, 0.0)))
+    cases = [(pr, "shifted-moment"),
+             (el.classify_existence(el.ProblemSpec(3, el.PowerSplitPhi(-3.0, -3.0),
+                                                   el.PowerF(1.0), points)), "shifted-moment"),
+             (el.classify_existence(el.ProblemSpec(3, el.PowerSplitPhi(-1.0, -3.0),
+                                                   el.PowerF(1.0), el.Ball(1.0))), "first-moment")]
+    for prediction, name in cases:
+        assert prediction.exists is True
+        assert prediction.criterion_used == name
+        assert [rep.criterion for rep in prediction.reports] == [
+            f"{name}-near0", "first-moment-tail", f"{name}-analytic"]
 
 
 def test_classify_origin_tail_boundary():
