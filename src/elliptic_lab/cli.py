@@ -19,6 +19,7 @@ import os
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -33,186 +34,195 @@ from . import quad as _quad
 
 
 # ---------------------------------------------------------------------------
-# config parsing (strict: unknown keys rejected)
+# config schema: every key with its check and its default, stated once
 # ---------------------------------------------------------------------------
 
-def _require_keys(obj: dict, allowed: set[str], path: str) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys at {path}: {sorted(unknown)}")
+REQUIRED = object()  # default of a key the config must give
+
+CONSTRUCTIONS = ("minimal", "family", "exterior-ball")
+SOLVE_TARGETS = ("h",) + CONSTRUCTIONS
 
 
-def _float(value, path: str, above: float | None = None, below: float | None = None,
-           minimum: float | None = None) -> float:
-    """A number field; inf and nan are rejected (JSON parses the overflow 1e400 as inf).
+# Each check below is a function check(value, path) returning the parsed value.
 
-    Optional bounds: above < x < below and x >= minimum.
+def _number(above: float | None = None, below: float | None = None,
+            minimum: float | None = None):
+    """A finite number with above < x < below and x >= minimum (each bound optional).
+
+    JSON parses the overflow 1e400 as inf, so inf and nan are rejected.
     """
-    x = float(value)
-    if not np.isfinite(x):
-        raise ConfigError(f"{path} must be a finite number")
-    if above is not None and x <= above:
-        raise ConfigError(f"{path} must be > {above:g}")
-    if minimum is not None and x < minimum:
-        raise ConfigError(f"{path} must be >= {minimum:g}")
-    if below is not None and x >= below:
-        raise ConfigError(f"{path} must be < {below:g}")
-    return x
+    def check(value, path):
+        x = float(value)
+        if not np.isfinite(x):
+            raise ConfigError(f"{path} must be a finite number")
+        if above is not None and x <= above:
+            raise ConfigError(f"{path} must be > {above:g}")
+        if minimum is not None and x < minimum:
+            raise ConfigError(f"{path} must be >= {minimum:g}")
+        if below is not None and x >= below:
+            raise ConfigError(f"{path} must be < {below:g}")
+        return x
+    return check
 
 
-def _int(value, path: str, minimum: int) -> int:
-    """An integer field; bools and non-integral numbers are rejected, not truncated."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or (isinstance(value, float) and not value.is_integer()) or value < minimum):
-        raise ConfigError(f"{path} must be an integer >= {minimum}")
-    return int(value)
+def _integer(minimum: int):
+    """An integer >= minimum; bools and non-integral numbers are rejected, not
+    truncated, and float() raises OverflowError on one beyond the float range."""
+    def check(value, path):
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not float(value).is_integer() or value < minimum):
+            raise ConfigError(f"{path} must be an integer >= {minimum}")
+        return int(value)
+    return check
 
 
-def parse_phi(obj: dict, path: str = "problem.phi"):
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ConfigError(f"{path} must be an object with a 'kind'")
-    kind = obj["kind"]
-    alpha = f"{path}.alpha"
-    if kind == "power":
-        _require_keys(obj, {"kind", "alpha"}, path)
-        return _funcs.PowerPhi(alpha=_float(obj["alpha"], alpha))
-    if kind == "power_split":
-        _require_keys(obj, {"kind", "alpha", "beta"}, path)
-        return _funcs.PowerSplitPhi(alpha=_float(obj["alpha"], alpha),
-                                    beta=_float(obj["beta"], f"{path}.beta"))
-    if kind == "power_log":
-        _require_keys(obj, {"kind", "alpha", "beta"}, path)
-        return _funcs.PowerLogPhi(alpha=_float(obj["alpha"], alpha),
-                                  beta=_float(obj["beta"], f"{path}.beta"))
-    if kind == "iter_log":
-        _require_keys(obj, {"kind", "alpha", "betas"}, path)
-        return _funcs.IterLogPhi(alpha=_float(obj["alpha"], alpha),
-                                 betas=tuple(_float(b, f"{path}.betas") for b in obj["betas"]))
-    if kind == "tabulated":
-        _require_keys(obj, {"kind", "knots", "values", "near0_exponent", "tail_exponent"}, path)
-        return _funcs.TabulatedPhi(
-            knots=np.asarray([_float(x, f"{path}.knots") for x in obj["knots"]]),
-            values=np.asarray([_float(x, f"{path}.values") for x in obj["values"]]),
-            near0_exp=_float(obj["near0_exponent"], f"{path}.near0_exponent"),
-            tail_exp=_float(obj["tail_exponent"], f"{path}.tail_exponent"),
-        )
-    raise ConfigError(f"{path}.kind: unknown weight kind {kind!r}")
+def _text():
+    return lambda value, path: str(value)
 
 
-def parse_f(obj: dict, path: str = "problem.f"):
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ConfigError(f"{path} must be an object with a 'kind'")
-    kind = obj["kind"]
-    if kind == "power":
-        _require_keys(obj, {"kind", "p"}, path)
-        return _funcs.PowerF(p=_float(obj["p"], f"{path}.p"))
-    if kind == "constant":
-        _require_keys(obj, {"kind", "value"}, path)
-        c = _float(obj["value"], f"{path}.value")
-        if c <= 0:
-            raise ConfigError(f"{path}.value must be positive")
-        return _funcs.GeneralDecreasingF(lambda t, c=c: np.full_like(np.asarray(t, dtype=float), c),
-                                         name=f"constant({c})")
-    raise ConfigError(f"{path}.kind: unknown nonlinearity kind {kind!r}")
+def _numbers(item):
+    """A list whose entries each pass the check item."""
+    return lambda value, path: tuple(item(x, path) for x in value)
 
 
-def parse_K(obj: dict, path: str = "problem.K"):
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ConfigError(f"{path} must be an object with a 'kind'")
-    kind = obj["kind"]
-    if kind == "origin":
-        _require_keys(obj, {"kind"}, path)
-        return _problem.Origin()
-    if kind == "ball":
-        _require_keys(obj, {"kind", "radius"}, path)
-        return _problem.Ball(radius=_float(obj["radius"], f"{path}.radius"))
-    if kind == "point_set":
-        _require_keys(obj, {"kind", "centers"}, path)
-        return _problem.PointSet(centers=tuple(tuple(_float(x, f"{path}.centers") for x in pt)
-                                               for pt in obj["centers"]))
-    raise ConfigError(f"{path}.kind: unknown compact-set kind {kind!r}")
+def _one_of(choices: tuple[str, ...]):
+    def check(value, path):
+        if value not in choices:
+            raise ConfigError(f"{path} must be one of {', '.join(choices)}")
+        return value
+    return check
 
 
-_SOLVE_KEYS = {"tol_sup", "max_outer", "max_picard", "nodes", "which", "n_max",
-               "a", "b", "t_min", "delta_min"}
-_VERIFY_KEYS = {"target", "mode", "tol", "r1", "samples", "h"}
-_CERTIFY_KEYS = {"regime", "r0", "levels"}
+def _record(schema: dict, build=SimpleNamespace):
+    """An object with only the keys of schema {key: (check, default)}, passed to build.
+
+    A missing key takes its default, which is checked like a given value; a
+    default of None leaves the field None, for the command to compute.
+    """
+    def check(obj, path):
+        name = path or "root"
+        if not isinstance(obj, dict):
+            raise ConfigError(f"{name} must be an object")
+        unknown = set(obj) - set(schema)
+        if unknown:
+            raise ConfigError(f"unknown keys at {name}: {sorted(unknown)}")
+        fields = {}
+        for key, (check_value, default) in schema.items():
+            where = f"{path}.{key}" if path else key
+            if key not in obj and default is REQUIRED:
+                raise ConfigError(f"{name}: missing key {key!r}")
+            if key not in obj and default is None:
+                fields[key] = None
+                continue
+            try:
+                fields[key] = check_value(obj.get(key, default), where)
+            except ConfigError:
+                raise
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"{where}: bad value: {exc}") from exc
+        return build(**fields)
+    return check
 
 
-def _section(raw: dict, name: str, allowed: set[str]) -> dict:
-    obj = raw.get(name, {})
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{name} must be an object")
-    _require_keys(obj, allowed, name)
-    return obj
+def _kind(label: str, kinds: dict):
+    """An object whose 'kind' picks a row (constructor, {key: check}) of kinds;
+    every other key of the row is required."""
+    rows = {kind: _record({key: (c, REQUIRED) for key, c in keys.items()}, build)
+            for kind, (build, keys) in kinds.items()}
+
+    def check(obj, path):
+        if not isinstance(obj, dict) or "kind" not in obj:
+            raise ConfigError(f"{path} must be an object with a 'kind'")
+        kind = obj["kind"]
+        if not isinstance(kind, str) or kind not in rows:
+            raise ConfigError(f"{path}.kind: unknown {label} kind {kind!r}")
+        return rows[kind]({k: v for k, v in obj.items() if k != "kind"}, path)
+    return check
 
 
-class RunConfig:
-    """Validated run configuration; unknown keys are rejected everywhere."""
-
-    def __init__(self, raw: dict):
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a JSON object")
-        _require_keys(raw, {"problem", "solve", "verify", "certify",
-                            "output_dir", "seed"}, "root")
-        if "problem" not in raw:
-            raise ConfigError("config requires a 'problem' section")
-        prob = _section(raw, "problem", {"N", "phi", "f", "K"})
-        for key in ("N", "phi", "f", "K"):
-            if key not in prob:
-                raise ConfigError(f"problem.{key} is required")
-        self.problem = _problem.ProblemSpec(
-            N=_int(prob["N"], "problem.N", 2),
-            phi=parse_phi(prob["phi"]),
-            f=parse_f(prob["f"]),
-            K=parse_K(prob["K"]),
-        )
-        solve = _section(raw, "solve", _SOLVE_KEYS)
-        self.solve_config = _bvp1d.SolveConfig(
-            tol_sup=_float(solve.get("tol_sup", 1e-8), "solve.tol_sup"),
-            max_outer=_int(solve.get("max_outer", 64), "solve.max_outer", 1),
-            max_picard=_int(solve.get("max_picard", 600), "solve.max_picard", 1),
-        )
-        self.nodes = _int(solve.get("nodes", 2048), "solve.nodes", 16)
-        self.which = str(solve.get("which", "minimal"))
-        self.n_max = _int(solve.get("n_max", 64), "solve.n_max", 4)
-        self.a = _float(solve.get("a", 0.0), "solve.a", minimum=0.0)
-        self.b = _float(solve.get("b", 0.0), "solve.b", minimum=0.0)
-        self.t_min = _float(solve.get("t_min", 1e-7), "solve.t_min", above=0.0, below=0.25)
-        self.delta_min = _float(solve.get("delta_min", 1e-6), "solve.delta_min", above=0.0)
-        verify = _section(raw, "verify", _VERIFY_KEYS)
-        self.verify_target = verify.get("target", "minimal")
-        self.verify_mode = str(verify.get("mode", "inequality"))
-        self.verify_tol = None if "tol" not in verify else _float(verify["tol"], "verify.tol")
-        self.verify_r1 = (None if "r1" not in verify
-                          else _float(verify["r1"], "verify.r1", above=0.0))
-        self.verify_samples = _int(verify.get("samples", 10_000), "verify.samples", 1)
-        self.verify_h = _float(verify.get("h", 0.01), "verify.h", above=0.0)
-        certify = _section(raw, "certify", _CERTIFY_KEYS)
-        self.certify_regime = str(certify.get("regime", "tail"))
-        self.certify_r0 = _float(certify.get("r0", 1.0), "certify.r0", above=0.0)
-        self.certify_levels = _int(certify.get("levels", 24), "certify.levels", 3)
-        self.output_dir = str(raw.get("output_dir", "out"))
-        self.seed = _int(raw.get("seed", 42), "seed", 0)
-        self.echo = raw
+def _constant_f(value: float):
+    return _funcs.GeneralDecreasingF(
+        lambda t, c=value: np.full_like(np.asarray(t, dtype=float), c),
+        name=f"constant({value})")
 
 
-def load_config(path: str) -> RunConfig:
+WEIGHT_KINDS = {
+    "power": (_funcs.PowerPhi, {"alpha": _number()}),
+    "power_split": (_funcs.PowerSplitPhi, {"alpha": _number(), "beta": _number()}),
+    "power_log": (_funcs.PowerLogPhi, {"alpha": _number(), "beta": _number()}),
+    "iter_log": (_funcs.IterLogPhi, {"alpha": _number(), "betas": _numbers(_number())}),
+    "tabulated": (
+        lambda knots, values, near0_exponent, tail_exponent: _funcs.TabulatedPhi(
+            knots=np.asarray(knots), values=np.asarray(values),
+            near0_exp=near0_exponent, tail_exp=tail_exponent),
+        {"knots": _numbers(_number()), "values": _numbers(_number()),
+         "near0_exponent": _number(), "tail_exponent": _number()}),
+}
+NONLINEARITY_KINDS = {
+    "power": (_funcs.PowerF, {"p": _number()}),
+    "constant": (_constant_f, {"value": _number(above=0.0)}),
+}
+COMPACT_SET_KINDS = {
+    "origin": (_problem.Origin, {}),
+    "ball": (_problem.Ball, {"radius": _number()}),
+    "point_set": (_problem.PointSet, {"centers": _numbers(_numbers(_number()))}),
+}
+
+CONFIG = _record({
+    "problem": (_record({
+        "N": (_integer(2), REQUIRED),
+        "phi": (_kind("weight", WEIGHT_KINDS), REQUIRED),
+        "f": (_kind("nonlinearity", NONLINEARITY_KINDS), REQUIRED),
+        "K": (_kind("compact-set", COMPACT_SET_KINDS), REQUIRED),
+    }, _problem.ProblemSpec), REQUIRED),
+    "solve": (_record({
+        "tol_sup": (_number(above=0.0), 1e-8),
+        "max_outer": (_integer(1), 64),
+        "max_picard": (_integer(1), 600),
+        "nodes": (_integer(16), 2048),
+        "which": (_one_of(SOLVE_TARGETS), "minimal"),
+        "n_max": (_integer(4), 64),
+        "a": (_number(minimum=0.0), 0.0),
+        "b": (_number(minimum=0.0), 0.0),
+        "t_min": (_number(above=0.0, below=0.25), 1e-7),
+        "delta_min": (_number(above=0.0), 1e-6),
+    }), {}),
+    "verify": (_record({
+        "target": (_text(), "minimal"),
+        "mode": (_one_of(("equality", "inequality")), "inequality"),
+        "tol": (_number(), None),
+        "r1": (_number(above=0.0), None),
+        "samples": (_integer(1), 10_000),
+        "h": (_number(above=0.0), 0.01),
+    }), {}),
+    "certify": (_record({
+        "regime": (_one_of(("tail", "near0", "boundary")), "tail"),
+        "r0": (_number(above=0.0), 1.0),
+        "levels": (_integer(3), 24),
+    }), {}),
+    "output_dir": (_text(), "out"),
+    "seed": (_integer(0), 42),
+})
+
+
+def load_config(path: str) -> SimpleNamespace:
+    """The checked config: cfg.problem is a ProblemSpec, cfg.solve.n_max and so on
+    are the table's fields, and cfg.echo is the JSON as read."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: line {exc.lineno}: {exc.msg}") from exc
-    try:
-        return RunConfig(raw)
-    except ConfigError:
-        raise
-    except KeyError as exc:
-        raise ConfigError(f"missing key {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad value: {exc}") from exc
+    cfg = CONFIG(raw, "")
+    cfg.echo = raw
+    cfg.solve.config = _bvp1d.SolveConfig(tol_sup=cfg.solve.tol_sup,
+                                          max_outer=cfg.solve.max_outer,
+                                          max_picard=cfg.solve.max_picard)
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -223,21 +233,20 @@ def _fmt(x: float) -> str:
     return f"{x:.16e}"
 
 
-def write_csv_atomic(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
+def _write_atomic(path: Path, text: str) -> None:
+    """Write text to a sibling temporary file, then rename it over path."""
+    tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.write(text)
     os.replace(tmp, path)
+
+
+def write_csv_atomic(path: Path, header: list[str], rows: list[list[str]]) -> None:
+    _write_atomic(path, "".join(",".join(row) + "\n" for row in [header, *rows]))
 
 
 def write_manifest(path: Path, payload: dict) -> None:
-    tmp = path.with_suffix(".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def write_profile_svg(path: Path, r: np.ndarray, u: np.ndarray, title: str) -> None:
@@ -270,16 +279,14 @@ def write_profile_svg(path: Path, r: np.ndarray, u: np.ndarray, title: str) -> N
         f'<polyline points="{pts}" fill="none" stroke="#1f77b4" stroke-width="1.5"/>',
         "</svg>",
     ]
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text("\n".join(svg) + "\n", encoding="utf-8")
-    os.replace(tmp, path)
+    _write_atomic(path, "\n".join(svg) + "\n")
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_classify(cfg: RunConfig, out: Path) -> int:
+def cmd_classify(cfg: SimpleNamespace, out: Path) -> int:
     t0 = time.perf_counter()
     prediction = _quad.classify_existence(cfg.problem)
     rows = [rep.csv_row() for rep in prediction.reports]
@@ -298,40 +305,39 @@ def cmd_classify(cfg: RunConfig, out: Path) -> int:
     return 0 if prediction.determinate else 2
 
 
-def _power_fit(profile, window=(0.1, 10.0)) -> tuple[float, float]:
-    r = np.geomspace(window[0], window[1], 200)
+def _power_fit(profile) -> tuple[float, float]:
+    r = np.geomspace(0.1, 10.0, 200)
     u = np.asarray(profile(r))
     A = np.vstack([np.ones_like(r), np.log(r)]).T
     coef, *_ = np.linalg.lstsq(A, np.log(u), rcond=None)
     return float(np.exp(coef[0])), float(coef[1])
 
 
-def _build_construction(cfg: RunConfig, which: str):
-    """Run the minimal, family or exterior-ball construction.
+def _build_construction(cfg: SimpleNamespace, which: str):
+    """Run one of CONSTRUCTIONS.
 
     Returns the result, the profile to audit and the audit window.  The
     exhaustion constructions are audited on their raw last iterate, which is
     stencil-smooth, inside their trusted window.
     """
-    if which in ("minimal", "family"):
-        result = _construct.minimal_solution(cfg.problem, n_max=cfg.n_max,
-                                             config=cfg.solve_config, nodes=cfg.nodes)
-        if which == "family":
-            result = _construct.family_member(cfg.problem, cfg.a, cfg.b, result,
-                                              n_max=cfg.n_max, config=cfg.solve_config,
-                                              nodes=cfg.nodes)
-        return result, result.raw_last, result.trusted_window
+    solve = cfg.solve
     if which == "exterior-ball":
-        result = _construct.exterior_ball_minimal(cfg.problem, n_max=cfg.n_max,
-                                                  config=cfg.solve_config, nodes=cfg.nodes,
-                                                  delta_min=cfg.delta_min)
+        result = _construct.exterior_ball_minimal(cfg.problem, n_max=solve.n_max,
+                                                  config=solve.config, nodes=solve.nodes,
+                                                  delta_min=solve.delta_min)
         R = cfg.problem.K.radius
-        return result, result.profile, (R + 1e-2, R + cfg.n_max / 4.0)
-    raise ConfigError(f"unknown solve target {which!r}")
+        return result, result.profile, (R + 1e-2, R + solve.n_max / 4.0)
+    result = _construct.minimal_solution(cfg.problem, n_max=solve.n_max,
+                                         config=solve.config, nodes=solve.nodes)
+    if which == "family":
+        result = _construct.family_member(cfg.problem, solve.a, solve.b, result,
+                                          n_max=solve.n_max, config=solve.config,
+                                          nodes=solve.nodes)
+    return result, result.raw_last, result.trusted_window
 
 
-def cmd_solve(cfg: RunConfig, out: Path, svg: bool, which: str | None = None) -> int:
-    which = which or cfg.which
+def cmd_solve(cfg: SimpleNamespace, out: Path, svg: bool, which: str | None = None) -> int:
+    which = which or cfg.solve.which
     t0 = time.perf_counter()
     timings: dict[str, float] = {}
     headline: dict = {}
@@ -339,8 +345,8 @@ def cmd_solve(cfg: RunConfig, out: Path, svg: bool, which: str | None = None) ->
     asym = None
 
     if which == "h":
-        profile = _bvp1d.solve_H(cfg.problem.phi, cfg.problem.f, cfg.solve_config,
-                                 nodes=cfg.nodes, t_min=cfg.t_min)
+        profile = _bvp1d.solve_H(cfg.problem.phi, cfg.problem.f, cfg.solve.config,
+                                 nodes=cfg.solve.nodes, t_min=cfg.solve.t_min)
         headline["H_mid"] = float(profile(0.5))
         residual = None
     else:
@@ -354,10 +360,10 @@ def cmd_solve(cfg: RunConfig, out: Path, svg: bool, which: str | None = None) ->
             asym = _analysis.asymptotics(profile, cfg.problem.N, window=window)
         if which == "minimal":
             c_fit, q_fit = _power_fit(profile)
-            headline.update({"c_fit": c_fit, "q_fit": q_fit, "n_reached": cfg.n_max})
+            headline.update({"c_fit": c_fit, "q_fit": q_fit, "n_reached": cfg.solve.n_max})
         if which == "family":
             headline.update({
-                "a": cfg.a, "b": cfg.b,
+                "a": cfg.solve.a, "b": cfg.solve.b,
                 "sandwich_lower_margin": result.sandwich_lower_margin,
                 "sandwich_upper_margin": result.sandwich_upper_margin,
                 "a_hat": asym.a_hat, "b_hat": asym.b_hat,
@@ -418,8 +424,8 @@ def _load_profile_csv(path: Path, dimension: int) -> _bvp1d.RadialProfile:
     return _bvp1d.RadialProfile(grid=grid, values=data[:, 1])
 
 
-def cmd_verify(cfg: RunConfig, out: Path, target: str | None = None) -> int:
-    target = target or str(cfg.verify_target)
+def cmd_verify(cfg: SimpleNamespace, out: Path, target: str | None = None) -> int:
+    target = target or cfg.verify.target
     t0 = time.perf_counter()
     rows: list[list[str]] = []
     all_pass = True
@@ -436,12 +442,12 @@ def cmd_verify(cfg: RunConfig, out: Path, target: str | None = None) -> int:
         U = _build_reference_bound(cfg)
         V = _construct.superposition_field(U, cfg.problem.K.as_array())
         rep, table = _analysis.field_sample_table(V, cfg.problem,
-                                                  samples=cfg.verify_samples,
-                                                  h=cfg.verify_h, seed=cfg.seed)
+                                                  samples=cfg.verify.samples,
+                                                  h=cfg.verify.h, seed=cfg.seed)
         add("field-inequality-fraction", rep.fraction_nonnegative >= 0.99,
             rep.fraction_nonnegative - 0.99, "low-discrepancy samples")
-        add("field-skipped-bounded", rep.skipped <= cfg.verify_samples // 100,
-            float(cfg.verify_samples // 100 - rep.skipped), "sample filter")
+        add("field-skipped-bounded", rep.skipped <= cfg.verify.samples // 100,
+            float(cfg.verify.samples // 100 - rep.skipped), "sample filter")
         coord_names = [f"x{j + 1}" for j in range(cfg.problem.N)]
         write_csv_atomic(out / "samples.csv", coord_names + ["V", "residual"],
                          [[_fmt(x) for x in row] for row in table])
@@ -449,17 +455,17 @@ def cmd_verify(cfg: RunConfig, out: Path, target: str | None = None) -> int:
         write_csv_atomic(out / "bound_profile.csv", ["r", "U"],
                          [[_fmt(a), _fmt(b)] for a, b in zip(rr, U(rr))])
     else:
-        if target in ("minimal", "family", "exterior-ball"):
+        if target in CONSTRUCTIONS:
             _, profile, window = _build_construction(cfg, target)
             mode = "equality"
         else:
             profile = _load_profile_csv(Path(target), cfg.problem.N)
             window = None
-            mode = cfg.verify_mode
+            mode = cfg.verify.mode
         interior = profile.values[1:-1]
         add("positivity", bool(np.all(interior > 0)),
             float(np.min(interior)), "interior nodes")
-        tol = cfg.verify_tol
+        tol = cfg.verify.tol
         if tol is None:
             # second-order stencil error floor for the audited grid
             r = profile.grid.nodes
@@ -473,7 +479,7 @@ def cmd_verify(cfg: RunConfig, out: Path, target: str | None = None) -> int:
             ok = rep.min_residual >= -tol
             worst = rep.min_residual + tol
         add(f"residual-{mode}", ok, float(worst), f"r={rep.worst_radius:.6g}")
-        r1 = cfg.verify_r1
+        r1 = cfg.verify.r1
         if r1 is None:
             lo = window[0] if window else profile.r_min
             hi = window[1] if window else profile.r_max
@@ -502,7 +508,7 @@ def cmd_verify(cfg: RunConfig, out: Path, target: str | None = None) -> int:
     return 0 if all_pass else 2
 
 
-def _build_reference_bound(cfg: RunConfig):
+def _build_reference_bound(cfg: SimpleNamespace):
     """Glued single-point bound reused by superposition verification."""
     phi = cfg.problem.phi
     f = cfg.problem.f
@@ -517,27 +523,24 @@ def _build_reference_bound(cfg: RunConfig):
     return _construct.glue_supersolution(inner, outer, single)
 
 
-def cmd_certify_divergence(cfg: RunConfig, out: Path) -> int:
+def cmd_certify_divergence(cfg: SimpleNamespace, out: Path) -> int:
     t0 = time.perf_counter()
-    regime = cfg.certify_regime
+    regime, r0 = cfg.certify.regime, cfg.certify.r0
     phi = cfg.problem.phi
     rows: list[list[str]] = []
     if regime == "boundary":
-        cert = _quad.divergence_certificate_boundary(cfg.problem.phi, cfg.certify_r0,
-                                                     cfg.certify_levels)
+        cert = _quad.divergence_certificate_boundary(phi, r0, cfg.certify.levels)
         verdict = "divergent" if cert.divergent else "convergent"
         for k, (rk, val) in enumerate(zip(cert.radii, cert.values)):
             rows.append([str(k), _fmt(rk), _fmt(val)])
         headline = {"verdict": verdict,
                     "limit": cert.limit if cert.limit is not None else ""}
-    elif regime in ("tail", "near0"):
-        monotone_ok = _quad.phi_tail_monotone(cfg.problem.phi, cfg.certify_r0) \
-            if regime == "tail" else True
+    else:
+        monotone_ok = _quad.phi_tail_monotone(phi, r0) if regime == "tail" else True
         if regime == "tail":
-            rep = _quad.integrate_tail(lambda s: s * phi(s), cfg.certify_r0,
-                                       criterion="first-moment-tail")
+            rep = _quad.integrate_tail(lambda s: s * phi(s), r0, criterion="first-moment-tail")
         else:
-            rep = _quad.integrate_singular(lambda s: s * phi(s), 0.0, cfg.certify_r0,
+            rep = _quad.integrate_singular(lambda s: s * phi(s), 0.0, r0,
                                            criterion="first-moment-near0")
         if not monotone_ok:
             verdict = "inconclusive"
@@ -552,8 +555,6 @@ def cmd_certify_divergence(cfg: RunConfig, out: Path) -> int:
             rows.append([str(k), "", _fmt(val)])
         headline = {"verdict": verdict,
                     "value": rep.value if rep.value is not None else ""}
-    else:
-        raise ConfigError(f"unknown certify regime {regime!r}")
     write_csv_atomic(out / "certificate.csv", ["k", "radius", "value"], rows)
     write_manifest(out / "manifest.json", {
         "command": "certify-divergence",
@@ -584,8 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True, help="path to the JSON run config")
         sp.add_argument("--out", default=None, help="output directory (default: config output_dir)")
         if name == "solve":
-            sp.add_argument("--which", default=None,
-                            choices=["h", "minimal", "family", "exterior-ball"])
+            sp.add_argument("--which", default=None, choices=SOLVE_TARGETS)
             sp.add_argument("--svg", action="store_true", help="also write an SVG plot")
         if name == "verify":
             sp.add_argument("--target", default=None,

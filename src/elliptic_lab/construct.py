@@ -353,10 +353,7 @@ def exterior_ball_minimal(
         profile = RadialProfile(grid=grid,
                                 values=np.concatenate(([0.0], interior, [0.0])))
         if prev is not None:
-            lo, hi = R + 10.0 * delta_min, R + 0.5
-            mask = (profile.grid.interior >= lo) & (profile.grid.interior <= hi)
-            rw = profile.grid.interior[mask]
-            increments.append(float(np.max(np.abs(profile.values[1:-1][mask] - prev(rw)))))
+            increments.append(_window_increment(prev, profile, (R + 10.0 * delta_min, R + 0.5)))
         prev = profile
         n *= 2.0
     converged = bool(increments and increments[-1] < max(config.tol_sup, 1e-6))

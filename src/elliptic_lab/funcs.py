@@ -388,7 +388,6 @@ def double_integral_profile(
     N: int,
     inner_lower: float,
     r: float,
-    rel_tol: float = 1e-9,
 ) -> float:
     """Value of int_r^inf t**(1-N) int_{inner_lower}^t s**(N-1) phi(s) ds dt.
 
@@ -403,7 +402,7 @@ def double_integral_profile(
         raise DomainError("evaluation radius must not precede inner_lower")
     if phi.is_zero:
         return 0.0
-    return _quad.iterated_tail_value(phi, N, inner_lower, r, rel_tol=rel_tol)
+    return _quad.iterated_tail_value(phi, N, inner_lower, r)
 
 
 @dataclass(frozen=True, eq=False)
@@ -423,7 +422,6 @@ def supersolution_values(
     r_min: float,
     r_max: float | None = None,
     nodes: int = 1024,
-    rel_tol: float = 1e-9,
 ) -> SupersolutionData:
     """Sampled v(r) = G^{-1}(A(r)) on a geometric grid from r_min.
 
@@ -441,7 +439,7 @@ def supersolution_values(
     if inner_lower > 0 and r_min < inner_lower * (1.0 - 1e-12):
         raise DomainError("grid must start at or after inner_lower")
     r = np.geomspace(r_min, r_max, nodes)
-    A = _quad.iterated_tail_profile(phi, N, inner_lower, r, rel_tol=rel_tol)
+    A = _quad.iterated_tail_profile(phi, N, inner_lower, r)
     _, Ginv = f.G_and_inverse()
     v = np.asarray(Ginv(A), dtype=float)
     if np.any(v <= 0):
@@ -457,11 +455,10 @@ def supersolution_profile(
     r_min: float,
     r_max: float | None = None,
     nodes: int = 1024,
-    rel_tol: float = 1e-9,
 ) -> "_bvp1d.RadialProfile":
     """RadialProfile carrier of v(r) = G^{-1}(double-integral profile at r)."""
     data = supersolution_values(phi, f, N, inner_lower, r_min, r_max=r_max,
-                                nodes=nodes, rel_tol=rel_tol)
+                                nodes=nodes)
     grid = _bvp1d.RadialGrid(nodes=data.r, dimension=N, grading="geometric",
                              ratio=float((data.r[-1] / data.r[0]) ** (1.0 / (len(data.r) - 1))))
     return _bvp1d.RadialProfile(grid=grid, values=data.values)

@@ -85,7 +85,7 @@ def _scan(
     g: _EvalCounter,
     windows,
     criterion: str,
-    rel_tol: float,
+    rel_tol: float = DEFAULT_REL_TOL,
     allow_divergence: bool = True,
     max_windows: int = MAX_WINDOWS,
 ) -> ConditionReport:
@@ -155,7 +155,6 @@ def integrate_singular(
     g: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
-    rel_tol: float = DEFAULT_REL_TOL,
     criterion: str = "integral",
 ) -> ConditionReport:
     """Improper integral on (a, b) with possible power singularities at both ends.
@@ -168,11 +167,11 @@ def integrate_singular(
         raise DomainError("integrate_singular requires a < b")
     counter = _EvalCounter(g)
     mid = float(np.sqrt(a * b)) if a > 0 else 0.5 * (a + b)
-    left = _scan(counter, _windows_to_point(a, mid - a), criterion, rel_tol)
+    left = _scan(counter, _windows_to_point(a, mid - a), criterion)
     if left.status == INFINITE:
         return left
     gb = _EvalCounter(lambda y: counter.g(b - y))
-    right = _scan(gb, _windows_to_point(0.0, b - mid), criterion, rel_tol)
+    right = _scan(gb, _windows_to_point(0.0, b - mid), criterion)
     evals = counter.count + gb.count
     if right.status == INFINITE:
         lift = left.value if left.status == FINITE and left.value else 0.0
@@ -188,14 +187,13 @@ def integrate_singular(
 def integrate_tail(
     g: Callable[[np.ndarray], np.ndarray],
     a: float,
-    rel_tol: float = DEFAULT_REL_TOL,
     criterion: str = "tail-integral",
 ) -> ConditionReport:
     """Improper integral on (a, inf); same verdict machinery on doubling windows."""
     if a <= 0:
         raise DomainError("integrate_tail requires a > 0")
     counter = _EvalCounter(g)
-    return _scan(counter, _windows_to_inf(a), criterion, rel_tol)
+    return _scan(counter, _windows_to_inf(a), criterion)
 
 
 # ---------------------------------------------------------------------------
@@ -280,19 +278,24 @@ def _near0_inner_floor(hi: float) -> float:
     return hi * 2.0 ** -64
 
 
-def _near0_stub(w, N: int, floor: float, rel_tol: float) -> tuple[float, float]:
+def _inner_near0(w, N: int, hi: float) -> ConditionReport:
+    """Scan of int_0^hi s^(N-1) w(s) ds over dyadic windows toward 0."""
+    return _scan(_EvalCounter(lambda s: w(s) * s ** (N - 1)),
+                 _windows_to_point(0.0, hi), "inner-near0")
+
+
+def _near0_stub(w, N: int, floor: float) -> tuple[float, float]:
     """(int_0^floor s^(N-1) w(s) ds, local growth exponent of the cumulative).
 
     The stub decays like floor^(sigma+1), which is not negligible for barely
     integrable inner singularities; the exponent lets callers continue the
     cumulative below the floor by a power law.
     """
-    counter = _EvalCounter(lambda s: w(s) * s ** (N - 1))
-    rep = _scan(counter, _windows_to_point(0.0, floor), "inner-stub", rel_tol)
+    rep = _inner_near0(w, N, floor)
     value = rep.value if rep.status == FINITE and rep.value is not None else 0.0
     kappa = float(N)
     if value > 0.0:
-        rep2 = _scan(counter, _windows_to_point(0.0, 2.0 * floor), "inner-stub2", rel_tol)
+        rep2 = _inner_near0(w, N, 2.0 * floor)
         if rep2.status == FINITE and rep2.value is not None and rep2.value > value:
             kappa = float(np.log2(rep2.value / value))
     return value, kappa
@@ -302,19 +305,13 @@ def iterated_near0(
     w: Callable[[np.ndarray], np.ndarray],
     N: int,
     t_hi: float = 1.0,
-    rel_tol: float = DEFAULT_REL_TOL,
 ) -> ConditionReport:
     """int_0^{t_hi} t^{1-N} int_0^t s^{N-1} w(s) ds dt with divergence certificates."""
     if N < 3:
         raise DomainError("iterated integrals require N >= 3")
     counter = _EvalCounter(w)
     floor = _near0_inner_floor(t_hi)
-    inner_report = _scan(
-        _EvalCounter(lambda s: counter.g(s) * s ** (N - 1)),
-        _windows_to_point(0.0, t_hi),
-        "inner-near0",
-        rel_tol,
-    )
+    inner_report = _inner_near0(w, N, t_hi)
     if inner_report.status == INFINITE:
         # inner integrand already non-integrable: the outer integrand is +inf
         return ConditionReport("iterated-near0", INFINITE, None, inner_report.certificate,
@@ -322,10 +319,10 @@ def iterated_near0(
     if inner_report.status == INCONCLUSIVE:
         return ConditionReport("iterated-near0", INCONCLUSIVE, None, None,
                                "quadrature", inner_report.evaluations)
-    stub, kappa = _near0_stub(w, N, floor, rel_tol)
+    stub, kappa = _near0_stub(w, N, floor)
     J = _InnerCumulative(N, floor, t_hi, counter, base=stub, base_kappa=kappa)
     outer = _EvalCounter(lambda t: J(t) * t ** (1 - N))
-    rep = _scan(outer, _windows_to_point(0.0, t_hi), "iterated-near0", rel_tol)
+    rep = _scan(outer, _windows_to_point(0.0, t_hi), "iterated-near0")
     evals = counter.count + outer.count + inner_report.evaluations
     return ConditionReport(rep.criterion, rep.status, rep.value, rep.certificate,
                            "quadrature", evals, rep.error_estimate)
@@ -337,7 +334,6 @@ def iterated_tail(
     t_lo: float = 1.0,
     inner_lower: float | None = None,
     inner_base: float = 0.0,
-    rel_tol: float = DEFAULT_REL_TOL,
 ) -> ConditionReport:
     """int_{t_lo}^inf t^{1-N} (inner_base + int_{inner_lower}^t s^{N-1} w ds) dt."""
     if N < 3:
@@ -352,7 +348,7 @@ def iterated_tail(
         return J(t) * t ** (1 - N)
 
     outer = _EvalCounter(outer_fn)
-    rep = _scan(outer, _windows_to_inf(t_lo), "iterated-tail", rel_tol)
+    rep = _scan(outer, _windows_to_inf(t_lo), "iterated-tail")
     evals = counter.count + outer.count
     return ConditionReport(rep.criterion, rep.status, rep.value, rep.certificate,
                            "quadrature", evals, rep.error_estimate)
@@ -363,27 +359,19 @@ def iterated_tail_value(
     N: int,
     inner_lower: float,
     r: float,
-    rel_tol: float = DEFAULT_REL_TOL,
 ) -> float:
     """Scalar double-integral profile value; raises DivergenceError when infinite."""
     if inner_lower == 0.0:
-        counter = _EvalCounter(w)
-        inner_rep = _scan(
-            _EvalCounter(lambda s: counter.g(s) * s ** (N - 1)),
-            _windows_to_point(0.0, max(r, 1.0)),
-            "inner-near0",
-            rel_tol,
-        )
+        inner_rep = _inner_near0(w, N, max(r, 1.0))
         if inner_rep.status == INFINITE:
             raise DivergenceError(
                 "inner integrand non-integrable at zero", inner_rep.certificate
             )
         floor = _near0_inner_floor(max(r, 1.0))
-        stub, _ = _near0_stub(w, N, floor, rel_tol)
-        rep = iterated_tail(w, N, t_lo=r, inner_lower=floor, inner_base=stub,
-                            rel_tol=rel_tol)
+        stub, _ = _near0_stub(w, N, floor)
+        rep = iterated_tail(w, N, t_lo=r, inner_lower=floor, inner_base=stub)
     else:
-        rep = iterated_tail(w, N, t_lo=r, inner_lower=inner_lower, rel_tol=rel_tol)
+        rep = iterated_tail(w, N, t_lo=r, inner_lower=inner_lower)
     if rep.status == INFINITE:
         raise DivergenceError("double-integral profile diverges", rep.certificate)
     if rep.status == INCONCLUSIVE:
@@ -396,7 +384,6 @@ def iterated_tail_profile(
     N: int,
     inner_lower: float,
     radii: np.ndarray,
-    rel_tol: float = DEFAULT_REL_TOL,
 ) -> np.ndarray:
     """Double-integral profile on a whole increasing radius grid.
 
@@ -407,13 +394,13 @@ def iterated_tail_profile(
     if np.any(np.diff(radii) <= 0):
         raise DomainError("radii must be strictly increasing")
     r_last = float(radii[-1])
-    tail_val = iterated_tail_value(w, N, inner_lower, r_last, rel_tol=rel_tol)
+    tail_val = iterated_tail_value(w, N, inner_lower, r_last)
     counter = _EvalCounter(w)
     stub = 0.0
     kappa = None
     if inner_lower == 0.0:
         lo_anchor = _near0_inner_floor(max(r_last, 1.0))
-        stub, kappa = _near0_stub(w, N, lo_anchor, rel_tol)
+        stub, kappa = _near0_stub(w, N, lo_anchor)
     else:
         lo_anchor = inner_lower
     start = min(lo_anchor, float(radii[0]))
@@ -448,7 +435,7 @@ def _analytic_exists(phi, weight_shift: float) -> bool | None:
     return sigma > -1.0 and phi.tail_exponent() + 1.0 < -1.0
 
 
-def classify_existence(problem: "_problem.ProblemSpec", rel_tol: float = DEFAULT_REL_TOL) -> ExistencePrediction:
+def classify_existence(problem: "_problem.ProblemSpec") -> ExistencePrediction:
     """Existence verdict for the inequality on the complement of the compact set.
 
     One moment test for every compact set: the tail first moment together with
@@ -473,9 +460,8 @@ def classify_existence(problem: "_problem.ProblemSpec", rel_tol: float = DEFAULT
             )
         shift, name = (1.0 + p) * (problem.N - 2), "shifted-moment"
     near0 = integrate_singular(lambda s: s ** (1.0 + shift) * phi(s), 0.0, 1.0,
-                               criterion=f"{name}-near0", rel_tol=rel_tol)
-    tail = integrate_tail(lambda s: s * phi(s), 1.0,
-                          criterion="first-moment-tail", rel_tol=rel_tol)
+                               criterion=f"{name}-near0")
+    tail = integrate_tail(lambda s: s * phi(s), 1.0, criterion="first-moment-tail")
     reports = [near0, tail]
     quad_exists = _both_finite(near0, tail)
     analytic_exists = _analytic_exists(phi, shift)
@@ -507,7 +493,6 @@ def lemma_zero_check(
     phi: Callable[[np.ndarray], np.ndarray],
     N: int,
     regime: str,
-    rel_tol: float = DEFAULT_REL_TOL,
 ) -> tuple[ConditionReport, ConditionReport]:
     """Verdicts for the simple first moment and the iterated double integral.
 
@@ -519,28 +504,21 @@ def lemma_zero_check(
     if regime not in ("near0", "tail", "full"):
         raise DomainError("regime must be near0 | tail | full")
     if regime == "near0":
-        simple = integrate_singular(lambda s: s * phi(s), 0.0, 1.0,
-                                    criterion="simple-near0", rel_tol=rel_tol)
-        iterated = iterated_near0(phi, N, 1.0, rel_tol=rel_tol)
+        simple = integrate_singular(lambda s: s * phi(s), 0.0, 1.0, criterion="simple-near0")
+        iterated = iterated_near0(phi, N, 1.0)
         return simple, iterated
     if regime == "tail":
-        simple = integrate_tail(lambda s: s * phi(s), 1.0,
-                                criterion="simple-tail", rel_tol=rel_tol)
-        iterated = iterated_tail(phi, N, 1.0, rel_tol=rel_tol)
+        simple = integrate_tail(lambda s: s * phi(s), 1.0, criterion="simple-tail")
+        iterated = iterated_tail(phi, N, 1.0)
         return simple, iterated
-    s0 = integrate_singular(lambda s: s * phi(s), 0.0, 1.0,
-                            criterion="simple-full", rel_tol=rel_tol)
-    s1 = integrate_tail(lambda s: s * phi(s), 1.0, criterion="simple-full", rel_tol=rel_tol)
+    s0 = integrate_singular(lambda s: s * phi(s), 0.0, 1.0, criterion="simple-full")
+    s1 = integrate_tail(lambda s: s * phi(s), 1.0, criterion="simple-full")
     simple = _merge_reports("simple-full", s0, s1)
-    it0 = iterated_near0(phi, N, 1.0, rel_tol=rel_tol)
+    it0 = iterated_near0(phi, N, 1.0)
     if it0.status == FINITE:
-        counter = _EvalCounter(phi)
-        base_rep = _scan(
-            _EvalCounter(lambda s: counter.g(s) * s ** (N - 1)),
-            _windows_to_point(0.0, 1.0), "inner-near0", rel_tol,
-        )
+        base_rep = _inner_near0(phi, N, 1.0)
         base = base_rep.value if base_rep.value is not None else 0.0
-        it1 = iterated_tail(phi, N, 1.0, inner_lower=1.0, inner_base=base, rel_tol=rel_tol)
+        it1 = iterated_tail(phi, N, 1.0, inner_lower=1.0, inner_base=base)
     else:
         it1 = it0
     iterated = _merge_reports("iterated-full", it0, it1)

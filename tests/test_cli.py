@@ -6,6 +6,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from elliptic_lab.cli import main
 
@@ -103,6 +104,10 @@ def test_classify_inconclusive_tabulated_boundaryish(tmp_path):
     ({"solve": {"t_min": 0.25}}, "solve.t_min must be < 0.25"),
     ({"verify": {"h": -0.01}}, "verify.h must be > 0"),
     ({"verify": {"r1": -3}}, "verify.r1 must be > 0"),
+    ({"verify": {"mode": "bogus"}}, "verify.mode must be one of equality, inequality"),
+    ({"solve": {"which": "bogus"}}, "solve.which must be one of h, minimal, family, exterior-ball"),
+    ({"certify": {"regime": "bogus"}}, "certify.regime must be one of tail, near0, boundary"),
+    ({"problem": {"N": 10 ** 400}}, "problem.N: bad value: int too large to convert to float"),
 ])
 def test_malformed_config(tmp_path, capsys, mutation, message):
     cfg = tmp_path / "cfg.json"
@@ -114,12 +119,79 @@ def test_malformed_config(tmp_path, capsys, mutation, message):
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
+# A valid config naming every key of every section; the fuzz test below sets
+# one of its fields (any path, nested objects included) to an arbitrary value.
+FUZZ_BASE = {
+    "problem": {
+        "N": 3,
+        "phi": {"kind": "iter_log", "alpha": -3.5, "betas": [0.6, 0.6]},
+        "f": {"kind": "power", "p": 1},
+        "K": {"kind": "point_set", "centers": [[0, 0, 0], [4, 0, 0]]},
+    },
+    "solve": {"tol_sup": 1e-8, "max_outer": 64, "max_picard": 600, "nodes": 2048,
+              "which": "minimal", "n_max": 64, "a": 0.0, "b": 0.0, "t_min": 1e-7,
+              "delta_min": 1e-6},
+    "verify": {"target": "minimal", "mode": "inequality", "tol": 1e-8, "r1": 1.0,
+               "samples": 10000, "h": 0.01},
+    "certify": {"regime": "tail", "r0": 1.0, "levels": 24},
+    "output_dir": "out",
+    "seed": 42,
+}
+
+
+def _field_paths(obj, prefix=()):
+    for key, val in obj.items():
+        yield prefix + (key,)
+        if isinstance(val, dict):
+            yield from _field_paths(val, prefix + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from([1e308, -1e308, 1e400]) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                                 max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(path=st.sampled_from(sorted(_field_paths(FUZZ_BASE))), value=JSON_VALUES)
+def test_fuzzed_config_field_keeps_exit_contract(tmp_path, capsys, path, value):
+    cfg = json.loads(json.dumps(FUZZ_BASE))
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(cfg))
+    rc = main(["classify", "--config", str(config), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc in (0, 1, 2, 3)
+    if rc == 1:
+        assert len(err.strip().splitlines()) == 1
+
+
 def test_config_not_json(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{not json")
     rc = main(["classify", "--config", str(cfg)])
     assert rc == 1
     assert "line" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda path: None, "No such file or directory"),
+    (lambda path: path.mkdir(), "Is a directory"),
+    (lambda path: path.write_bytes(b"\xff\xfe{}"), "is not UTF-8 text"),
+], ids=["missing", "directory", "not-utf8"])
+def test_config_unreadable(tmp_path, capsys, make, message):
+    cfg = tmp_path / "cfg.json"
+    make(cfg)
+    rc = main(["classify", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert message in err and len(err.strip().splitlines()) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +255,29 @@ def test_solve_exterior_ball(tmp_path):
     data = np.loadtxt(out / "profile.csv", delimiter=",", skiprows=1)
     assert data[0, 0] == 1.0 and data[0, 1] == 0.0
     assert np.all(data[1:-1, 1] > 0)
+
+
+@pytest.mark.parametrize("solve", [
+    {"delta_min": 0.1, "nodes": 256, "n_max": 8},
+    {"delta_min": 0.04, "nodes": 16, "n_max": 8},
+], ids=["window-above-layer", "sixteen-nodes"])
+def test_solve_exterior_ball_empty_increment_window(tmp_path, capsys, solve):
+    # R + 10 delta_min lies at or beyond R + 0.5, or no node falls between
+    # them, so the ladder's increment window holds no node
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, problem={"N": 3,
+                               "phi": {"kind": "power_split", "alpha": -1, "beta": -3},
+                               "f": {"kind": "power", "p": 1},
+                               "K": {"kind": "ball", "radius": 1.0}},
+                 solve={"which": "exterior-ball", **solve})
+    rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert rc in (0, 1, 2, 3)
+    assert "Traceback" not in captured.err
+    if rc == 0:
+        assert "converged: False" in captured.out
+    else:
+        assert len(captured.err.strip().splitlines()) == 1
 
 
 def test_iter_log_weight_parses(tmp_path):
