@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .quad import _panels
 from ._extrapolate import aitken_limit
 from .bvp1d import RadialGrid, RadialProfile
 from .problem import Origin, PointSet, ProblemSpec
@@ -67,7 +68,7 @@ def kelvin_weight(phi, N: int, p: float) -> KelvinWeight:
 # sphere potential average
 # ---------------------------------------------------------------------------
 
-def sphere_potential_average(N: int, r: float, x_norm: float, panels: int = 24) -> float:
+def sphere_potential_average(N: int, r: float, x_norm: float) -> float:
     """Average of |x - y|^{2-N} over the sphere |y| = r, by polar quadrature.
 
     Equals max(|x|, r)^{2-N}; the configuration |x| = r is singular and refused.
@@ -78,18 +79,17 @@ def sphere_potential_average(N: int, r: float, x_norm: float, panels: int = 24) 
         raise DomainError("radii must be positive")
     if x_norm == r:
         raise DomainError("singular configuration |x| = r")
-    nodes, wts = np.polynomial.legendre.leggauss(24)
-    edges = np.linspace(0.0, math.pi, panels + 1)
-    num = 0.0
-    den = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        theta = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-        wt = 0.5 * (hi - lo) * wts
-        sin_pow = np.sin(theta) ** (N - 2)
+    edges = np.linspace(0.0, math.pi, 25)
+
+    def sin_pow(theta):
+        return np.sin(theta) ** (N - 2)
+
+    def weighted_potential(theta):
         dist2 = x_norm ** 2 + r ** 2 - 2.0 * x_norm * r * np.cos(theta)
-        num += float(np.sum(wt * sin_pow * dist2 ** ((2.0 - N) / 2.0)))
-        den += float(np.sum(wt * sin_pow))
-    return num / den
+        return sin_pow(theta) * dist2 ** ((2.0 - N) / 2.0)
+
+    num, den = (np.sum(_panels(g, edges[:-1], edges[1:])) for g in (weighted_potential, sin_pow))
+    return float(num / den)
 
 
 # ---------------------------------------------------------------------------

@@ -179,13 +179,13 @@ CONFIG = _record({
         "tol_sup": (_number(above=0.0), 1e-8),
         "max_outer": (_integer(1), 64),
         "max_picard": (_integer(1), 600),
-        "nodes": (_integer(16), 2048),
+        "nodes": (_integer(32), 2048),    # the residual audit's minimum
         "which": (_one_of(SOLVE_TARGETS), "minimal"),
         "n_max": (_integer(4), 64),
         "a": (_number(minimum=0.0), 0.0),
         "b": (_number(minimum=0.0), 0.0),
         "t_min": (_number(above=0.0, below=0.25), 1e-7),
-        "delta_min": (_number(above=0.0), 1e-6),
+        "delta_min": (_number(above=0.0, below=0.05), 1e-6),  # layer window (2 delta_min, 0.1)
     }), {}),
     "verify": (_record({
         "target": (_text(), "minimal"),
@@ -246,7 +246,9 @@ def write_csv_atomic(path: Path, header: list[str], rows: list[list[str]]) -> No
 
 
 def write_manifest(path: Path, payload: dict) -> None:
-    _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Strict JSON: a non-finite number (an empty window's increment) is written as null."""
+    strict = json.loads(json.dumps(payload), parse_constant=lambda name: None)
+    _write_atomic(path, json.dumps(strict, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def write_profile_svg(path: Path, r: np.ndarray, u: np.ndarray, title: str) -> None:

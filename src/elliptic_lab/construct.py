@@ -333,6 +333,8 @@ def exterior_ball_minimal(
     config = config or SolveConfig()
     if not isinstance(problem.K, Ball):
         raise DomainError("exterior_ball_minimal expects a ball compact set")
+    if not 0.0 < delta_min < 0.05:
+        raise DomainError("delta_min must lie in (0, 0.05), below the layer window's end 0.1")
     _require_positive_weight(problem.phi)
     prediction = _quad.classify_existence(problem)
     if prediction.exists is not True:

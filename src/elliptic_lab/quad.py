@@ -29,6 +29,7 @@ MAX_WINDOWS = 420
 DEFAULT_REL_TOL = 1e-9
 
 _GL_NODES, _GL_WTS = np.polynomial.legendre.leggauss(24)
+_PANEL_BLOCK = 1024       # panels per call of the integrand in _panels
 
 
 @dataclass(frozen=True)
@@ -61,6 +62,10 @@ class ExistencePrediction:
         return self.exists is not None
 
 
+class _NonFinite(DomainError):
+    """An integrand value overflowed; a scan that meets one ends inconclusive."""
+
+
 class _EvalCounter:
     __slots__ = ("g", "count")
 
@@ -71,16 +76,32 @@ class _EvalCounter:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         self.count += len(x)
         v = np.asarray(self.g(x), dtype=float)
-        if np.any(v < 0) or np.any(~np.isfinite(v)):
-            raise DomainError("integrand must be nonnegative and finite on the interior")
+        if np.any(v < 0):
+            raise DomainError("integrand must be nonnegative on the interior")
+        if not np.all(np.isfinite(v)):
+            raise _NonFinite("integrand must be finite on the interior")
         return v
 
 
-def _panel(g: _EvalCounter, lo: float, hi: float) -> float:
-    x = 0.5 * (hi - lo) * _GL_NODES + 0.5 * (hi + lo)
-    return 0.5 * (hi - lo) * float(np.dot(_GL_WTS, g(x)))
+def _panels(g: Callable, lo, hi) -> np.ndarray:
+    """24-point Gauss-Legendre integrals of g over the panels [lo_k, hi_k].
+
+    g is called once per block of at most _PANEL_BLOCK panels, on all their
+    nodes at once.
+    """
+    lo = np.atleast_1d(np.asarray(lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    out = np.empty_like(half)
+    for b in range(0, len(half), _PANEL_BLOCK):
+        blk = slice(b, b + _PANEL_BLOCK)
+        x = half[blk, None] * _GL_NODES + mid[blk, None]
+        out[blk] = half[blk] * (g(x.ravel()).reshape(x.shape) @ _GL_WTS)
+    return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow ends the scan, below
 def _scan(
     g: _EvalCounter,
     windows,
@@ -93,7 +114,8 @@ def _scan(
 
     With allow_divergence=False the streak and blow-up exits are disabled, for
     integrals known finite whose integrand has a long 1/x plateau before its
-    vanishing endpoint factor takes over.
+    vanishing endpoint factor takes over.  An integrand value that overflows
+    ends the scan inconclusive, with the certificate so far.
     """
     total = 0.0
     cert: list[float] = []
@@ -104,7 +126,10 @@ def _scan(
     for k, (lo, hi) in enumerate(windows):
         if k >= max_windows:
             break
-        inc = _panel(g, lo, hi)
+        try:
+            inc = float(_panels(g, lo, hi)[0])
+        except _NonFinite:
+            break
         total += inc
         if inc > 0.0:
             cert.append(total)
@@ -200,28 +225,17 @@ def integrate_tail(
 # iterated double integrals
 # ---------------------------------------------------------------------------
 
-def _dyadic_anchors_up(N: int, lo: float, hi: float, counter: _EvalCounter):
-    """Cumulative J(t) = int_lo^t s^{N-1} w(s) ds at dyadic anchors, ascending.
+def _dyadic_anchors_up(g: Callable, lo: float, hi: float):
+    """Cumulative J(t) = int_lo^t g(s) ds at dyadic anchors, ascending.
 
     All additions are of positive segment integrals, so no cancellation occurs.
     A knot is forced at s = 1 to respect spliced weights.
     """
-    edges = [lo]
-    t = lo
-    while t < hi * (1.0 - 1e-12):
-        t = min(t * 2.0, hi)
-        edges.append(t)
+    t = lo * 2.0 ** np.arange(np.ceil(np.log2(hi / lo)) + 2)
+    edges = np.minimum(t[:np.argmax(t >= hi * (1.0 - 1e-12)) + 1], hi)
     if lo < 1.0 < hi and not np.any(np.isclose(edges, 1.0)):
-        edges = sorted(set(edges) | {1.0})
-    edges = np.asarray(edges, dtype=float)
-    J = np.zeros_like(edges)
-    for i in range(len(edges) - 1):
-        seg_lo, seg_hi = edges[i], edges[i + 1]
-        x = 0.5 * (seg_hi - seg_lo) * _GL_NODES + 0.5 * (seg_hi + seg_lo)
-        J[i + 1] = J[i] + 0.5 * (seg_hi - seg_lo) * float(
-            np.dot(_GL_WTS, counter(x) * x ** (N - 1))
-        )
-    return edges, J
+        edges = np.union1d(edges, [1.0])
+    return edges, np.concatenate(([0.0], np.cumsum(_panels(g, edges[:-1], edges[1:]))))
 
 
 class _InnerCumulative:
@@ -234,48 +248,32 @@ class _InnerCumulative:
 
     def __init__(self, N: int, lo: float, hi: float, counter: _EvalCounter,
                  base: float = 0.0, base_kappa: float | None = None):
-        self.N = N
-        self.counter = counter
+        self.g = lambda s: counter(s) * s ** (N - 1)
         self.base = base
         self.base_kappa = base_kappa
-        self.edges, self.J = _dyadic_anchors_up(N, lo, hi, counter)
+        self.edges, self.J = _dyadic_anchors_up(self.g, lo, hi)
 
     def extend_to(self, hi: float):
         if hi <= self.edges[-1]:
             return
-        edges2, J2 = _dyadic_anchors_up(self.N, self.edges[-1], hi, self.counter)
+        edges2, J2 = _dyadic_anchors_up(self.g, self.edges[-1], hi)
         self.edges = np.concatenate([self.edges, edges2[1:]])
         self.J = np.concatenate([self.J, self.J[-1] + J2[1:]])
 
-    def _below_floor(self, t: float) -> float:
-        if self.base <= 0.0:
-            return self.base
-        if self.base_kappa is None:
-            return self.base
-        return self.base * (t / self.edges[0]) ** self.base_kappa
-
     def __call__(self, t: np.ndarray) -> np.ndarray:
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty_like(t)
-        idx = np.searchsorted(self.edges, t, side="right") - 1
-        idx = np.clip(idx, 0, len(self.edges) - 2)
-        for j, (tj, i) in enumerate(zip(t, idx)):
-            lo = self.edges[i]
-            if tj < self.edges[0]:
-                out[j] = self._below_floor(tj)
-                continue
-            if tj <= lo:
-                out[j] = self.J[i] + self.base
-                continue
-            x = 0.5 * (tj - lo) * _GL_NODES + 0.5 * (tj + lo)
-            seg = 0.5 * (tj - lo) * float(np.dot(_GL_WTS, self.counter(x) * x ** (self.N - 1)))
-            out[j] = self.J[i] + seg + self.base
+        i = np.clip(np.searchsorted(self.edges, t, side="right") - 1, 0, len(self.edges) - 2)
+        lo = self.edges[i]
+        out = self.J[i]
+        inside = t > lo
+        out[inside] += _panels(self.g, lo[inside], t[inside])
+        out += self.base
+        below = t < self.edges[0]
+        if self.base > 0.0 and self.base_kappa is not None:
+            out[below] = self.base * (t[below] / self.edges[0]) ** self.base_kappa
+        else:
+            out[below] = self.base
         return out
-
-
-def _near0_inner_floor(hi: float) -> float:
-    # far below any radius that can influence the verdicts at double precision
-    return hi * 2.0 ** -64
 
 
 def _inner_near0(w, N: int, hi: float) -> ConditionReport:
@@ -284,21 +282,30 @@ def _inner_near0(w, N: int, hi: float) -> ConditionReport:
                  _windows_to_point(0.0, hi), "inner-near0")
 
 
-def _near0_stub(w, N: int, floor: float) -> tuple[float, float]:
-    """(int_0^floor s^(N-1) w(s) ds, local growth exponent of the cumulative).
+def _inner_base(w, N: int, inner_lower: float, hi: float) -> tuple[float, float, float | None]:
+    """(lower, base, kappa) of the inner cumulative int_inner_lower^t s^(N-1) w(s) ds.
 
-    The stub decays like floor^(sigma+1), which is not negligible for barely
-    integrable inner singularities; the exponent lets callers continue the
-    cumulative below the floor by a power law.
+    For inner_lower = 0 the anchors start at the floor hi 2^-64, far below any
+    radius that can influence the results at double precision.  The base is
+    then the stub int_0^floor, and J ~ base (t/floor)^kappa continues the
+    cumulative below the floor: the stub decays like floor^(sigma+1), which is
+    not negligible for barely integrable inner singularities.  The stub's own
+    scan is the integrability check at zero; DivergenceError when it fails.
     """
+    if inner_lower > 0.0:
+        return inner_lower, 0.0, None
+    floor = hi * 2.0 ** -64
     rep = _inner_near0(w, N, floor)
-    value = rep.value if rep.status == FINITE and rep.value is not None else 0.0
+    if rep.status == INFINITE:
+        raise DivergenceError("inner integrand non-integrable at zero", rep.certificate)
+    if rep.status == INCONCLUSIVE:
+        raise DivergenceError("inner integrand could not be classified at zero", None)
     kappa = float(N)
-    if value > 0.0:
+    if rep.value > 0.0:
         rep2 = _inner_near0(w, N, 2.0 * floor)
-        if rep2.status == FINITE and rep2.value is not None and rep2.value > value:
-            kappa = float(np.log2(rep2.value / value))
-    return value, kappa
+        if rep2.status == FINITE and rep2.value > rep.value:
+            kappa = float(np.log2(rep2.value / rep.value))
+    return floor, rep.value, kappa
 
 
 def iterated_near0(
@@ -310,16 +317,19 @@ def iterated_near0(
     if N < 3:
         raise DomainError("iterated integrals require N >= 3")
     counter = _EvalCounter(w)
-    floor = _near0_inner_floor(t_hi)
     inner_report = _inner_near0(w, N, t_hi)
     if inner_report.status == INFINITE:
         # inner integrand already non-integrable: the outer integrand is +inf
         return ConditionReport("iterated-near0", INFINITE, None, inner_report.certificate,
                                "quadrature", inner_report.evaluations)
+    inconclusive = ConditionReport("iterated-near0", INCONCLUSIVE, None, None,
+                                   "quadrature", inner_report.evaluations)
     if inner_report.status == INCONCLUSIVE:
-        return ConditionReport("iterated-near0", INCONCLUSIVE, None, None,
-                               "quadrature", inner_report.evaluations)
-    stub, kappa = _near0_stub(w, N, floor)
+        return inconclusive
+    try:
+        floor, stub, kappa = _inner_base(w, N, 0.0, t_hi)
+    except DivergenceError:  # the stub's scan, below the floor, can still overflow
+        return inconclusive
     J = _InnerCumulative(N, floor, t_hi, counter, base=stub, base_kappa=kappa)
     outer = _EvalCounter(lambda t: J(t) * t ** (1 - N))
     rep = _scan(outer, _windows_to_point(0.0, t_hi), "iterated-near0")
@@ -354,6 +364,16 @@ def iterated_tail(
                            "quadrature", evals, rep.error_estimate)
 
 
+def _tail_value(w, N: int, lower: float, base: float, r: float) -> float:
+    """The double-integral profile at r over the inner cumulative base + int_lower^t."""
+    rep = iterated_tail(w, N, t_lo=r, inner_lower=lower, inner_base=base)
+    if rep.status == INFINITE:
+        raise DivergenceError("double-integral profile diverges", rep.certificate)
+    if rep.status == INCONCLUSIVE:
+        raise DivergenceError("double-integral profile could not be classified", None)
+    return float(rep.value)
+
+
 def iterated_tail_value(
     w: Callable,
     N: int,
@@ -361,22 +381,8 @@ def iterated_tail_value(
     r: float,
 ) -> float:
     """Scalar double-integral profile value; raises DivergenceError when infinite."""
-    if inner_lower == 0.0:
-        inner_rep = _inner_near0(w, N, max(r, 1.0))
-        if inner_rep.status == INFINITE:
-            raise DivergenceError(
-                "inner integrand non-integrable at zero", inner_rep.certificate
-            )
-        floor = _near0_inner_floor(max(r, 1.0))
-        stub, _ = _near0_stub(w, N, floor)
-        rep = iterated_tail(w, N, t_lo=r, inner_lower=floor, inner_base=stub)
-    else:
-        rep = iterated_tail(w, N, t_lo=r, inner_lower=inner_lower)
-    if rep.status == INFINITE:
-        raise DivergenceError("double-integral profile diverges", rep.certificate)
-    if rep.status == INCONCLUSIVE:
-        raise DivergenceError("double-integral profile could not be classified", None)
-    return float(rep.value)
+    lower, base, _ = _inner_base(w, N, inner_lower, max(r, 1.0))
+    return _tail_value(w, N, lower, base, r)
 
 
 def iterated_tail_profile(
@@ -394,25 +400,12 @@ def iterated_tail_profile(
     if np.any(np.diff(radii) <= 0):
         raise DomainError("radii must be strictly increasing")
     r_last = float(radii[-1])
-    tail_val = iterated_tail_value(w, N, inner_lower, r_last)
-    counter = _EvalCounter(w)
-    stub = 0.0
-    kappa = None
-    if inner_lower == 0.0:
-        lo_anchor = _near0_inner_floor(max(r_last, 1.0))
-        stub, kappa = _near0_stub(w, N, lo_anchor)
-    else:
-        lo_anchor = inner_lower
-    start = min(lo_anchor, float(radii[0]))
-    J = _InnerCumulative(N, start, r_last, counter, base=stub, base_kappa=kappa)
-    out = np.empty_like(radii)
-    out[-1] = tail_val
-    for i in range(len(radii) - 2, -1, -1):
-        lo, hi = radii[i], radii[i + 1]
-        x = 0.5 * (hi - lo) * _GL_NODES + 0.5 * (hi + lo)
-        seg = 0.5 * (hi - lo) * float(np.dot(_GL_WTS, J(x) * x ** (1 - N)))
-        out[i] = out[i + 1] + seg
-    return out
+    lower, base, kappa = _inner_base(w, N, inner_lower, max(r_last, 1.0))
+    tail = _tail_value(w, N, lower, base, r_last)
+    J = _InnerCumulative(N, min(lower, float(radii[0])), r_last, _EvalCounter(w),
+                         base=base, base_kappa=kappa)
+    seg = _panels(lambda x: J(x) * x ** (1 - N), radii[:-1], radii[1:])
+    return np.cumsum(np.concatenate(([tail], seg[::-1])))[::-1]
 
 
 # ---------------------------------------------------------------------------

@@ -88,7 +88,7 @@ def test_classify_inconclusive_tabulated_boundaryish(tmp_path):
     ({"problem": {"phi": {"kind": "power"}}}, "missing key 'alpha'"),
     ({"problem": {"phi": {"kind": "power", "alpha": "x"}}}, "bad value"),
     ({"solve": []}, "solve must be an object"),
-    ({"solve": {"nodes": 8}}, "solve.nodes must be an integer >= 16"),
+    ({"solve": {"nodes": 8}}, "solve.nodes must be an integer >= 32"),
     ({"verify": {"r1": "x"}}, "bad value"),
     ({"problem": {"N": 3.7}}, "problem.N must be an integer"),
     ({"seed": 1.9}, "seed must be an integer"),
@@ -108,6 +108,11 @@ def test_classify_inconclusive_tabulated_boundaryish(tmp_path):
     ({"solve": {"which": "bogus"}}, "solve.which must be one of h, minimal, family, exterior-ball"),
     ({"certify": {"regime": "bogus"}}, "certify.regime must be one of tail, near0, boundary"),
     ({"problem": {"N": 10 ** 400}}, "problem.N: bad value: int too large to convert to float"),
+    # the residual audit that solve and verify run needs 32 nodes
+    ({"solve": {"nodes": 16}}, "solve.nodes must be an integer >= 32"),
+    ({"solve": {"nodes": 31}}, "solve.nodes must be an integer >= 32"),
+    # the exterior ball's layer window (2 delta_min, 0.1) must not invert
+    ({"solve": {"delta_min": 0.05}}, "solve.delta_min must be < 0.05"),
 ])
 def test_malformed_config(tmp_path, capsys, mutation, message):
     cfg = tmp_path / "cfg.json"
@@ -278,6 +283,38 @@ def test_solve_exterior_ball_empty_increment_window(tmp_path, capsys, solve):
         assert "converged: False" in captured.out
     else:
         assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_solve_manifest_is_strict_json(tmp_path, capsys):
+    # the increment window (R + 10 delta_min, R + 0.5) holds no node here, so
+    # the window increments are not finite; they are written as null
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, problem={"N": 3,
+                               "phi": {"kind": "power_split", "alpha": -1, "beta": -3},
+                               "f": {"kind": "power", "p": 1},
+                               "K": {"kind": "ball", "radius": 1.0}},
+                 solve={"which": "exterior-ball", "delta_min": 0.049, "nodes": 32, "n_max": 8})
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    text = (tmp_path / "o" / "manifest.json").read_text()
+    manifest = json.loads(text, parse_constant=reject)
+    assert manifest["headline"]["window_increments"] == [None, None]
+
+
+def test_classify_scan_overflow_is_inconclusive(tmp_path, capsys):
+    # r**alpha overflows in the near-zero scan before its ratio test settles
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, problem={"N": 3, "phi": {"kind": "power", "alpha": -3.417},
+                               "f": {"kind": "power", "p": 0.5}, "K": {"kind": "origin"}})
+    rc = main(["classify", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "Traceback" not in captured.err
+    header, rows = read_csv(tmp_path / "o" / "conditions.csv")
+    assert rows[0][:2] == ["shifted-moment-near0", "inconclusive"]
 
 
 def test_iter_log_weight_parses(tmp_path):

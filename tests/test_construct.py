@@ -189,6 +189,14 @@ def test_exterior_refusal():
         el.exterior_ball_minimal(bad, n_max=4, nodes=256)
 
 
+@pytest.mark.parametrize("delta_min", [0.05, 0.1])
+def test_exterior_refuses_delta_min_at_layer_window_bound(delta_min):
+    # layer_window = (max(1e-3, 2 delta_min), 0.1) would be empty or inverted
+    pb = el.ProblemSpec(3, el.PowerSplitPhi(-1.0, -3.0), el.PowerF(1.0), el.Ball(1.0))
+    with pytest.raises(el.DomainError, match="delta_min"):
+        el.exterior_ball_minimal(pb, n_max=4, nodes=256, delta_min=delta_min)
+
+
 def test_exterior_ratio_bracket(exterior32, ball_problem):
     H = el.solve_H(ball_problem.phi, ball_problem.f, nodes=4096)
     lo, hi, _ = el.ratio_bracket(exterior32.value.profile, H, 1.0, (1e-3, 0.1))

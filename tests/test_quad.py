@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import elliptic_lab as el
-from elliptic_lab.quad import FINITE, INFINITE, iterated_near0, iterated_tail
+from elliptic_lab.quad import (FINITE, INCONCLUSIVE, INFINITE, _EvalCounter, _GL_NODES,
+                               _GL_WTS, _InnerCumulative, _panels, _scan, _windows_to_point,
+                               iterated_near0, iterated_tail)
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +212,141 @@ def test_iterated_helpers_match_direct():
     # tail iterated for pure power: 1/((N+b)... via parts) = value of
     # int_1^inf t^-2 (1 - t^-1) dt = 1/2
     assert rep2.value == pytest.approx(0.5, rel=1e-8)
+
+
+@pytest.mark.parametrize("r", [32.0, 100.0, 1000.0])
+def test_inner_zero_profile_matches_closed_form(r):
+    # s^2 phi(s) = s^-0.5 on (0, 1) and s^-1.4 beyond: integrable at zero, but
+    # growing toward zero on (1, r), which must not read as divergence at zero
+    phi = el.PowerSplitPhi(-2.5, -3.4)
+    exact = 4.5 / r - (2.5 / 1.4) * r ** -1.4
+    assert el.double_integral_profile(phi, 3, 0.0, r) == pytest.approx(exact, rel=1e-12)
+
+
+def test_inner_zero_supersolution_matches_closed_form():
+    # A(r) = 4.5/r - (2.5/1.4) r^-1.4 for r >= 1 and 4(r^-1/2 - 1) + A(1) below
+    data = el.supersolution_values(el.PowerSplitPhi(-2.5, -3.4), el.PowerF(1), 3, 0.0, 0.5,
+                                   nodes=300)
+    r = data.r
+    a1 = 4.5 - 2.5 / 1.4
+    exact = np.where(r >= 1.0, 4.5 / r - (2.5 / 1.4) * r ** -1.4, 4.0 * (r ** -0.5 - 1.0) + a1)
+    np.testing.assert_allclose(data.A, exact, rtol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# overflowing integrands
+# ---------------------------------------------------------------------------
+
+def test_scan_overflow_ends_inconclusive_with_certificate():
+    # the integrand overflows in the tenth window toward 0, [2^-10, 2^-9]
+    counter = _EvalCounter(lambda s: np.where(s < 1e-3, np.inf, s ** -0.5))
+    rep = _scan(counter, _windows_to_point(0.0, 1.0), "overflow")
+    assert rep.status == INCONCLUSIVE and rep.value is None
+    assert rep.evaluations == 24 * 10
+    cert = np.asarray(rep.certificate)
+    assert len(cert) == 9 and np.all(np.diff(cert) > 0)
+
+
+def test_classify_overflow_is_inconclusive():
+    problem = el.ProblemSpec(3, el.PowerPhi(-3.417), el.PowerF(0.5), el.Origin())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        pred = el.classify_existence(problem)
+    assert pred.exists is None
+    assert pred.reports[0].status == INCONCLUSIVE
+
+
+def test_lemma_near0_overflow_is_inconclusive():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        simple, iterated = el.lemma_zero_check(el.PowerLogPhi(-3.6, 0.7), 3, "near0")
+    assert simple.status == INFINITE
+    assert iterated.status == INCONCLUSIVE
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Legendre panels: the batched path against one np.dot per panel
+# ---------------------------------------------------------------------------
+
+def _panels_reference(g, lo, hi):
+    out = []
+    for a, b in zip(lo, hi):
+        x = 0.5 * (b - a) * _GL_NODES + 0.5 * (b + a)
+        out.append(0.5 * (b - a) * float(np.dot(_GL_WTS, g(x))))
+    return np.asarray(out)
+
+
+def _cumulative_reference(J, g, t):
+    """J(t) point by point: the power-law continuation below the first anchor,
+    the anchor value on an anchor, else the anchor value plus one panel."""
+    e = J.edges
+    out = []
+    for tj in t:
+        i = min(max(int(np.searchsorted(e, tj, side="right")) - 1, 0), len(e) - 2)
+        if tj < e[0]:
+            scaled = J.base > 0.0 and J.base_kappa is not None
+            out.append(J.base * (tj / e[0]) ** J.base_kappa if scaled else J.base)
+        elif tj <= e[i]:
+            out.append(J.J[i] + J.base)
+        else:
+            out.append(J.J[i] + _panels_reference(g, [e[i]], [tj])[0] + J.base)
+    return np.asarray(out)
+
+
+PANELS = st.lists(st.tuples(st.floats(1e-6, 1e3), st.floats(1e-9, 1e2)), min_size=1, max_size=40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=st.floats(-4.0, 3.0), panels=PANELS)
+def test_panels_match_reference(alpha, panels):
+    lo = np.array([a for a, _ in panels])
+    hi = lo + np.array([w for _, w in panels])
+    g = lambda s: s ** alpha  # noqa: E731
+    np.testing.assert_allclose(_panels(g, lo, hi), _panels_reference(g, lo, hi),
+                               rtol=1e-15, atol=0.0)
+
+
+def test_panels_call_the_integrand_once_per_block():
+    sizes = []
+
+    def g(s):
+        sizes.append(len(s))
+        return np.exp(-s) * s ** 1.5
+
+    lo = np.geomspace(1e-3, 50.0, 2 * 1024 + 1)
+    hi = lo * 1.01
+    got = _panels(g, lo, hi)
+    assert sizes == [24 * 1024, 24 * 1024, 24]
+    np.testing.assert_allclose(got, _panels_reference(g, lo, hi), rtol=1e-15, atol=0.0)
+
+
+FRACTIONS = st.lists(st.floats(0.001, 0.999), max_size=6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha=st.floats(-2.5, 1.0), lo=st.floats(1e-3, 1.0), span=st.floats(1.5, 1e3),
+       base=st.floats(0.0, 1.0), kappa=st.none() | st.floats(0.5, 4.0), data=st.data())
+def test_inner_cumulative_matches_reference(alpha, lo, span, base, kappa, data):
+    N = 3
+    counter = _EvalCounter(lambda s: s ** alpha)
+    J = _InnerCumulative(N, lo, lo * span, counter, base=base, base_kappa=kappa)
+    e = J.edges
+    below = e[0] * np.array(data.draw(FRACTIONS))
+    anchors = np.array(data.draw(st.lists(st.sampled_from(list(e[:-1])), max_size=6)))
+    seg = np.array(data.draw(st.lists(st.integers(0, len(e) - 2), max_size=6)), dtype=int)
+    inside = e[seg] + np.resize(data.draw(FRACTIONS), len(seg)) * (e[seg + 1] - e[seg])
+    inside = inside[(inside > e[seg]) & (inside < e[seg + 1])]
+    beyond = e[-1] * (1.0 + np.array(data.draw(FRACTIONS)))
+    t = np.concatenate([below, anchors, inside, beyond])
+    order = np.array(data.draw(st.permutations(range(len(t)))), dtype=int)
+
+    before = counter.count
+    got = J(t[order])[np.argsort(order)]
+    assert counter.count - before == 24 * (len(inside) + len(beyond))
+    ref = _cumulative_reference(J, lambda s: s ** alpha * s ** (N - 1), t)
+    on_anchor = np.isin(t, anchors)
+    np.testing.assert_array_equal(got[on_anchor], ref[on_anchor])
+    np.testing.assert_allclose(got, ref, rtol=2e-15, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
