@@ -11,67 +11,65 @@ from __future__ import annotations
 
 import numpy as np
 
-
-def _aitken_row(cur: list[float]) -> list[float]:
-    nxt = []
-    for i in range(len(cur) - 2):
-        d1 = cur[i + 1] - cur[i]
-        d2 = cur[i + 2] - cur[i + 1]
-        den = d2 - d1
-        if abs(den) <= 1e-13 * max(abs(cur[i + 2]), 1e-300):
-            nxt.append(cur[i + 2])
-        else:
-            nxt.append(cur[i + 2] - d2 * d2 / den)
-    return nxt
+MAX_LEVELS = 3  # Aitken transforms tried per sequence
 
 
-def aitken_limit(seq: np.ndarray, max_levels: int = 3) -> tuple[float, float]:
-    """Limit estimate and residual estimate for one scalar sequence.
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _aitken(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Guarded Aitken on a (terms, points) array, every column a sequence.
 
     The first transform is always applied when three terms exist; deeper levels
-    are accepted only while the transformed row keeps flattening (its last
-    internal difference shrinks), which stops noise amplification.  The
-    returned error is the final row's internal difference.
+    are accepted, per column, only while the transformed row keeps flattening
+    (its last internal difference shrinks), which stops noise amplification.
+    A column whose guard fails drops out (its active flag clears).  The error
+    is the accepted row's last internal difference.
     """
-    s = [float(x) for x in np.asarray(seq, dtype=float)]
-    if len(s) == 0:
-        raise ValueError("empty sequence")
-    best = s[-1]
-    err = abs(s[-1] - s[-2]) if len(s) >= 2 else np.inf
-    cur = s
-    cons = err
-    for level in range(max_levels):
+    best = rows[-1]
+    err = np.abs(rows[-1] - rows[-2]) if len(rows) >= 2 else np.full(rows.shape[1], np.inf)
+    active = np.ones(rows.shape[1], dtype=bool)
+    cur = rows
+    for level in range(MAX_LEVELS):
         if len(cur) < 3:
             break
-        nxt = _aitken_row(cur)
-        new_cons = abs(nxt[-1] - nxt[-2]) if len(nxt) >= 2 else abs(nxt[-1] - cur[-1])
-        if level > 0 and new_cons >= cons and np.isfinite(cons):
-            break
-        best = nxt[-1]
-        err = new_cons
+        d1 = cur[1:-1] - cur[:-2]
+        d2 = cur[2:] - cur[1:-1]
+        den = d2 - d1
+        flat = np.abs(den) <= 1e-13 * np.maximum(np.abs(cur[2:]), 1e-300)
+        nxt = np.where(flat, cur[2:], cur[2:] - d2 * d2 / den)
+        cons = np.abs(nxt[-1] - (nxt[-2] if len(nxt) >= 2 else cur[-1]))
+        if level > 0:
+            active &= ~((cons >= err) & np.isfinite(err))
+        best = np.where(active, nxt[-1], best)
+        err = np.where(active, cons, err)
         cur = nxt
-        cons = new_cons
     return best, err
 
 
-def aitken_limit_rows(table: np.ndarray, valid: np.ndarray | None = None,
-                      max_levels: int = 3) -> tuple[np.ndarray, np.ndarray]:
+def aitken_limit(seq: np.ndarray) -> tuple[float, float]:
+    """Limit estimate and residual estimate for one scalar sequence."""
+    col = np.asarray(seq, dtype=float).reshape(-1, 1)
+    if len(col) == 0:
+        raise ValueError("empty sequence")
+    best, err = _aitken(col)
+    return float(best[0]), float(err[0])
+
+
+def aitken_limit_rows(table: np.ndarray, valid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Columnwise guarded Aitken over a (levels, points) table.
 
-    valid marks usable entries per (level, point); invalid leading levels are
-    simply dropped for that point.  Returns (limits, errors) per point.
+    valid marks usable entries per (level, point); invalid levels are dropped
+    for that point, and a point with no valid level gets (nan, inf).  Columns
+    sharing a valid pattern are extrapolated together.  Returns (limits,
+    errors) per point.
     """
     table = np.asarray(table, dtype=float)
-    L, P = table.shape
-    if valid is None:
-        valid = np.ones_like(table, dtype=bool)
-    limits = np.empty(P)
-    errors = np.empty(P)
-    for j in range(P):
-        col = table[valid[:, j], j]
-        if col.size == 0:
-            limits[j] = np.nan
-            errors[j] = np.inf
+    limits = np.full(table.shape[1], np.nan)
+    errors = np.full(table.shape[1], np.inf)
+    patterns, which = np.unique(valid, axis=1, return_inverse=True)
+    which = which.ravel()
+    for k, rows in enumerate(patterns.T):
+        if not rows.any():
             continue
-        limits[j], errors[j] = aitken_limit(col, max_levels=max_levels)
+        cols = which == k
+        limits[cols], errors[cols] = _aitken(table[rows][:, cols])
     return limits, errors

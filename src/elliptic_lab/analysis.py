@@ -11,8 +11,8 @@ import numpy as np
 
 from .errors import DomainError
 from .quad import _panels
-from ._extrapolate import aitken_limit
-from .bvp1d import RadialGrid, RadialProfile
+from ._extrapolate import MAX_LEVELS, aitken_limit
+from .bvp1d import AUDIT_TOL, RadialGrid, RadialProfile
 from .problem import Origin, PointSet, ProblemSpec
 
 
@@ -130,7 +130,6 @@ def _stride_samples(profile: RadialProfile, lo: float, hi: float, count: int,
 
 
 def asymptotics(profile: RadialProfile, N: int, samples: int = 7,
-                levels: int = 3,
                 window: tuple[float, float] | None = None) -> AsymptoticsEstimate:
     """Octave-spaced node sampling near both ends with guarded Aitken extrapolation.
 
@@ -156,12 +155,12 @@ def asymptotics(profile: RadialProfile, N: int, samples: int = 7,
     # order sequences so the limit direction is the last entry
     a_seq = (small_r ** (N - 2) * small_v)[::-1]
     b_seq = big_v
-    a_hat, a_err = aitken_limit(a_seq, max_levels=levels)
-    b_hat, b_err = aitken_limit(b_seq, max_levels=levels)
+    a_hat, a_err = aitken_limit(a_seq)
+    b_hat, b_err = aitken_limit(b_seq)
     return AsymptoticsEstimate(
         a_hat=float(a_hat), b_hat=float(b_hat),
         a_error=float(a_err), b_error=float(b_err),
-        orders={"samples": k, "levels": levels,
+        orders={"samples": k, "levels": MAX_LEVELS,
                 "small_radii": small_r.tolist(), "large_radii": big_r.tolist()},
     )
 
@@ -212,7 +211,6 @@ def residual_radial(
     profile: RadialProfile,
     problem: ProblemSpec,
     mode: str = "inequality",
-    tol: float = 1e-8,
     r_window: tuple[float, float] | None = None,
 ) -> ResidualReport:
     """Residual statistics of the radial equation at interior grid nodes.
@@ -221,7 +219,7 @@ def residual_radial(
     radial harmonics; residuals are normalized by max(1, phi(delta) f(u)) so
     that verdicts are meaningful across the profile's full dynamic range.
     Equality mode reports the sup of |residual|; inequality mode reports the
-    minimum and the fraction above -tol.  A radius window restricts the audit
+    minimum and the fraction above -AUDIT_TOL.  A radius window restricts the audit
     (e.g. to the trusted zone of an exhaustion construction, away from its
     truncation boundaries).
     """
@@ -246,7 +244,7 @@ def residual_radial(
     return ResidualReport(
         sample_count=len(residual),
         min_residual=float(np.min(residual)),
-        fraction_nonnegative=float(np.mean(residual >= -tol)),
+        fraction_nonnegative=float(np.mean(residual >= -AUDIT_TOL)),
         sup_norm_equation_defect=float(np.abs(residual[worst])),
         stencil_spacing=spacing,
         worst_radius=float(rin[worst]),
@@ -260,7 +258,6 @@ def residual_field(
     h: float = 0.01,
     seed: int = 42,
     box_pad: float = 4.0,
-    tol: float = 1e-8,
 ) -> ResidualReport:
     """Stencil-Laplacian audit of a superposition field at low-discrepancy points.
 
@@ -269,7 +266,7 @@ def residual_field(
     skipped and counted.
     """
     report, _ = field_sample_table(V, problem, samples=samples, h=h, seed=seed,
-                                   box_pad=box_pad, tol=tol)
+                                   box_pad=box_pad)
     return report
 
 
@@ -280,7 +277,6 @@ def field_sample_table(
     h: float = 0.01,
     seed: int = 42,
     box_pad: float = 4.0,
-    tol: float = 1e-8,
 ) -> tuple[ResidualReport, np.ndarray]:
     """Field audit plus the full sample table (x_1..x_N, V, residual) for plotting."""
     if not isinstance(problem.K, (PointSet, Origin)):
@@ -317,7 +313,7 @@ def field_sample_table(
     report = ResidualReport(
         sample_count=len(residual),
         min_residual=float(np.min(residual)),
-        fraction_nonnegative=float(np.mean(residual >= -tol)),
+        fraction_nonnegative=float(np.mean(residual >= -AUDIT_TOL)),
         sup_norm_equation_defect=float(np.max(np.abs(residual))),
         stencil_spacing=float(np.max(hloc)),
         skipped=skipped,
@@ -330,9 +326,9 @@ def field_sample_table(
 # minimum principle and the planar obstruction
 # ---------------------------------------------------------------------------
 
-def min_principle_check(profile: RadialProfile, r1: float, tol: float = 1e-8,
+def min_principle_check(profile: RadialProfile, r1: float,
                         r_floor: float | None = None) -> bool:
-    """True iff u(r) >= u(r1) - tol*scale for every node r in [r_floor, r1].
+    """True iff u(r) >= u(r1) - AUDIT_TOL*scale for every node r in [r_floor, r1].
 
     The hypothesis (superharmonic side of the residual near the puncture) is
     the caller's responsibility; this is the conclusion used as a test oracle.
@@ -348,7 +344,7 @@ def min_principle_check(profile: RadialProfile, r1: float, tol: float = 1e-8,
     vals = profile.values[mask]
     if vals.size == 0:
         return True
-    return bool(np.min(vals) >= m - tol * max(1.0, abs(m)))
+    return bool(np.min(vals) >= m - AUDIT_TOL * max(1.0, abs(m)))
 
 
 @dataclass(frozen=True)
@@ -367,7 +363,6 @@ def dim2_ground_state_obstruction(
     profile: RadialProfile,
     x_norm: float | None = None,
     levels: int = 20,
-    tol: float = 1e-8,
 ) -> PlanarObstructionReport:
     """In the plane, harmonic log minorants force inf u >= min on the inner circle.
 
@@ -393,7 +388,7 @@ def dim2_ground_state_obstruction(
     sup_v = max(minorants)
     pointwise = None
     if profile.r_min <= x_norm <= profile.r_max:
-        pointwise = bool(float(profile(x_norm)) >= sup_v - tol * max(1.0, m))
+        pointwise = bool(float(profile(x_norm)) >= sup_v - AUDIT_TOL * max(1.0, m))
     return PlanarObstructionReport(
         m=m, x_norm=float(x_norm), minorants=tuple(minorants),
         sup_minorant=float(sup_v), gap=float(m - sup_v), pointwise_ok=pointwise,
@@ -405,12 +400,11 @@ def ratio_bracket(
     gauge: RadialProfile,
     offset: float,
     window: tuple[float, float],
-    n_samples: int = 64,
 ) -> tuple[float, float, np.ndarray]:
-    """Empirical bracket of u(offset + delta) / gauge(delta) over a delta window."""
+    """Empirical bracket of u(offset + delta) / gauge(delta) at 64 geometric deltas."""
     lo, hi = window
     if not (0 < lo < hi):
         raise DomainError("window must satisfy 0 < lo < hi")
-    delta = np.geomspace(lo, hi, n_samples)
+    delta = np.geomspace(lo, hi, 64)
     ratios = np.asarray(u(offset + delta)) / np.asarray(gauge(delta))
     return float(np.min(ratios)), float(np.max(ratios)), ratios

@@ -24,6 +24,8 @@ from . import quad as _quad
 if TYPE_CHECKING:
     from . import funcs as _funcs
 
+AUDIT_TOL = 1e-8  # slack of the order and residual audits, relative to max(1, scale)
+
 
 # ---------------------------------------------------------------------------
 # grids and profiles
@@ -243,15 +245,22 @@ def _cell_volumes(nodes: np.ndarray, N: int) -> np.ndarray:
     return (m[1:] ** N - m[:-1] ** N) / N
 
 
-def solve_banded(l_and_u, ab, b) -> np.ndarray:
-    """scipy.linalg.solve_banded, imported on first use to keep imports light.
+def solve_banded(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
+                 rhs: np.ndarray) -> np.ndarray:
+    """Solution of the tridiagonal system (sub, diag, sup) x = rhs by LAPACK gtsv.
 
-    solve_on_nodes looks this name up on every call, so a tracer that replaces
-    the module attribute sees every banded solve.
+    diag and rhs are overwritten (the solution is returned in rhs's storage);
+    sub and sup are left intact, so callers can reuse them.  gtsv is imported
+    on first use to keep imports light.  The name stays a module global that
+    solve_on_nodes looks up on every step, so a tracer that replaces it sees
+    every banded solve.
     """
-    from scipy.linalg import solve_banded as _solve_banded
+    from scipy.linalg.lapack import dgtsv
 
-    return _solve_banded(l_and_u, ab, b)
+    _, _, _, x, info = dgtsv(sub, diag, sup, rhs, overwrite_d=1, overwrite_b=1)
+    if info != 0:
+        raise SolverFault(f"tridiagonal solve failed (LAPACK gtsv info={info})")
+    return x
 
 
 def solve_on_nodes(
@@ -284,12 +293,9 @@ def solve_on_nodes(
     if np.any(w_i < 0) or np.any(~np.isfinite(w_i)):
         raise DomainError("weight must be finite and nonnegative at interior nodes")
 
-    lower = -1.0 / c[:-1]
-    upper = -1.0 / c[1:]
+    Vw = V * w_i
+    off = -1.0 / c[1:-1]  # the flux form is symmetric: one off-diagonal
     diag = 1.0 / c[:-1] + 1.0 / c[1:]
-    ab_base = np.zeros((3, M - 2))
-    ab_base[0, 1:] = upper[:-1]
-    ab_base[2, :-1] = lower[1:]
 
     u = np.zeros(M - 2) if initial is None else np.asarray(initial, dtype=float).copy()
     if initial is not None and len(u) != M - 2:
@@ -302,13 +308,11 @@ def solve_on_nodes(
         for _ in range(config.max_picard):
             ueps = u + eps
             fvals = f(ueps)
-            lam = V * w_i * f.slope_bound(ueps)
-            ab = ab_base.copy()
-            ab[1, :] = diag + lam
-            rhs = V * w_i * fvals + lam * u
+            lam = Vw * f.slope_bound(ueps)
+            rhs = Vw * fvals + lam * u
             rhs[0] += va / c[0]
             rhs[-1] += vb / c[-1]
-            unew = solve_banded((1, 1), ab, rhs)
+            unew = solve_banded(off, diag + lam, off, rhs)
             last_inc = float(np.max(np.abs(unew - u)))
             u = unew
             scale = max(1.0, float(np.max(u)))
@@ -397,12 +401,8 @@ def solve_H(
     return RadialProfile(grid=grid, values=vals)
 
 
-def comparison_check(
-    u_super: RadialProfile,
-    v_sub: RadialProfile,
-    tol: float = 1e-8,
-) -> bool:
-    """Nodewise ordering u >= v on a shared grid, within tol * scale slack.
+def comparison_check(u_super: RadialProfile, v_sub: RadialProfile) -> bool:
+    """Nodewise ordering u >= v on a shared grid, within AUDIT_TOL * scale slack.
 
     The caller is responsible for the defect signs (u on the supersolution
     side, v on the subsolution side, ordered boundary data); this check is the
@@ -413,4 +413,4 @@ def comparison_check(
     ):
         raise DomainError("comparison requires a shared grid")
     scale = max(1.0, float(np.max(np.abs(v_sub.values))))
-    return bool(np.all(u_super.values >= v_sub.values - tol * scale))
+    return bool(np.all(u_super.values >= v_sub.values - AUDIT_TOL * scale))

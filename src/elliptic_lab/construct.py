@@ -31,6 +31,10 @@ from . import quad as _quad
 # extrapolation ladder refinement: steps of 2^(1/3) below the final annulus
 _REFINE_STEPS = 6
 _COVER_MARGIN = 1.10
+# glued supersolutions: residual slack, amplitude doublings, log-radius stencil step
+_GLUE_TOL = 1e-6
+_GLUE_MAX_POW = 40
+_H_LOG = 1e-3
 
 
 def _require_positive_weight(phi) -> None:
@@ -436,13 +440,12 @@ class GluedField:
         return self.W(r) + self.M * self.bump(r)
 
 
-def _radial_inequality_residual(
-    U: Callable, problem: ProblemSpec, radii: np.ndarray, h_log: float = 1e-3
-) -> np.ndarray:
+def _radial_inequality_residual(U: Callable, problem: ProblemSpec,
+                                radii: np.ndarray) -> np.ndarray:
     """Normalized residual of -Lap(U) - phi(delta) f(U) at the given radii."""
     r = np.asarray(radii, dtype=float)
-    rp = r * math.exp(h_log)
-    rm = r * math.exp(-h_log)
+    rp = r * math.exp(_H_LOG)
+    rm = r * math.exp(-_H_LOG)
     u0 = np.asarray(U(r), dtype=float)
     up = np.asarray(U(rp), dtype=float)
     um = np.asarray(U(rm), dtype=float)
@@ -462,15 +465,13 @@ def glue_supersolution(
     inner: RadialProfile,
     outer: RadialProfile,
     problem: ProblemSpec,
-    tol: float = 1e-6,
-    max_pow: int = 40,
 ) -> GluedField:
     """Join a near-singularity branch and a tail branch into a global supersolution.
 
-    The amplitude M runs over powers of two until the finite-difference
-    inequality residual is >= -tol (normalized by the local equation scale) at
-    every audit radius: 200 geometric radii across both branches plus 32 in
-    the blend zone.  Residual improvement is monotone in M because the bump
+    The amplitude M runs over powers of two, at most 2^_GLUE_MAX_POW, until
+    the finite-difference inequality residual is >= -_GLUE_TOL (normalized by
+    the local equation scale) at every audit radius: 200 geometric radii
+    across both branches plus 32 in the blend zone.  Residual improvement is monotone in M because the bump
     is superharmonic with -Lap bounded away from zero on compact annuli.
     """
     if inner.r_min >= outer.r_min:
@@ -485,16 +486,16 @@ def glue_supersolution(
     ]))
 
     M = 1.0
-    for _ in range(max_pow + 1):
+    for _ in range(_GLUE_MAX_POW + 1):
         field_ = GluedField(inner=inner, outer=outer, rho0=rho0,
                             R_blend=R_blend, M=M, N=problem.N, problem=problem)
         res = _radial_inequality_residual(field_, problem, audit)
         worst = float(np.min(res))
-        if worst >= -tol:
+        if worst >= -_GLUE_TOL:
             return field_
         M *= 2.0
     raise GluingError(
-        f"no amplitude up to 2^{max_pow} yields a nonnegative residual",
+        f"no amplitude up to 2^{_GLUE_MAX_POW} yields a nonnegative residual",
         worst_radius=float(audit[int(np.argmin(res))]),
     )
 

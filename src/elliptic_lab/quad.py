@@ -185,8 +185,8 @@ def integrate_singular(
     """Improper integral on (a, b) with possible power singularities at both ends.
 
     The interval is split at sqrt(a b) (the midpoint when a = 0) and each half
-    is a windowed scan toward its endpoint.  Divergent cases carry the
-    monotone partial-sum certificate.
+    is a windowed scan toward its endpoint.  Divergent and inconclusive cases
+    carry the monotone partial sums of the half that decided the verdict.
     """
     if not (a < b):
         raise DomainError("integrate_singular requires a < b")
@@ -198,15 +198,16 @@ def integrate_singular(
     gb = _EvalCounter(lambda y: counter.g(b - y))
     right = _scan(gb, _windows_to_point(0.0, b - mid), criterion)
     evals = counter.count + gb.count
+    lift = left.value if left.status == FINITE and left.value else 0.0
+    right_cert = right.certificate and tuple(c + lift for c in right.certificate)
     if right.status == INFINITE:
-        lift = left.value if left.status == FINITE and left.value else 0.0
-        cert = tuple(c + lift for c in right.certificate)
-        return ConditionReport(criterion, INFINITE, None, cert, "quadrature", evals)
+        return ConditionReport(criterion, INFINITE, None, right_cert, "quadrature", evals)
     if left.status == FINITE and right.status == FINITE:
         err = (left.error_estimate or 0.0) + (right.error_estimate or 0.0)
         return ConditionReport(criterion, FINITE, left.value + right.value, None,
                                "quadrature", evals, err)
-    return ConditionReport(criterion, INCONCLUSIVE, None, None, "quadrature", evals)
+    cert = left.certificate if left.status == INCONCLUSIVE else right_cert
+    return ConditionReport(criterion, INCONCLUSIVE, None, cert, "quadrature", evals)
 
 
 def integrate_tail(
@@ -578,9 +579,10 @@ def divergence_certificate_boundary(
     return BoundaryCertificate(tuple(radii), tuple(values), divergent, limit)
 
 
-def phi_tail_monotone(phi: Callable[[np.ndarray], np.ndarray], r0: float, samples: int = 64) -> bool:
-    """Sampled monotonicity of the weight beyond r0 (hypothesis check for tail verdicts)."""
-    r = np.geomspace(r0, r0 * 1e6, samples)
+def phi_tail_monotone(phi: Callable[[np.ndarray], np.ndarray], r0: float) -> bool:
+    """Sampled monotonicity of the weight on 64 geometric radii in [r0, 1e6 r0]
+    (hypothesis check for tail verdicts)."""
+    r = np.geomspace(r0, r0 * 1e6, 64)
     v = phi(r)
     dv = np.diff(v)
     tol = 1e-12 * np.maximum(v[:-1], v[1:])

@@ -110,6 +110,19 @@ def test_G_general_decreasing_exponential():
     assert Ginv(math.expm1(1.0)) == pytest.approx(1.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("f, closed", [
+    (lambda t: np.exp(-t), np.expm1),
+    (lambda t: 1.0 / (1.0 + t), lambda v: v + v * v / 2.0),
+])
+def test_G_general_matches_closed_forms(f, closed):
+    G, _ = el.GeneralDecreasingF(f).G_and_inverse()
+    v = np.geomspace(1e-6, 20.0, 100)
+    g = G(v)
+    assert np.allclose(g, closed(v), rtol=1e-13, atol=0.0)
+    assert all(G(float(x)) == gx for x, gx in zip(v, g))
+    assert G(0.0) == 0.0 and np.array_equal(G(np.array([0.0, 1.0]))[:1], [0.0])
+
+
 def test_general_f_must_be_nonincreasing():
     with pytest.raises(el.ConstructionError):
         el.GeneralDecreasingF(lambda t: t)

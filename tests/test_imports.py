@@ -1,7 +1,7 @@
 """Import and source contracts: the package modules form a dependency order,
-every function parameter is read, and importing the package and the
-quadrature-only commands load numpy but no scipy module; scipy submodules are
-imported on first use."""
+every function parameter is read, one module holds the Gauss-Legendre rule,
+and importing the package and the quadrature-only commands load numpy but no
+scipy module; scipy submodules are imported on first use."""
 
 from __future__ import annotations
 
@@ -14,9 +14,11 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 from scipy.linalg import solve_banded as scipy_solve_banded
 
 from elliptic_lab import bvp1d
+from elliptic_lab.errors import SolverFault
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 PACKAGE = SRC / "elliptic_lab"
@@ -144,5 +146,20 @@ def test_solve_banded_matches_scipy_exactly():
     ab[2, :-1] = -rng.uniform(0.1, 1.0, n - 1)
     ab[1] = 2.5 + rng.uniform(0.0, 1.0, n)
     b = rng.standard_normal(n)
-    assert np.array_equal(bvp1d.solve_banded((1, 1), ab, b),
-                          scipy_solve_banded((1, 1), ab, b))
+    expected = scipy_solve_banded((1, 1), ab, b)
+    sub, sup = ab[2, :-1].copy(), ab[0, 1:].copy()
+    x = bvp1d.solve_banded(sub, ab[1].copy(), sup, b.copy())
+    assert np.array_equal(x, expected)
+    assert np.array_equal(sub, ab[2, :-1]) and np.array_equal(sup, ab[0, 1:])  # reusable
+
+
+def test_solve_banded_singular_system_is_a_solver_fault():
+    n = 5
+    with pytest.raises(SolverFault, match="gtsv"):
+        bvp1d.solve_banded(np.zeros(n - 1), np.zeros(n), np.zeros(n - 1), np.ones(n))
+
+
+def test_one_gauss_legendre_rule():
+    """Every Gauss-Legendre panel goes through quad._panels, the one rule."""
+    users = sorted(p.name for p in PACKAGE.glob("*.py") if "leggauss" in p.read_text())
+    assert users == ["quad.py"]

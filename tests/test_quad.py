@@ -256,6 +256,21 @@ def test_classify_overflow_is_inconclusive():
     assert pred.reports[0].status == INCONCLUSIVE
 
 
+def test_classify_overflow_report_keeps_its_certificate():
+    problem = el.ProblemSpec(3, el.PowerPhi(-3.417), el.PowerF(0.5), el.Origin())
+    near0 = el.classify_existence(problem).reports[0]
+    assert near0.criterion == "shifted-moment-near0" and near0.status == INCONCLUSIVE
+    assert near0.certificate is not None and np.all(np.diff(near0.certificate) > 0)
+
+
+def test_inconclusive_right_half_certificate_is_lifted_by_the_left_value():
+    # the left half (0, 1/2) is finite with value 1/2; the right half overflows
+    # within 1e-3 of b = 1 after the windows [1/2, 3/4], [3/4, 7/8], ...
+    rep = el.integrate_singular(lambda s: np.where(s > 1.0 - 1e-3, np.inf, 1.0), 0.0, 1.0)
+    assert rep.status == INCONCLUSIVE
+    assert rep.certificate[:3] == pytest.approx([0.75, 0.875, 0.9375], rel=1e-12)
+
+
 def test_lemma_near0_overflow_is_inconclusive():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
