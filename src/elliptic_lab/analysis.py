@@ -33,8 +33,7 @@ def kelvin_transform(profile: RadialProfile, N: int) -> RadialProfile:
         raise DomainError("profile domain must be strictly positive")
     new_r = (1.0 / r)[::-1]
     new_v = (r ** (N - 2) * profile.values)[::-1]
-    grid = RadialGrid(nodes=new_r, dimension=profile.grid.dimension,
-                      grading=profile.grid.grading, ratio=profile.grid.ratio)
+    grid = RadialGrid(nodes=new_r, dimension=profile.grid.dimension)
     return RadialProfile(grid=grid, values=new_v)
 
 

@@ -33,17 +33,15 @@ AUDIT_TOL = 1e-8  # slack of the order and residual audits, relative to max(1, s
 
 @dataclass(frozen=True, eq=False)
 class RadialGrid:
-    """Strictly increasing positive nodes with a grading descriptor.
+    """Strictly increasing nonnegative nodes of a radial problem in dimension N.
 
-    grading "geometric" has constant node ratio; "offset-geometric" is
-    geometric in the distance to an inner anchor (boundary layers);
-    "two-sided" grades into both endpoints of a unit interval.
+    The constructors grade the nodes geometrically (constant node ratio), in
+    the distance to an inner anchor (boundary layers), or into both endpoints
+    of the unit interval.
     """
 
     nodes: np.ndarray
     dimension: int
-    grading: str = "geometric"
-    ratio: float | None = None
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -59,9 +57,7 @@ class RadialGrid:
     def geometric(ra: float, rb: float, count: int, dimension: int) -> "RadialGrid":
         if not (0 < ra < rb):
             raise DomainError("geometric grid requires 0 < ra < rb")
-        nodes = np.geomspace(ra, rb, count)
-        ratio = (rb / ra) ** (1.0 / (count - 1))
-        return RadialGrid(nodes=nodes, dimension=dimension, grading="geometric", ratio=ratio)
+        return RadialGrid(nodes=np.geomspace(ra, rb, count), dimension=dimension)
 
     @staticmethod
     def boundary_layer(anchor: float, delta_min: float, span: float,
@@ -70,10 +66,8 @@ class RadialGrid:
         if anchor < 0 or delta_min <= 0 or span <= delta_min:
             raise DomainError("bad boundary-layer grid parameters")
         delta = np.geomspace(delta_min, span, count - 1)
-        nodes = np.concatenate(([anchor], anchor + delta))
-        ratio = (span / delta_min) ** (1.0 / (count - 2))
-        return RadialGrid(nodes=nodes, dimension=dimension,
-                          grading="offset-geometric", ratio=ratio)
+        return RadialGrid(nodes=np.concatenate(([anchor], anchor + delta)),
+                          dimension=dimension)
 
     @staticmethod
     def two_sided_unit(t_min: float, count: int) -> "RadialGrid":
@@ -100,7 +94,7 @@ class RadialGrid:
         s = np.tanh(gamma * (xi - 0.5)) / np.tanh(gamma * 0.5)
         nodes = 0.5 * (1.0 + s)
         nodes[0], nodes[-1] = 0.0, 1.0
-        return RadialGrid(nodes=nodes, dimension=1, grading="two-sided", ratio=None)
+        return RadialGrid(nodes=nodes, dimension=1)
 
     @property
     def interior(self) -> np.ndarray:
@@ -192,7 +186,6 @@ class SolveConfig:
     """Stopping control for the regularized monotone iteration."""
 
     tol_sup: float = 1e-8
-    eps_schedule: tuple[float, ...] | None = None
     max_outer: int = 64
     max_picard: int = 600
 
@@ -201,19 +194,9 @@ class SolveConfig:
             raise DomainError("tol_sup must be positive")
         if self.max_outer < 1 or self.max_picard < 1:
             raise DomainError("iteration caps must be positive")
-        if self.eps_schedule is not None:
-            eps = tuple(float(e) for e in self.eps_schedule)
-            if any(e <= 0 for e in eps):
-                raise DomainError("eps_schedule must be positive")
-            if any(b >= a for a, b in zip(eps, eps[1:])):
-                raise DomainError("eps_schedule must be strictly decreasing")
-            if eps[-1] >= self.tol_sup:
-                raise DomainError("eps_schedule must descend below tol_sup")
-            object.__setattr__(self, "eps_schedule", eps)
 
     def schedule(self) -> tuple[float, ...]:
-        if self.eps_schedule is not None:
-            return self.eps_schedule
+        """Regularization levels eps = 1, 1/2, 1/4, ... ending below tol_sup / 10."""
         eps = []
         e = 1.0
         while e >= self.tol_sup / 10.0 and len(eps) < self.max_outer:
@@ -272,14 +255,13 @@ def solve_on_nodes(
     vb: float,
     config: SolveConfig,
     initial: np.ndarray | None = None,
-    enforce_monotone: bool = True,
 ) -> np.ndarray:
     """Interior solution values of the flux-form system with Dirichlet data va, vb.
 
     Each regularization level is solved by the shifted fixed-point iteration
         (L + Lam) u_new = Lam u + V w f(u + eps),   Lam = V w |f'(u + eps)|,
     which is monotone from the zero subsolution.  Converged levels must be
-    pointwise nondecreasing as eps decreases (checked when enforce_monotone).
+    pointwise nondecreasing as eps decreases (checked after every level).
     """
     nodes = np.asarray(nodes, dtype=float)
     M = len(nodes)
@@ -324,7 +306,7 @@ def solve_on_nodes(
             )
         if np.any(u < 0):
             raise SolverFault("iterate went negative")
-        if enforce_monotone and prev_level is not None:
+        if prev_level is not None:
             slack = 1e-12 * max(1.0, float(np.max(u)))
             worst = float(np.min(u - prev_level))
             if worst < -max(slack, 50.0 * last_inc):
@@ -343,8 +325,6 @@ def solve_radial_dirichlet(
     boundary: tuple[float, float],
     config: SolveConfig | None = None,
     nodes: int = 1024,
-    grid: RadialGrid | None = None,
-    initial: np.ndarray | None = None,
 ) -> RadialProfile:
     """Radial Dirichlet problem -(r^{N-1} u')' = r^{N-1} w(r) f(u) on (ra, rb).
 
@@ -358,14 +338,10 @@ def solve_radial_dirichlet(
             raise DomainError("interval must satisfy 0 <= ra < rb")
     elif not (0 < ra < rb):
         raise DomainError("interval must satisfy 0 < ra < rb")
-    if grid is None:
-        if ra == 0.0:
-            grid = RadialGrid(nodes=np.linspace(ra, rb, nodes), dimension=1,
-                              grading="uniform")
-        else:
-            grid = RadialGrid.geometric(ra, rb, nodes, N)
+    grid = (RadialGrid(nodes=np.linspace(ra, rb, nodes), dimension=1) if ra == 0.0
+            else RadialGrid.geometric(ra, rb, nodes, N))
     va, vb = boundary
-    interior = solve_on_nodes(grid.nodes, N, weight, f, va, vb, config, initial=initial)
+    interior = solve_on_nodes(grid.nodes, N, weight, f, va, vb, config)
     vals = np.concatenate(([va], interior, [vb]))
     return RadialProfile(grid=grid, values=vals)
 

@@ -422,7 +422,7 @@ def _load_profile_csv(path: Path, dimension: int) -> _bvp1d.RadialProfile:
         raise ConfigError(f"target {path} has radii that are not positive")
     if not np.all(np.diff(data[:, 0]) > 0):
         raise ConfigError(f"target {path} has radii that are not strictly increasing")
-    grid = _bvp1d.RadialGrid(nodes=data[:, 0], dimension=dimension, grading="geometric")
+    grid = _bvp1d.RadialGrid(nodes=data[:, 0], dimension=dimension)
     return _bvp1d.RadialProfile(grid=grid, values=data[:, 1])
 
 

@@ -31,15 +31,30 @@ from . import quad as _quad
 # extrapolation ladder refinement: steps of 2^(1/3) below the final annulus
 _REFINE_STEPS = 6
 _COVER_MARGIN = 1.10
+# radius window of the minimal and family ladder increments
+_WINDOW = (0.5, 2.0)
 # glued supersolutions: residual slack, amplitude doublings, log-radius stencil step
 _GLUE_TOL = 1e-6
 _GLUE_MAX_POW = 40
 _H_LOG = 1e-3
 
 
-def _require_positive_weight(phi) -> None:
-    if phi.is_zero:
+def _require_existence(problem: ProblemSpec) -> None:
+    """Refuse a zero weight, and a problem the existence criteria do not admit."""
+    if problem.phi.is_zero:
         raise DomainError("constructions require a positive weight")
+    prediction = _quad.classify_existence(problem)
+    if prediction.exists is True:
+        return
+    for rep in prediction.reports:
+        if rep.status == _quad.INFINITE and rep.certificate:
+            raise NoSolutionError(
+                f"criterion {rep.criterion} diverges",
+                certificate=rep.certificate,
+            )
+    raise NoSolutionError(
+        f"existence criteria refuse this problem (exists={prediction.exists})"
+    )
 
 
 def _trusted_window(n_max: float) -> tuple[float, float]:
@@ -53,46 +68,66 @@ def _trusted_window(n_max: float) -> tuple[float, float]:
     return (_COVER_MARGIN / n3, n3 / _COVER_MARGIN)
 
 
-def _grid_for_annulus(ra: float, rb: float, nodes_final: int,
-                      decades_final: float, dimension: int) -> RadialGrid:
-    decades = math.log10(rb / ra)
-    count = max(192, int(round(nodes_final * decades / decades_final)))
-    return RadialGrid.geometric(ra, rb, count, dimension)
+def _doublings(n_max: float) -> list[float]:
+    """The exhaustion radii 2, 4, 8, ... up to n_max (n_max >= 0)."""
+    return [2.0 ** k for k in range(1, int(n_max).bit_length())]
+
+
+def _solve_level(problem: ProblemSpec, weight: Callable, grid: RadialGrid,
+                 va: float, vb: float, config: SolveConfig,
+                 initial: np.ndarray | None = None) -> RadialProfile:
+    """One ladder level: the Dirichlet problem with data va, vb on grid."""
+    interior = solve_on_nodes(grid.nodes, problem.N, weight, problem.f, va, vb,
+                              config, initial=initial)
+    return RadialProfile(grid=grid, values=np.concatenate(([va], interior, [vb])))
+
+
+def _increments(profiles: Sequence[RadialProfile],
+                window: tuple[float, float]) -> list[float]:
+    """Sup change from each profile to the next over the later one's interior
+    nodes inside window; inf where the window holds none of them."""
+    lo, hi = window
+    out = []
+    for prev, cur in zip(profiles, profiles[1:]):
+        r = cur.grid.interior
+        mask = (r >= lo) & (r <= hi)
+        out.append(float(np.max(np.abs(cur.values[1:-1][mask] - prev(r[mask]))))
+                   if np.any(mask) else np.inf)
+    return out
 
 
 @dataclass(eq=False)
 class MinimalSolutionResult:
-    """Accelerated minimal-solution estimate plus the raw monotone ladder."""
+    """Accelerated minimal-solution estimate plus the monotone ladder.
+
+    levels maps each annulus radius n of the ladder, the doublings and the
+    refinements below the final annulus, to the raw iterate on [1/n, n].
+    """
 
     profile: RadialProfile
-    raw_last: RadialProfile
-    raw_levels: list[RadialProfile]
-    raw_ns: list[float]
-    ladder_ns: list[float]
-    ladder_levels: list[RadialProfile] = field(repr=False, default_factory=list)
+    levels: dict[float, RadialProfile] = field(repr=False)
     window_increments: list[float] = field(default_factory=list)
     converged: bool = False
     truncation: np.ndarray | None = None
     trusted_window: tuple[float, float] = (0.0, np.inf)
 
+    @property
+    def raw_levels(self) -> list[RadialProfile]:
+        """The raw iterates at the doubling radii, in increasing order."""
+        return [self.levels[n] for n in _doublings(max(self.levels))]
+
+    @property
+    def raw_last(self) -> RadialProfile:
+        """The raw iterate at the largest doubling radius."""
+        return self.raw_levels[-1]
+
     def __call__(self, r):
         return self.profile(r)
 
 
-def _window_increment(prev: RadialProfile, cur: RadialProfile,
-                      window: tuple[float, float]) -> float:
-    lo, hi = window
-    mask = (cur.grid.interior >= lo) & (cur.grid.interior <= hi)
-    if not np.any(mask):
-        return np.inf
-    rw = cur.grid.interior[mask]
-    return float(np.max(np.abs(cur.values[1:-1][mask] - prev(rw))))
-
-
-def _assert_exhaustion_monotone(prev: RadialProfile, cur: RadialProfile,
-                                window: tuple[float, float]) -> None:
-    lo = max(window[0], prev.r_min * 1.05)
-    hi = min(window[1], prev.r_max / 1.05)
+def _assert_exhaustion_monotone(prev: RadialProfile, cur: RadialProfile) -> None:
+    lo = max(_WINDOW[0], prev.r_min * 1.05)
+    hi = min(_WINDOW[1], prev.r_max / 1.05)
     mask = (cur.grid.interior >= lo) & (cur.grid.interior <= hi)
     if not np.any(mask):
         return
@@ -110,7 +145,6 @@ def minimal_solution(
     n_max: int = 64,
     config: SolveConfig | None = None,
     nodes: int = 2048,
-    window: tuple[float, float] = (0.5, 2.0),
 ) -> MinimalSolutionResult:
     """Minimal solution around the origin as the limit of zero-data annulus problems.
 
@@ -122,92 +156,57 @@ def minimal_solution(
     config = config or SolveConfig()
     if not isinstance(problem.K, Origin):
         raise DomainError("minimal_solution expects the origin as compact set")
-    _require_positive_weight(problem.phi)
-    prediction = _quad.classify_existence(problem)
-    if prediction.exists is not True:
-        _refuse(prediction)
+    _require_existence(problem)
     if n_max < 4:
         raise DomainError("n_max must be at least 4")
     decades_final = math.log10(float(n_max) ** 2)
 
-    raw_ns: list[float] = []
-    n = 2.0
-    while n <= n_max:
-        raw_ns.append(n)
-        n *= 2.0
-    refine_ns = sorted(
-        {float(n_max) * 2.0 ** (-j / 3.0) for j in range(1, _REFINE_STEPS + 1)}
-        - set(raw_ns)
-    )
-    all_ns = sorted(set(raw_ns) | set(refine_ns))
-
+    doublings = _doublings(n_max)
     levels: dict[float, RadialProfile] = {}
-    increments: list[float] = []
-    prev_raw: RadialProfile | None = None
-    for nv in all_ns:
-        grid = _grid_for_annulus(1.0 / nv, nv, nodes, decades_final, problem.N)
-        interior = solve_on_nodes(grid.nodes, problem.N, problem.phi, problem.f,
+    for nv in sorted(set(doublings).union(
+            float(n_max) * 2.0 ** (-j / 3.0) for j in range(1, _REFINE_STEPS + 1))):
+        ra, rb = 1.0 / nv, nv
+        count = max(192, int(round(nodes * math.log10(rb / ra) / decades_final)))
+        levels[nv] = _solve_level(problem, problem.phi,
+                                  RadialGrid.geometric(ra, rb, count, problem.N),
                                   0.0, 0.0, config)
-        prof = RadialProfile(grid=grid, values=np.concatenate(([0.0], interior, [0.0])))
-        levels[nv] = prof
-        if nv in raw_ns:
-            if prev_raw is not None:
-                _assert_exhaustion_monotone(prev_raw, prof, window)
-                increments.append(_window_increment(prev_raw, prof, window))
-            prev_raw = prof
+        if nv in doublings[1:]:
+            _assert_exhaustion_monotone(levels[nv / 2.0], levels[nv])
 
-    raw_levels = [levels[nv] for nv in raw_ns]
-    raw_last = raw_levels[-1]
-
+    increments = _increments([levels[nv] for nv in doublings], _WINDOW)
     final_grid = RadialGrid.geometric(1.0 / n_max, float(n_max), nodes, problem.N)
-    accel, trunc = _extrapolate_ladder(levels, all_ns, final_grid)
-    profile = RadialProfile(grid=final_grid, values=accel)
-    converged = bool(increments and increments[-1] < config.tol_sup)
+    accel, trunc = _extrapolate_ladder(levels, final_grid)
     return MinimalSolutionResult(
-        profile=profile,
-        raw_last=raw_last,
-        raw_levels=raw_levels,
-        raw_ns=[float(v) for v in raw_ns],
-        ladder_ns=[float(v) for v in all_ns],
-        ladder_levels=[levels[nv] for nv in all_ns],
+        profile=RadialProfile(grid=final_grid, values=accel),
+        levels=levels,
         window_increments=increments,
-        converged=converged,
+        converged=bool(increments and increments[-1] < config.tol_sup),
         truncation=trunc,
         trusted_window=_trusted_window(float(n_max)),
     )
 
 
-def _extrapolate_ladder(
-    levels: dict[float, RadialProfile],
-    all_ns: Sequence[float],
-    final_grid: RadialGrid,
-) -> tuple[np.ndarray, np.ndarray]:
+def _extrapolate_ladder(levels: dict[float, RadialProfile],
+                        final_grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
     """Per-node guarded Aitken on the uniform-ratio top of the ladder."""
-    top = [nv for nv in all_ns if nv >= all_ns[-1] * 2.0 ** (-(_REFINE_STEPS + 0.5) / 3.0)]
-    r = final_grid.nodes
-    interior = slice(1, len(r) - 1)
-    rv = r[interior]
+    ns = sorted(levels)
+    top = [nv for nv in ns if nv >= ns[-1] * 2.0 ** (-(_REFINE_STEPS + 0.5) / 3.0)]
+    rv = final_grid.interior
     table = np.full((len(top), len(rv)), np.nan)
     valid = np.zeros_like(table, dtype=bool)
     for i, nv in enumerate(top):
         prof = levels[nv]
-        lo = prof.r_min * _COVER_MARGIN
-        hi = prof.r_max / _COVER_MARGIN
-        mask = (rv >= lo) & (rv <= hi)
+        mask = (rv >= prof.r_min * _COVER_MARGIN) & (rv <= prof.r_max / _COVER_MARGIN)
         table[i, mask] = prof(rv[mask])
         valid[i, mask] = True
-    last = levels[all_ns[-1]]
+    last = levels[ns[-1]]
     raw_vals = last(rv)
     limits, errors = aitken_limit_rows(table, valid)
     use = np.isfinite(limits) & (np.sum(valid, axis=0) >= 3)
-    out = np.where(use, limits, raw_vals)
     # the exhaustion is nondecreasing, so the limit cannot fall below the last iterate
-    out = np.maximum(out, raw_vals)
-    trunc = np.where(use, errors, np.inf)
-    vals = np.concatenate(([0.0], out, [0.0]))
-    vals[0] = last.values[0]
-    vals[-1] = last.values[-1]
-    return vals, trunc
+    out = np.maximum(np.where(use, limits, raw_vals), raw_vals)
+    return (np.concatenate(([last.values[0]], out, [last.values[-1]])),
+            np.where(use, errors, np.inf))
 
 
 @dataclass(eq=False)
@@ -235,7 +234,6 @@ def family_member(
     n_max: int = 64,
     config: SolveConfig | None = None,
     nodes: int = 2048,
-    window: tuple[float, float] = (0.5, 2.0),
     initial_scale: float = 0.0,
 ) -> FamilyMemberResult:
     """Family member with boundary data a r^{2-N} + b + xi_n(r) on each annulus.
@@ -253,58 +251,36 @@ def family_member(
         raise DomainError("family members are built around the origin")
     if problem.f.power_exponent() is None:
         raise UnsupportedCombinationError("family construction requires a power nonlinearity")
-    Nd = problem.N
-
-    ladder_ns = [nv for nv in xi.ladder_ns if nv <= n_max]
-    if not ladder_ns:
-        raise DomainError("minimal-solution ladder does not reach n_max")
-    raw_set = set(xi.raw_ns)
 
     levels: dict[float, RadialProfile] = {}
-    increments: list[float] = []
-    low_margin = np.inf
-    up_margin = np.inf
-    prev: RadialProfile | None = None
-    for nv, xi_prof in zip(xi.ladder_ns, xi.ladder_levels):
+    low_margin = up_margin = np.inf
+    for nv, xi_prof in xi.levels.items():
         if nv > n_max:
             continue
-        grid = xi_prof.grid
-        rn = grid.nodes
-        lower = a * rn ** (2.0 - Nd) + b
-        data = lower + xi_prof.values
-        initial = None
-        if initial_scale > 0.0:
-            initial = np.full(len(rn) - 2, initial_scale)
-        interior = solve_on_nodes(
-            grid.nodes, Nd, problem.phi, problem.f, float(data[0]), float(data[-1]),
-            config, initial=initial,
-        )
-        vals = np.concatenate(([data[0]], interior, [data[-1]]))
-        prof = RadialProfile(grid=grid, values=vals)
+        rn = xi_prof.grid.nodes
+        lower = a * rn ** (2.0 - problem.N) + b
+        upper = lower + xi_prof.values
+        initial = np.full(len(rn) - 2, initial_scale) if initial_scale > 0.0 else None
+        prof = _solve_level(problem, problem.phi, xi_prof.grid, float(upper[0]),
+                            float(upper[-1]), config, initial=initial)
         levels[nv] = prof
-        low_margin = min(low_margin, float(np.min(vals - lower)))
-        up_margin = min(up_margin, float(np.min(lower + xi_prof.values - vals)))
-        if nv in raw_set:
-            if prev is not None:
-                increments.append(_window_increment(prev, prof, window))
-            prev = prof
+        low_margin = min(low_margin, float(np.min(prof.values - lower)))
+        up_margin = min(up_margin, float(np.min(upper - prof.values)))
+    if not levels:
+        raise DomainError("minimal-solution ladder does not reach n_max")
 
-    final_ns = sorted(levels)
-    raw_last = levels[final_ns[-1]]
-    final_grid = raw_last.grid
-    accel, _ = _extrapolate_ladder(levels, final_ns, final_grid)
-    accel[0] = raw_last.values[0]
-    accel[-1] = raw_last.values[-1]
-    profile = RadialProfile(grid=final_grid, values=accel)
+    deepest = max(levels)
+    raw_last = levels[deepest]
+    accel, _ = _extrapolate_ladder(levels, raw_last.grid)
     return FamilyMemberResult(
-        profile=profile,
+        profile=RadialProfile(grid=raw_last.grid, values=accel),
         raw_last=raw_last,
         a=a,
         b=b,
         sandwich_lower_margin=low_margin,
         sandwich_upper_margin=up_margin,
-        window_increments=increments,
-        trusted_window=_trusted_window(float(final_ns[-1])),
+        window_increments=_increments([levels[n] for n in _doublings(deepest)], _WINDOW),
+        trusted_window=_trusted_window(deepest),
     )
 
 
@@ -339,47 +315,26 @@ def exterior_ball_minimal(
         raise DomainError("exterior_ball_minimal expects a ball compact set")
     if not 0.0 < delta_min < 0.05:
         raise DomainError("delta_min must lie in (0, 0.05), below the layer window's end 0.1")
-    _require_positive_weight(problem.phi)
-    prediction = _quad.classify_existence(problem)
-    if prediction.exists is not True:
-        _refuse(prediction)
+    if n_max < 2:
+        raise DomainError("n_max must be at least 2")
+    _require_existence(problem)
     R = problem.K.radius
 
     def shifted_weight(r: np.ndarray) -> np.ndarray:
         return problem.phi(np.maximum(np.asarray(r, dtype=float) - R, 1e-300))
 
-    prev: RadialProfile | None = None
-    increments: list[float] = []
-    profile: RadialProfile | None = None
-    n = 2.0
-    while n <= n_max:
-        grid = RadialGrid.boundary_layer(R, delta_min, float(n), nodes, problem.N)
-        interior = solve_on_nodes(grid.nodes, problem.N, shifted_weight, problem.f,
-                                  0.0, 0.0, config)
-        profile = RadialProfile(grid=grid,
-                                values=np.concatenate(([0.0], interior, [0.0])))
-        if prev is not None:
-            increments.append(_window_increment(prev, profile, (R + 10.0 * delta_min, R + 0.5)))
-        prev = profile
-        n *= 2.0
-    converged = bool(increments and increments[-1] < max(config.tol_sup, 1e-6))
+    shells = [
+        _solve_level(problem, shifted_weight,
+                     RadialGrid.boundary_layer(R, delta_min, n, nodes, problem.N),
+                     0.0, 0.0, config)
+        for n in _doublings(n_max)
+    ]
+    increments = _increments(shells, (R + 10.0 * delta_min, R + 0.5))
     return ExteriorBallResult(
-        profile=profile,
+        profile=shells[-1],
         layer_window=(max(1e-3, 2.0 * delta_min), 0.1),
         window_increments=increments,
-        converged=converged,
-    )
-
-
-def _refuse(prediction) -> None:
-    for rep in prediction.reports:
-        if rep.status == _quad.INFINITE and rep.certificate:
-            raise NoSolutionError(
-                f"criterion {rep.criterion} diverges",
-                certificate=rep.certificate,
-            )
-    raise NoSolutionError(
-        f"existence criteria refuse this problem (exists={prediction.exists})"
+        converged=bool(increments and increments[-1] < max(config.tol_sup, 1e-6)),
     )
 
 

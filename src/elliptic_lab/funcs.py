@@ -222,10 +222,11 @@ class FSpec:
 
         G is computed by Gauss quadrature on 64 panels per point, [0, v 2^-63]
         and the geometric [v 2^(k-1), v 2^k] for k = -62..0, all points in one
-        quad._panels call; the inverse by bracketed root finding on the
-        strictly increasing G (relative tolerance 1e-12).
+        quad._panels call.  The inverse brackets each root by doubling from 1,
+        then runs Newton v <- v - (G(v) - s) f(v) on all points at once; G is
+        convex (1/f is nondecreasing), so from the bracket's upper end the
+        iterates fall monotonically to the root.
         """
-        from scipy.optimize import brentq
 
         def inv_f(x: np.ndarray) -> np.ndarray:
             fx = self(x)
@@ -246,23 +247,32 @@ class FSpec:
                                      edges[:, 1:].ravel()).reshape(-1, 64).sum(axis=1)
             return out.reshape(arr.shape) if arr.ndim else float(out[0])
 
-        def Ginv_scalar(s: float) -> float:
-            if s < 0:
-                raise DomainError("G inverse requires s >= 0")
-            if s == 0.0:
-                return 0.0
-            hi = 1.0
-            for _ in range(200):
-                if G(hi) >= s:
-                    break
-                hi *= 2.0
-            else:
-                raise ConstructionError("G appears bounded; cannot invert")
-            return brentq(lambda v: G(v) - s, 0.0, hi, xtol=1e-300, rtol=1e-12)
-
         def Ginv(s):
             arr = np.asarray(s, dtype=float)
-            out = np.array([Ginv_scalar(x) for x in np.atleast_1d(arr)])
+            if np.any(arr < 0):
+                raise DomainError("G inverse requires s >= 0")
+            out = arr.ravel().copy()
+            pos = out > 0.0  # G^{-1}(0) = 0 without iterating
+            target = out[pos]
+            v = np.ones_like(target)
+            low = np.ones(target.shape, dtype=bool)
+            for _ in range(200):  # brackets up to 2^199
+                low[low] = G(v[low]) < target[low]
+                if not np.any(low):
+                    break
+                v[low] *= 2.0
+            else:
+                raise ConstructionError("G appears bounded; cannot invert")
+            todo = np.arange(v.size)
+            for _ in range(100):
+                step = (G(v[todo]) - target[todo]) * self(v[todo])
+                v[todo] -= step
+                todo = todo[np.abs(step) > 1e-13 * v[todo]]
+                if todo.size == 0:
+                    break
+            else:
+                raise ConstructionError("Newton inversion of G did not settle")
+            out[pos] = v
             return out.reshape(arr.shape) if arr.ndim else float(out[0])
 
         return G, Ginv
@@ -454,6 +464,5 @@ def supersolution_profile(
     """RadialProfile carrier of v(r) = G^{-1}(double-integral profile at r)."""
     data = supersolution_values(phi, f, N, inner_lower, r_min, r_max=r_max,
                                 nodes=nodes)
-    grid = _bvp1d.RadialGrid(nodes=data.r, dimension=N, grading="geometric",
-                             ratio=float((data.r[-1] / data.r[0]) ** (1.0 / (len(data.r) - 1))))
-    return _bvp1d.RadialProfile(grid=grid, values=data.values)
+    return _bvp1d.RadialProfile(grid=_bvp1d.RadialGrid(nodes=data.r, dimension=N),
+                                values=data.values)

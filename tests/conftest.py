@@ -87,5 +87,5 @@ def glued_split():
 def sample_profile(fn, r):
     """Profile from an evaluable radial function on log-spaced nodes."""
     r = np.asarray(r, dtype=float)
-    grid = el.RadialGrid(nodes=r, dimension=3, grading="geometric")
+    grid = el.RadialGrid(nodes=r, dimension=3)
     return el.RadialProfile(grid=grid, values=np.asarray(fn(r), dtype=float))

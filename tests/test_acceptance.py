@@ -146,7 +146,7 @@ def test_criterion_6_boundary_layer_ratio(ball_problem):
 def test_criterion_7_inversion_checks(closed_form):
     """Involution, transformed-weight exponents, sphere potential averages."""
     r = np.geomspace(1e-2, 1e2, 256)
-    grid = el.RadialGrid(nodes=r, dimension=3, grading="geometric")
+    grid = el.RadialGrid(nodes=r, dimension=3)
     prof = el.RadialProfile(grid=grid, values=closed_form(r))
     twice = el.kelvin_transform(el.kelvin_transform(prof, 3), 3)
     inv_rel = float(np.max(np.abs(twice.values - prof.values) / prof.values))

@@ -231,8 +231,7 @@ def test_min_principle_detects_dip():
 
 
 def _planar_profile(fn, r):
-    grid = el.RadialGrid(nodes=np.asarray(r, dtype=float), dimension=2,
-                         grading="geometric")
+    grid = el.RadialGrid(nodes=np.asarray(r, dtype=float), dimension=2)
     return el.RadialProfile(grid=grid, values=np.asarray(fn(np.asarray(r)), dtype=float))
 
 

@@ -22,7 +22,7 @@ ONES = el.GeneralDecreasingF(lambda t: np.ones_like(np.asarray(t, dtype=float)))
 def test_geometric_grid_constant_ratio():
     grid = el.RadialGrid.geometric(0.1, 10.0, 64, 3)
     ratios = grid.nodes[1:] / grid.nodes[:-1]
-    assert np.max(np.abs(ratios - grid.ratio)) < 1e-12
+    assert np.max(np.abs(ratios - ratios[0])) < 1e-12
 
 
 def test_grid_needs_16_nodes():
@@ -51,8 +51,6 @@ def test_solve_config_schedule():
     assert eps[0] == 1.0
     assert all(b < a for a, b in zip(eps, eps[1:]))
     assert eps[-1] < cfg.tol_sup
-    with pytest.raises(el.DomainError):
-        el.SolveConfig(tol_sup=1e-8, eps_schedule=(0.5, 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -117,14 +115,8 @@ def test_monotone_in_regularization():
     grid = el.RadialGrid.geometric(0.25, 4.0, 256, 3)
     w = lambda r: r ** -3.0
     sols = []
-    for eps_end in (0.125, 0.03125, 1e-9):
-        sched = []
-        e = 1.0
-        while e > eps_end:
-            sched.append(e)
-            e /= 2.0
-        sched.append(eps_end)
-        cfg = el.SolveConfig(tol_sup=eps_end * 4.0, eps_schedule=tuple(sched))
+    for tol_sup in (1.25, 0.3125, 1e-8):  # schedules ending at eps 2^-4, 2^-6, 2^-30
+        cfg = el.SolveConfig(tol_sup=tol_sup)
         sols.append(solve_on_nodes(grid.nodes, 3, w, el.PowerF(1.0), 0.0, 0.0, cfg))
     assert np.min(sols[1] - sols[0]) >= -1e-12 * max(1.0, np.max(sols[1]))
     assert np.min(sols[2] - sols[1]) >= -1e-12 * max(1.0, np.max(sols[2]))
@@ -137,8 +129,7 @@ def test_uniqueness_surrogate_initial_iterates(closed_form):
     w = lambda r: r ** -3.0
     u0 = solve_on_nodes(grid.nodes, 3, w, el.PowerF(1.0), 0.0, 0.0, cfg)
     upper = closed_form(grid.nodes[1:-1]) * 2.0
-    u1 = solve_on_nodes(grid.nodes, 3, w, el.PowerF(1.0), 0.0, 0.0, cfg,
-                        initial=upper, enforce_monotone=False)
+    u1 = solve_on_nodes(grid.nodes, 3, w, el.PowerF(1.0), 0.0, 0.0, cfg, initial=upper)
     assert np.max(np.abs(u1 - u0)) <= 10.0 * cfg.tol_sup * max(1.0, float(np.max(u0)))
 
 

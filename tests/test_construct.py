@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import elliptic_lab as el
-from elliptic_lab.construct import _radial_inequality_residual
+from elliptic_lab.construct import _radial_inequality_residual, _trusted_window
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +53,18 @@ def test_minimal_monotone_exhaustion(minimal64):
 def test_minimal_window_increments_decrease(minimal64):
     inc = minimal64.value.window_increments
     assert all(b < a for a, b in zip(inc, inc[1:]))
+
+
+def test_minimal_ladder_below_a_power_of_two(problem_power):
+    # n_max = 24: the doublings stop at 16, the refinements 24 * 2^(-j/3) sit between
+    ms = el.minimal_solution(problem_power, n_max=24, nodes=256)
+    doublings = [2.0, 4.0, 8.0, 16.0]
+    assert ms.raw_levels == [ms.levels[n] for n in doublings]
+    assert [p.r_max for p in ms.raw_levels] == pytest.approx(doublings, rel=1e-14)
+    refinements = {24.0 * 2.0 ** (-j / 3.0) for j in range(1, 7)}
+    assert list(ms.levels) == sorted(set(doublings) | refinements)
+    assert ms.raw_last is ms.levels[16.0]
+    assert len(ms.window_increments) == 3
 
 
 def test_minimal_tail_decay(minimal64):
@@ -144,6 +156,19 @@ def test_family_zero_parameters_consistent(problem_power, minimal64):
     assert el.comparison_check(fm.raw_last, minimal64.value.raw_last)
 
 
+def test_family_below_the_minimal_ladder(problem_power, minimal64):
+    # n_max = 24 under the minimal ladder's 64: increments over the doublings
+    # 2..16 only, trusted window and last iterate from the deepest level <= 24
+    fm = el.family_member(problem_power, 1.0, 0.5, minimal64.value, n_max=24)
+    deepest = max(n for n in minimal64.value.levels if n <= 24)
+    assert deepest == pytest.approx(64.0 * 2.0 ** (-5.0 / 3.0), rel=1e-14)
+    assert fm.raw_last.grid is minimal64.value.levels[deepest].grid
+    assert fm.trusted_window == _trusted_window(deepest)
+    fm16 = el.family_member(problem_power, 1.0, 0.5, minimal64.value, n_max=16)
+    assert len(fm.window_increments) == 3
+    assert fm.window_increments == fm16.window_increments
+
+
 def test_family_harnack_type_lower_bound(problem_power, minimal64):
     # inf of u(r) r^{-(2+alpha)/(1+p)} over r <= 1, and the tail-side analogue
     # over r >= 1, are positive and stable under refinement (exponent -1/2 here)
@@ -181,6 +206,12 @@ def test_exterior_profile_shape(exterior32, ball_problem):
     assert np.all(prof.values[1:-1] > 0)
     tail = prof.values[-40:-1]
     assert np.all(np.diff(tail) < 0)
+
+
+def test_exterior_increments_per_doubling(exterior32):
+    # shells at n = 2, 4, 8, 16, 32: log2(32) - 1 increments
+    inc = exterior32.value.window_increments
+    assert len(inc) == 4 and all(np.isfinite(inc))
 
 
 def test_exterior_refusal():

@@ -123,6 +123,23 @@ def test_G_general_matches_closed_forms(f, closed):
     assert G(0.0) == 0.0 and np.array_equal(G(np.array([0.0, 1.0]))[:1], [0.0])
 
 
+@pytest.mark.parametrize("f", [
+    lambda t: np.exp(-t),
+    lambda t: 1.0 / (1.0 + t),
+    lambda t: np.full_like(np.asarray(t, dtype=float), 2.0),
+], ids=["exp", "rational", "constant"])
+def test_G_inverse_general_roundtrip(f):
+    G, Ginv = el.GeneralDecreasingF(f).G_and_inverse()
+    s = np.geomspace(1e-8, 50.0, 64)
+    v = Ginv(s)
+    assert np.allclose(G(v), s, rtol=1e-12, atol=0.0)
+    assert all(Ginv(float(x)) == vx for x, vx in zip(s, v))
+    assert isinstance(Ginv(1.0), float)
+    assert Ginv(0.0) == 0.0 and np.array_equal(Ginv(np.array([0.0, 1.0]))[:1], [0.0])
+    with pytest.raises(el.DomainError):
+        Ginv(-1.0)
+
+
 def test_general_f_must_be_nonincreasing():
     with pytest.raises(el.ConstructionError):
         el.GeneralDecreasingF(lambda t: t)

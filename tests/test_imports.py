@@ -1,12 +1,14 @@
 """Import and source contracts: the package modules form a dependency order,
 every function parameter is read, one module holds the Gauss-Legendre rule,
-and importing the package and the quadrature-only commands load numpy but no
-scipy module; scipy submodules are imported on first use."""
+every name the benchmark's tracer wraps exists, construct solves through one
+call site, and importing the package and the quadrature-only commands load
+numpy but no scipy module; scipy submodules are imported on first use."""
 
 from __future__ import annotations
 
 import ast
 import graphlib
+import importlib
 import json
 import os
 import subprocess
@@ -22,6 +24,7 @@ from elliptic_lab.errors import SolverFault
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 PACKAGE = SRC / "elliptic_lab"
+SPANS = SRC.parent / "perfbench" / "spans.py"
 
 SPLIT_CUBIC = {"N": 3, "phi": {"kind": "power_split", "alpha": -3, "beta": -3},
                "f": {"kind": "power", "p": 1}, "K": {"kind": "origin"}}
@@ -163,3 +166,49 @@ def test_one_gauss_legendre_rule():
     """Every Gauss-Legendre panel goes through quad._panels, the one rule."""
     users = sorted(p.name for p in PACKAGE.glob("*.py") if "leggauss" in p.read_text())
     assert users == ["quad.py"]
+
+
+def traced_attributes() -> list[tuple[str, str]]:
+    """(target, attribute) of every tracer.wrap call in perfbench/spans.py.
+
+    The target is the source text of the wrapped object relative to the
+    package, e.g. ``quad._InnerCumulative``; an attribute given by a loop
+    variable expands to the loop's constant values.
+    """
+    tree = ast.parse(SPANS.read_text())
+    loops = {node.target.id: ast.literal_eval(node.iter) for node in ast.walk(tree)
+             if isinstance(node, ast.For) and isinstance(node.target, ast.Name)
+             and isinstance(node.iter, (ast.Tuple, ast.List))}
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "wrap"):
+            target, attr = node.args[:2]
+            attrs = loops[attr.id] if isinstance(attr, ast.Name) else [attr.value]
+            found += [(ast.unparse(target), a) for a in attrs]
+    return found
+
+
+def test_every_traced_attribute_exists():
+    """Renaming a name the benchmark's tracer wraps fails here, not in a traced run."""
+    traced = traced_attributes()
+    assert len(traced) >= 20
+    missing = []
+    for target, attr in traced:
+        module, *path = target.split(".")
+        obj = importlib.import_module(f"elliptic_lab.{module}")
+        for part in path:
+            obj = getattr(obj, part)
+        if not hasattr(obj, attr):
+            missing.append(f"{target}.{attr}")
+    assert missing == []
+
+
+def test_construct_solves_at_one_call_site():
+    """Every ladder level goes through one solve_on_nodes call, which passes
+    config as the 7th positional argument or as config= (the tracer reads it)."""
+    tree = ast.parse((PACKAGE / "construct.py").read_text())
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "solve_on_nodes"]
+    assert len(calls) == 1
+    assert len(calls[0].args) >= 7 or any(k.arg == "config" for k in calls[0].keywords)
