@@ -5,14 +5,14 @@ two-dimensional obstruction demonstrations."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError
 from .quad import _panels
 from ._extrapolate import MAX_LEVELS, aitken_limit
-from .bvp1d import AUDIT_TOL, RadialGrid, RadialProfile
+from .bvp1d import AUDIT_TOL, RadialGrid, RadialProfile, neg_laplacian
 from .problem import Origin, PointSet, ProblemSpec
 
 
@@ -168,6 +168,9 @@ def asymptotics(profile: RadialProfile, N: int, samples: int = 7,
 # residual audits
 # ---------------------------------------------------------------------------
 
+FIELD_BOX_PAD = 4.0  # residual_field samples the centers' bounding box grown by this
+
+
 @dataclass(frozen=True)
 class ResidualReport:
     """Pointwise statistics of -Lap(u) - phi(delta) f(u), normalized by the equation scale."""
@@ -179,6 +182,8 @@ class ResidualReport:
     stencil_spacing: float
     skipped: int = 0
     worst_radius: float | None = None  # of the largest |residual|, radial audits only
+    # the kept samples (x_1..x_N, V, residual), field audits only
+    table: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def csv_row(self) -> list[str]:
         return [
@@ -191,19 +196,20 @@ class ResidualReport:
         ]
 
 
-def _flux_negative_laplacian(r: np.ndarray, u: np.ndarray, N: int) -> np.ndarray:
-    """-Lap(u) at interior nodes via the conservative flux stencil.
-
-    Face conductances are exact integrals of s^{1-N}, so pure radial
-    harmonics a + b r^{2-N} are annihilated exactly; smooth profiles carry
-    the usual second-order truncation.
-    """
-    from .bvp1d import _cell_volumes, _face_conductance
-
-    c = _face_conductance(r, N)
-    V = _cell_volumes(r, N)
-    flux_div = (u[1:-1] - u[:-2]) / c[:-1] + (u[1:-1] - u[2:]) / c[1:]
-    return flux_div / V
+def _report(residual: np.ndarray, spacing: float, skipped: int = 0,
+            radii: np.ndarray | None = None, table: np.ndarray | None = None) -> ResidualReport:
+    """The statistics of one audit's normalized residuals."""
+    worst = int(np.argmax(np.abs(residual)))
+    return ResidualReport(
+        sample_count=len(residual),
+        min_residual=float(np.min(residual)),
+        fraction_nonnegative=float(np.mean(residual >= -AUDIT_TOL)),
+        sup_norm_equation_defect=float(np.abs(residual[worst])),
+        stencil_spacing=spacing,
+        skipped=skipped,
+        worst_radius=None if radii is None else float(radii[worst]),
+        table=table,
+    )
 
 
 def residual_radial(
@@ -214,7 +220,7 @@ def residual_radial(
 ) -> ResidualReport:
     """Residual statistics of the radial equation at interior grid nodes.
 
-    The discrete -Lap is the conservative flux stencil, which is exact on
+    The discrete -Lap is the solver's flux stencil, which is exact on
     radial harmonics; residuals are normalized by max(1, phi(delta) f(u)) so
     that verdicts are meaningful across the profile's full dynamic range.
     Equality mode reports the sup of |residual|; inequality mode reports the
@@ -228,26 +234,16 @@ def residual_radial(
     u = profile.values
     if len(r) < 32:
         raise DomainError("residual audit needs at least 32 nodes")
-    neg_lap = _flux_negative_laplacian(r, u, problem.N)
     rin = r[1:-1]
-    rhs = problem.phi(problem.delta_radial(rin)) * problem.f(u[1:-1])
-    residual = (neg_lap - rhs) / np.maximum(1.0, rhs)
+    residual = problem.residual(neg_laplacian(r, u, problem.N),
+                                problem.delta_radial(rin), u[1:-1])
     if r_window is not None:
         keep = (rin >= r_window[0]) & (rin <= r_window[1])
         if not np.any(keep):
             raise DomainError("residual window contains no interior nodes")
         residual = residual[keep]
         rin = rin[keep]
-    spacing = float(np.max(np.diff(r)))
-    worst = int(np.argmax(np.abs(residual)))
-    return ResidualReport(
-        sample_count=len(residual),
-        min_residual=float(np.min(residual)),
-        fraction_nonnegative=float(np.mean(residual >= -AUDIT_TOL)),
-        sup_norm_equation_defect=float(np.abs(residual[worst])),
-        stencil_spacing=spacing,
-        worst_radius=float(rin[worst]),
-    )
+    return _report(residual, float(np.max(np.diff(r))), radii=rin)
 
 
 def residual_field(
@@ -256,28 +252,14 @@ def residual_field(
     samples: int = 10_000,
     h: float = 0.01,
     seed: int = 42,
-    box_pad: float = 4.0,
 ) -> ResidualReport:
     """Stencil-Laplacian audit of a superposition field at low-discrepancy points.
 
-    Uses the 2N+1-point stencil with spacing min(h, margin/4), margin being the
+    Halton points fill the centers' bounding box grown by FIELD_BOX_PAD.  Uses
+    the 2N+1-point stencil with spacing min(h, margin/4), margin being the
     distance to the nearest center; points closer than 2h to a center are
-    skipped and counted.
+    skipped and counted.  The report's table holds the kept samples.
     """
-    report, _ = field_sample_table(V, problem, samples=samples, h=h, seed=seed,
-                                   box_pad=box_pad)
-    return report
-
-
-def field_sample_table(
-    V,
-    problem: ProblemSpec,
-    samples: int = 10_000,
-    h: float = 0.01,
-    seed: int = 42,
-    box_pad: float = 4.0,
-) -> tuple[ResidualReport, np.ndarray]:
-    """Field audit plus the full sample table (x_1..x_N, V, residual) for plotting."""
     if not isinstance(problem.K, (PointSet, Origin)):
         raise DomainError("field audits expect a point-set compact set")
     if problem.phi.is_zero:
@@ -286,8 +268,8 @@ def field_sample_table(
     N = problem.N
     if centers.shape[1] != N:
         raise DomainError("field dimension mismatch")
-    lo = centers.min(axis=0) - box_pad
-    hi = centers.max(axis=0) + box_pad
+    lo = centers.min(axis=0) - FIELD_BOX_PAD
+    hi = centers.max(axis=0) + FIELD_BOX_PAD
     from scipy.stats import qmc
 
     sampler = qmc.Halton(d=N, seed=seed)
@@ -306,19 +288,9 @@ def field_sample_table(
         vp = V(pts + hloc[:, None] * e[None, :])
         vm = V(pts - hloc[:, None] * e[None, :])
         lap += (vp - 2.0 * v0 + vm) / hloc ** 2
-    delta = problem.delta_points(pts)
-    rhs = problem.phi(delta) * problem.f(v0)
-    residual = (-lap - rhs) / np.maximum(1.0, rhs)
-    report = ResidualReport(
-        sample_count=len(residual),
-        min_residual=float(np.min(residual)),
-        fraction_nonnegative=float(np.mean(residual >= -AUDIT_TOL)),
-        sup_norm_equation_defect=float(np.max(np.abs(residual))),
-        stencil_spacing=float(np.max(hloc)),
-        skipped=skipped,
-    )
-    table = np.column_stack([pts, v0, residual])
-    return report, table
+    residual = problem.residual(-lap, problem.delta_points(pts), v0)
+    return _report(residual, float(np.max(hloc)), skipped=skipped,
+                   table=np.column_stack([pts, v0, residual]))
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +298,15 @@ def field_sample_table(
 # ---------------------------------------------------------------------------
 
 def min_principle_check(profile: RadialProfile, r1: float,
-                        r_floor: float | None = None) -> bool:
-    """True iff u(r) >= u(r1) - AUDIT_TOL*scale for every node r in [r_floor, r1].
+                        r_floor: float | None = None, annulus: bool = False) -> bool:
+    """True iff u(r) >= m - AUDIT_TOL*scale for every positive node r in [r_floor, r1].
 
-    The hypothesis (superharmonic side of the residual near the puncture) is
-    the caller's responsibility; this is the conclusion used as a test oracle.
-    The floor excludes truncation-pinned nodes of finite constructions.
+    Around a point, m = u(r1) (punctured-ball form).  Outside a ball u vanishes
+    on the boundary, so the inner end r_a, the first node kept, bounds an
+    annulus: m = min(u(r_a), u(r1)).  The hypothesis (superharmonic side of the
+    residual) is the caller's responsibility; this is the conclusion used as a
+    test oracle.  The floor excludes truncation-pinned nodes of finite
+    constructions.
     """
     r = profile.grid.nodes
     if not (r[0] <= r1 <= r[-1]):
@@ -343,6 +318,8 @@ def min_principle_check(profile: RadialProfile, r1: float,
     vals = profile.values[mask]
     if vals.size == 0:
         return True
+    if annulus:
+        m = min(m, float(vals[0]))
     return bool(np.min(vals) >= m - AUDIT_TOL * max(1.0, abs(m)))
 
 

@@ -211,11 +211,11 @@ class SolveConfig:
 # ---------------------------------------------------------------------------
 
 def _face_conductance(nodes: np.ndarray, N: int) -> np.ndarray:
-    """c_{i+1/2} = int_{r_i}^{r_{i+1}} s^{1-N} ds, exact per segment."""
+    """c_{i+1/2} = int_{r_i}^{r_{i+1}} s^{1-N} ds, exact per segment (along axis 0)."""
     lo, hi = nodes[:-1], nodes[1:]
     if N == 1:
         return hi - lo
-    if lo[0] <= 0:
+    if np.min(lo) <= 0:
         raise DomainError(f"N={N} grids must have positive nodes")
     if N == 2:
         return np.log(hi / lo)
@@ -226,6 +226,18 @@ def _cell_volumes(nodes: np.ndarray, N: int) -> np.ndarray:
     """int_{m-}^{m+} s^{N-1} ds around each interior node."""
     m = 0.5 * (nodes[:-1] + nodes[1:])
     return (m[1:] ** N - m[:-1] ** N) / N
+
+
+def neg_laplacian(nodes: np.ndarray, u: np.ndarray, N: int) -> np.ndarray:
+    """-Lap(u) at the interior nodes by the flux stencil that solve_on_nodes assembles.
+
+    Pure radial harmonics a + b r^{2-N} are annihilated up to roundoff, smooth
+    profiles carry second-order truncation.  The stencil runs along axis 0, so
+    a (3, k) stack of nodes gives k separate three-point stencils.
+    """
+    c = _face_conductance(nodes, N)
+    V = _cell_volumes(nodes, N)
+    return ((u[1:-1] - u[:-2]) / c[:-1] + (u[1:-1] - u[2:]) / c[1:]) / V
 
 
 def solve_banded(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,

@@ -24,7 +24,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, LabError
+from .errors import ConfigError, DomainError, LabError
 from . import analysis as _analysis
 from . import bvp1d as _bvp1d
 from . import construct as _construct
@@ -318,24 +318,21 @@ def _power_fit(profile) -> tuple[float, float]:
 def _build_construction(cfg: SimpleNamespace, which: str):
     """Run one of CONSTRUCTIONS.
 
-    Returns the result, the profile to audit and the audit window.  The
-    exhaustion constructions are audited on their raw last iterate, which is
-    stencil-smooth, inside their trusted window.
+    Every result is audited on its raw last iterate, which is stencil-smooth,
+    inside its trusted window.
     """
     solve = cfg.solve
     if which == "exterior-ball":
-        result = _construct.exterior_ball_minimal(cfg.problem, n_max=solve.n_max,
-                                                  config=solve.config, nodes=solve.nodes,
-                                                  delta_min=solve.delta_min)
-        R = cfg.problem.K.radius
-        return result, result.profile, (R + 1e-2, R + solve.n_max / 4.0)
+        return _construct.exterior_ball_minimal(cfg.problem, n_max=solve.n_max,
+                                                config=solve.config, nodes=solve.nodes,
+                                                delta_min=solve.delta_min)
     result = _construct.minimal_solution(cfg.problem, n_max=solve.n_max,
                                          config=solve.config, nodes=solve.nodes)
     if which == "family":
         result = _construct.family_member(cfg.problem, solve.a, solve.b, result,
                                           n_max=solve.n_max, config=solve.config,
                                           nodes=solve.nodes)
-    return result, result.raw_last, result.trusted_window
+    return result
 
 
 def cmd_solve(cfg: SimpleNamespace, out: Path, svg: bool, which: str | None = None) -> int:
@@ -352,14 +349,19 @@ def cmd_solve(cfg: SimpleNamespace, out: Path, svg: bool, which: str | None = No
         headline["H_mid"] = float(profile(0.5))
         residual = None
     else:
-        result, audited, window = _build_construction(cfg, which)
+        result = _build_construction(cfg, which)
         profile = result.profile
-        residual = _analysis.residual_radial(audited, cfg.problem, "equality",
-                                             r_window=window)
+        residual = _analysis.residual_radial(result.raw_last, cfg.problem, "equality",
+                                             r_window=result.trusted_window)
         if which == "exterior-ball":
             headline["layer_window"] = list(result.layer_window)
         else:
-            asym = _analysis.asymptotics(profile, cfg.problem.N, window=window)
+            try:
+                asym = _analysis.asymptotics(profile, cfg.problem.N,
+                                             window=result.trusted_window)
+            except DomainError as exc:
+                raise ConfigError(f"solve.n_max = {cfg.solve.n_max} is too small for "
+                                  f"the asymptotics of this grid: {exc}") from exc
         if which == "minimal":
             c_fit, q_fit = _power_fit(profile)
             headline.update({"c_fit": c_fit, "q_fit": q_fit, "n_reached": cfg.solve.n_max})
@@ -430,6 +432,7 @@ def cmd_verify(cfg: SimpleNamespace, out: Path, target: str | None = None) -> in
     target = target or cfg.verify.target
     t0 = time.perf_counter()
     rows: list[list[str]] = []
+    outputs = ["verify.csv"]
     all_pass = True
 
     def add(prop: str, ok: bool, margin: float, location: str) -> None:
@@ -443,22 +446,23 @@ def cmd_verify(cfg: SimpleNamespace, out: Path, target: str | None = None) -> in
             raise ConfigError("superposition verification needs a point-set K")
         U = _build_reference_bound(cfg)
         V = _construct.superposition_field(U, cfg.problem.K.as_array())
-        rep, table = _analysis.field_sample_table(V, cfg.problem,
-                                                  samples=cfg.verify.samples,
-                                                  h=cfg.verify.h, seed=cfg.seed)
+        rep = _analysis.residual_field(V, cfg.problem, samples=cfg.verify.samples,
+                                       h=cfg.verify.h, seed=cfg.seed)
         add("field-inequality-fraction", rep.fraction_nonnegative >= 0.99,
             rep.fraction_nonnegative - 0.99, "low-discrepancy samples")
         add("field-skipped-bounded", rep.skipped <= cfg.verify.samples // 100,
             float(cfg.verify.samples // 100 - rep.skipped), "sample filter")
         coord_names = [f"x{j + 1}" for j in range(cfg.problem.N)]
         write_csv_atomic(out / "samples.csv", coord_names + ["V", "residual"],
-                         [[_fmt(x) for x in row] for row in table])
+                         [[_fmt(x) for x in row] for row in rep.table])
         rr = np.geomspace(U.inner.r_min * 2.0, U.outer.r_max / 2.0, 512)
         write_csv_atomic(out / "bound_profile.csv", ["r", "U"],
                          [[_fmt(a), _fmt(b)] for a, b in zip(rr, U(rr))])
+        outputs += ["samples.csv", "bound_profile.csv"]
     else:
         if target in CONSTRUCTIONS:
-            _, profile, window = _build_construction(cfg, target)
+            result = _build_construction(cfg, target)
+            profile, window = result.raw_last, result.trusted_window
             mode = "equality"
         else:
             profile = _load_profile_csv(Path(target), cfg.problem.N)
@@ -487,7 +491,8 @@ def cmd_verify(cfg: SimpleNamespace, out: Path, target: str | None = None) -> in
             hi = window[1] if window else profile.r_max
             r1 = float(np.sqrt(lo * min(hi, profile.r_max)))
         floor = window[0] if window else None
-        ok = _analysis.min_principle_check(profile, float(r1), r_floor=floor)
+        ok = _analysis.min_principle_check(profile, float(r1), r_floor=floor,
+                                           annulus=isinstance(cfg.problem.K, _problem.Ball))
         add("min-principle", ok, 0.0 if ok else -1.0, f"r1={float(r1):g}")
         tail = profile.values[-max(8, len(profile.values) // 16):]
         tail = tail[tail > 0]
@@ -503,7 +508,7 @@ def cmd_verify(cfg: SimpleNamespace, out: Path, target: str | None = None) -> in
         "config": cfg.echo,
         "timings": {"verify": time.perf_counter() - t0},
         "headline": {"all_pass": all_pass, "target": target},
-        "outputs": ["verify.csv"],
+        "outputs": outputs,
     })
     for row in rows:
         print(f"{row[0]}: {row[1]} (margin {row[2]})")

@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedCombinationError,
 )
 from ._extrapolate import aitken_limit_rows
-from .bvp1d import RadialGrid, RadialProfile, SolveConfig, solve_on_nodes
+from .bvp1d import RadialGrid, RadialProfile, SolveConfig, neg_laplacian, solve_on_nodes
 from .problem import Ball, Origin, ProblemSpec, check_centers, nearest_center_distance
 from . import quad as _quad
 
@@ -286,12 +286,18 @@ def family_member(
 
 @dataclass(eq=False)
 class ExteriorBallResult:
-    """Exterior minimal solution with its boundary-layer window for ratio analysis."""
+    """Exterior minimal solution (the raw last shell iterate) with its boundary-layer
+    window for ratio analysis and the radius window its audits trust."""
 
     profile: RadialProfile
     layer_window: tuple[float, float]
     window_increments: list[float] = field(default_factory=list)
     converged: bool = False
+    trusted_window: tuple[float, float] = (0.0, np.inf)
+
+    @property
+    def raw_last(self) -> RadialProfile:
+        return self.profile
 
     def __call__(self, r):
         return self.profile(r)
@@ -335,6 +341,7 @@ def exterior_ball_minimal(
         layer_window=(max(1e-3, 2.0 * delta_min), 0.1),
         window_increments=increments,
         converged=bool(increments and increments[-1] < max(config.tol_sup, 1e-6)),
+        trusted_window=(R + 1e-2, R + n_max / 4.0),
     )
 
 
@@ -397,23 +404,13 @@ class GluedField:
 
 def _radial_inequality_residual(U: Callable, problem: ProblemSpec,
                                 radii: np.ndarray) -> np.ndarray:
-    """Normalized residual of -Lap(U) - phi(delta) f(U) at the given radii."""
+    """Normalized residual of -Lap(U) - phi(delta) f(U) at the given radii, by
+    the solver's flux stencil on the nodes r e^{-_H_LOG}, r, r e^{_H_LOG}."""
     r = np.asarray(radii, dtype=float)
-    rp = r * math.exp(_H_LOG)
-    rm = r * math.exp(-_H_LOG)
-    u0 = np.asarray(U(r), dtype=float)
-    up = np.asarray(U(rp), dtype=float)
-    um = np.asarray(U(rm), dtype=float)
-    hp = rp - r
-    hm = r - rm
-    d1 = (hm * hm * up - hp * hp * um + (hp * hp - hm * hm) * u0) / (
-        hp * hm * (hp + hm)
-    )
-    d2 = 2.0 * (hm * up + hp * um - (hp + hm) * u0) / (hp * hm * (hp + hm))
-    lap = d2 + (problem.N - 1) / r * d1
-    delta = problem.delta_radial(r)
-    rhs = problem.phi(delta) * problem.f(u0)
-    return (-lap - rhs) / np.maximum(1.0, rhs)
+    nodes = np.exp([-_H_LOG, 0.0, _H_LOG])[:, None] * r
+    u = np.asarray(U(nodes), dtype=float)
+    return problem.residual(neg_laplacian(nodes, u, problem.N)[0],
+                            problem.delta_radial(r), u[1])
 
 
 def glue_supersolution(

@@ -101,3 +101,9 @@ class ProblemSpec:
         if isinstance(self.K, PointSet):
             return nearest_center_distance(x, self.K.as_array())
         raise DomainError("delta_points supports Origin and PointSet")
+
+    def residual(self, neg_lap: np.ndarray, delta: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Defect of -Lap(u) >= phi(delta) f(u), normalized by the equation scale:
+        (neg_lap - phi(delta) f(u)) / max(1, phi(delta) f(u))."""
+        rhs = self.phi(delta) * self.f(u)
+        return (neg_lap - rhs) / np.maximum(1.0, rhs)

@@ -195,7 +195,7 @@ def test_residual_field_skips_near_centers(glued_split):
     V = el.superposition_field(glued_split.value, centers)
     problem = el.ProblemSpec(3, el.PowerSplitPhi(-3.0, -3.0), el.PowerF(1.0),
                              el.PointSet(centers))
-    rep = el.residual_field(V, problem, samples=500, h=0.05, seed=1, box_pad=0.2)
+    rep = el.residual_field(V, problem, samples=500, h=1.0, seed=1)
     assert rep.skipped > 0
     assert rep.sample_count + rep.skipped == 500
 
@@ -228,6 +228,26 @@ def test_min_principle_detects_dip():
     prof = sample_profile(lambda rr: rr, r)   # placeholder grid
     prof = el.RadialProfile(grid=prof.grid, values=vals)
     assert not el.min_principle_check(prof, 1.0)
+
+
+def _exterior_profile(dip: float) -> el.RadialProfile:
+    """Zero on the unit sphere, rising, then falling to 0 at r = 20, with a
+    Gaussian dip of relative depth dip at r = 3."""
+    r = np.geomspace(1.0, 20.0, 256)
+    vals = (1.0 - 1.0 / r) * (20.0 - r) * (1.0 - dip * np.exp(-((r - 3.0) ** 2) / 0.1))
+    return el.RadialProfile(grid=el.RadialGrid(nodes=r, dimension=3), values=vals)
+
+
+def test_min_principle_annulus_outside_a_ball():
+    # u vanishes on the ball, so only the annulus form holds on [1.01, r1]
+    prof = _exterior_profile(dip=0.0)
+    assert not el.min_principle_check(prof, 5.0, r_floor=1.01)
+    assert el.min_principle_check(prof, 5.0, r_floor=1.01, annulus=True)
+
+
+def test_min_principle_annulus_detects_dip():
+    prof = _exterior_profile(dip=0.999)
+    assert not el.min_principle_check(prof, 5.0, r_floor=1.01, annulus=True)
 
 
 def _planar_profile(fn, r):

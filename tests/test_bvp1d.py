@@ -6,10 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 import elliptic_lab as el
-from elliptic_lab.bvp1d import solve_on_nodes
+from elliptic_lab.bvp1d import neg_laplacian, solve_on_nodes
 
 
 ONES = el.GeneralDecreasingF(lambda t: np.ones_like(np.asarray(t, dtype=float)))
@@ -84,6 +85,46 @@ def test_harmonic_reproduced_nodally():
                                      (1.0, 2.0), (1.0, 2.0), nodes=128)
     r = prof.grid.nodes
     assert np.max(np.abs(prof.values - (a + b / r))) < 1e-12
+
+
+GRIDS = st.one_of(
+    st.builds(lambda ra, decades, count: ("geometric", ra, ra * 10.0 ** decades, count),
+              st.floats(1e-3, 10.0), st.floats(0.5, 6.0), st.integers(16, 2048)),
+    st.builds(lambda anchor, delta_min, span, count:
+              ("boundary_layer", anchor, delta_min, span, count),
+              st.floats(0.1, 10.0), st.floats(1e-9, 1e-2), st.floats(1.0, 100.0),
+              st.integers(16, 2048)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(GRIDS, st.integers(3, 6), st.floats(0.0, 10.0, allow_subnormal=False),
+       st.floats(0.0, 10.0, allow_subnormal=False))
+def test_neg_laplacian_cancels_harmonics(grid, N, a, b):
+    # the flux stencil annihilates a + b r^{2-N} up to the roundoff of its own
+    # differences: eps times the stencil applied to |u| without cancellation
+    kind, *args = grid
+    r = getattr(el.RadialGrid, kind)(*args, N).nodes
+    u = a + b * r ** (2.0 - N)
+    c = (r[:-1] ** (2.0 - N) - r[1:] ** (2.0 - N)) / (N - 2)
+    m = 0.5 * (r[:-1] + r[1:])
+    V = (m[1:] ** N - m[:-1] ** N) / N
+    scale = ((u[:-2] + u[1:-1]) / c[:-1] + (u[1:-1] + u[2:]) / c[1:]) / V
+    assert np.all(np.abs(neg_laplacian(r, u, N)) <= 8 * np.finfo(float).eps * scale)
+
+
+def test_neg_laplacian_stack_equals_one_stencil_per_column():
+    rng = np.random.default_rng(3)
+    nodes = np.cumsum(rng.uniform(0.01, 1.0, (3, 50)), axis=0)
+    u = rng.uniform(0.1, 5.0, (3, 50))
+    for N in (1, 2, 3, 5):
+        stacked = neg_laplacian(nodes, u, N)
+        assert stacked.shape == (1, 50)
+        for j in range(50):
+            assert np.array_equal(stacked[:, j], neg_laplacian(nodes[:, j], u[:, j], N))
+    nodes[0, 17] = 0.0  # one triple reaching the origin is refused for N >= 2
+    with pytest.raises(el.DomainError):
+        neg_laplacian(nodes, u, 3)
 
 
 def test_closed_form_boundary_data(closed_form):

@@ -285,6 +285,22 @@ def test_solve_exterior_ball_empty_increment_window(tmp_path, capsys, solve):
         assert len(captured.err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("which,n_max,code", [
+    ("minimal", 16, 1), ("minimal", 32, 1), ("minimal", 45, 0), ("family", 16, 1),
+])
+def test_solve_n_max_too_small_for_asymptotics(tmp_path, capsys, which, n_max, code):
+    # at 512 nodes the profile's interior spans fewer than three decades for
+    # n_max <= 32; the bound moves with nodes, so the config check cannot state it
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, solve={"which": which, "nodes": 512, "n_max": n_max})
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("config error: solve.n_max") and len(err.splitlines()) == 1
+    else:
+        assert err == ""
+
+
 def test_solve_manifest_is_strict_json(tmp_path, capsys):
     # the increment window (R + 10 delta_min, R + 0.5) holds no node here, so
     # the window increments are not finite; they are written as null
@@ -353,6 +369,23 @@ def test_verify_minimal_all_pass(tmp_path):
     assert rc == 0
     header, rows = read_csv(out / "verify.csv")
     assert header == ["property", "pass", "worst_margin", "location"]
+    assert all(row[1] == "pass" for row in rows)
+
+
+def test_verify_exterior_ball_all_pass(tmp_path):
+    # u vanishes on the ball, so the min-principle row takes the annulus form
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, problem={"N": 3,
+                               "phi": {"kind": "power_split", "alpha": -1, "beta": -3},
+                               "f": {"kind": "power", "p": 1},
+                               "K": {"kind": "ball", "radius": 1.0}},
+                 solve={"which": "exterior-ball", "nodes": 1024, "n_max": 32})
+    out = tmp_path / "o"
+    assert main(["verify", "--config", str(cfg), "--out", str(out),
+                 "--target", "exterior-ball"]) == 0
+    _, rows = read_csv(out / "verify.csv")
+    assert [row[0] for row in rows] == ["positivity", "residual-equality",
+                                        "min-principle", "tail-decay"]
     assert all(row[1] == "pass" for row in rows)
 
 
@@ -481,8 +514,34 @@ def test_certify_boundary_divergent(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# determinism
+# manifests and determinism
 # ---------------------------------------------------------------------------
+
+POINT_SET = {"N": 3, "phi": {"kind": "power_split", "alpha": -3, "beta": -3},
+             "f": {"kind": "power", "p": 1},
+             "K": {"kind": "point_set", "centers": [[0, 0, 0], [4, 0, 0]]}}
+
+
+@pytest.mark.parametrize("argv,overrides", [
+    (["classify"], {}),
+    (["solve", "--which", "h", "--svg"],
+     {"problem": {"N": 3, "phi": {"kind": "power", "alpha": -1},
+                  "f": {"kind": "power", "p": 1}, "K": {"kind": "origin"}}}),
+    (["solve", "--which", "minimal"], {}),
+    (["verify", "--target", "minimal"], {}),
+    (["verify", "--target", "superposition"],
+     {"problem": POINT_SET, "verify": {"samples": 2000}}),
+    (["certify-divergence"], {}),
+], ids=["classify", "solve-h", "solve-minimal", "verify-minimal", "verify-superposition",
+        "certify"])
+def test_manifest_lists_every_output(tmp_path, argv, overrides):
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, **overrides)
+    out = tmp_path / "o"
+    main([argv[0], "--config", str(cfg), "--out", str(out), *argv[1:]])
+    manifest = json.loads((out / "manifest.json").read_text())
+    written = {p.name for p in out.iterdir()} - {"manifest.json"}
+    assert sorted(manifest["outputs"]) == sorted(written)
 
 def test_outputs_bit_identical_across_runs(tmp_path):
     cfg = tmp_path / "cfg.json"

@@ -1,6 +1,6 @@
 """Import and source contracts: the package modules form a dependency order,
-every function parameter is read, one module holds the Gauss-Legendre rule,
-every name the benchmark's tracer wraps exists, construct solves through one
+every function parameter is read, one module holds the Gauss-Legendre rule
+and the radial flux stencil, every name the benchmark's tracer wraps exists, construct solves through one
 call site, and importing the package and the quadrature-only commands load
 numpy but no scipy module; scipy submodules are imported on first use."""
 
@@ -166,6 +166,13 @@ def test_one_gauss_legendre_rule():
     """Every Gauss-Legendre panel goes through quad._panels, the one rule."""
     users = sorted(p.name for p in PACKAGE.glob("*.py") if "leggauss" in p.read_text())
     assert users == ["quad.py"]
+
+
+def test_one_radial_stencil():
+    """Every radial -Lap goes through bvp1d.neg_laplacian, the solver's flux stencil."""
+    users = sorted(p.name for p in PACKAGE.glob("*.py")
+                   if "_face_conductance" in p.read_text() or "_cell_volumes" in p.read_text())
+    assert users == ["bvp1d.py"]
 
 
 def traced_attributes() -> list[tuple[str, str]]:
