@@ -34,7 +34,7 @@ from .funcs import (
     PowerSplitPhi,
     TabulatedPhi,
     double_integral_profile,
-    supersolution_values,
+    supersolution_profile,
     xi_closed_form,
 )
 from .problem import Ball, Origin, PointSet, ProblemSpec

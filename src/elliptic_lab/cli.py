@@ -65,13 +65,16 @@ def _number(above: float | None = None, below: float | None = None,
     return check
 
 
-def _integer(minimum: int):
-    """An integer >= minimum; bools and non-integral numbers are rejected, not
-    truncated, and float() raises OverflowError on one beyond the float range."""
+def _integer(minimum: int, maximum: int | None = None):
+    """An integer with minimum <= x (<= maximum if given); bools and non-integral
+    numbers are rejected, not truncated, and float() raises OverflowError on one
+    beyond the float range."""
     def check(value, path):
         if (isinstance(value, bool) or not isinstance(value, (int, float))
                 or not float(value).is_integer() or value < minimum):
             raise ConfigError(f"{path} must be an integer >= {minimum}")
+        if maximum is not None and value > maximum:
+            raise ConfigError(f"{path} must be an integer <= {maximum}")
         return int(value)
     return check
 
@@ -198,7 +201,7 @@ CONFIG = _record({
     "certify": (_record({
         "regime": (_one_of(("tail", "near0", "boundary")), "tail"),
         "r0": (_number(above=0.0), 1.0),
-        "levels": (_integer(3), 24),
+        "levels": (_integer(3, 1000), 24),  # 2^-1000 is still a normal double
     }), {}),
     "output_dir": (_text(), "out"),
     "seed": (_integer(0), 42),
@@ -418,8 +421,12 @@ def _load_profile_csv(path: Path, dimension: int) -> _bvp1d.RadialProfile:
         data = np.loadtxt(path, delimiter=",", skiprows=1)
     except OSError as exc:
         raise ConfigError(f"unreadable target: {path}") from exc
+    except ValueError as exc:  # a cell that is not a number, or a ragged row
+        raise ConfigError(f"target {path} is not a table of numbers: {exc}") from exc
     if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 16:
         raise ConfigError(f"target {path} is not a profile table")
+    if not np.all(np.isfinite(data)):
+        raise ConfigError(f"target {path} has values that are not finite")
     if not np.all(data[:, 0] > 0):
         raise ConfigError(f"target {path} has radii that are not positive")
     if not np.all(np.diff(data[:, 0]) > 0):

@@ -407,49 +407,7 @@ def double_integral_profile(
         raise DomainError("evaluation radius must not precede inner_lower")
     if phi.is_zero:
         return 0.0
-    return _quad.iterated_tail_value(phi, N, inner_lower, r)
-
-
-@dataclass(frozen=True, eq=False)
-class SupersolutionData:
-    """Radii, profile values, and the underlying double-integral values."""
-
-    r: np.ndarray
-    values: np.ndarray
-    A: np.ndarray
-
-
-def supersolution_values(
-    phi: PhiSpec,
-    f: FSpec,
-    N: int,
-    inner_lower: float,
-    r_min: float,
-    r_max: float | None = None,
-    nodes: int = 1024,
-) -> SupersolutionData:
-    """Sampled v(r) = G^{-1}(A(r)) on a geometric grid from r_min.
-
-    A is the double-integral profile; the chain rule together with f
-    nonincreasing makes v satisfy -Lap(v) >= phi * f(v).  The tail value is
-    computed once and extended inward by a backward cumulative pass, so all
-    additions are of positive quantities.
-    """
-    if r_min <= 0:
-        raise DomainError("r_min must be positive")
-    if r_max is None:
-        r_max = 4096.0 * max(r_min, 1.0, inner_lower)
-    if r_max <= r_min:
-        raise DomainError("r_max must exceed r_min")
-    if inner_lower > 0 and r_min < inner_lower * (1.0 - 1e-12):
-        raise DomainError("grid must start at or after inner_lower")
-    r = np.geomspace(r_min, r_max, nodes)
-    A = _quad.iterated_tail_profile(phi, N, inner_lower, r)
-    _, Ginv = f.G_and_inverse()
-    v = np.asarray(Ginv(A), dtype=float)
-    if np.any(v <= 0):
-        raise ConstructionError("supersolution profile must be positive")
-    return SupersolutionData(r=r, values=v, A=A)
+    return _quad.iterated_tail_profile(phi, N, inner_lower, np.array([r]))[0]
 
 
 def supersolution_profile(
@@ -458,11 +416,24 @@ def supersolution_profile(
     N: int,
     inner_lower: float,
     r_min: float,
-    r_max: float | None = None,
     nodes: int = 1024,
 ) -> "_bvp1d.RadialProfile":
-    """RadialProfile carrier of v(r) = G^{-1}(double-integral profile at r)."""
-    data = supersolution_values(phi, f, N, inner_lower, r_min, r_max=r_max,
-                                nodes=nodes)
-    return _bvp1d.RadialProfile(grid=_bvp1d.RadialGrid(nodes=data.r, dimension=N),
-                                values=data.values)
+    """v(r) = G^{-1}(A(r)) sampled on the geometric grid from r_min to
+    4096 max(r_min, 1, inner_lower).
+
+    A is the double-integral profile; the chain rule together with f
+    nonincreasing makes v satisfy -Lap(v) >= phi * f(v).  The tail value is
+    computed once and extended inward by a backward cumulative pass, so all
+    additions are of positive quantities.
+    """
+    if r_min <= 0:
+        raise DomainError("r_min must be positive")
+    if inner_lower > 0 and r_min < inner_lower * (1.0 - 1e-12):
+        raise DomainError("grid must start at or after inner_lower")
+    r = np.geomspace(r_min, 4096.0 * max(r_min, 1.0, inner_lower), nodes)
+    A = _quad.iterated_tail_profile(phi, N, inner_lower, r)
+    _, Ginv = f.G_and_inverse()
+    v = np.asarray(Ginv(A), dtype=float)
+    if np.any(v <= 0):
+        raise ConstructionError("supersolution profile must be positive")
+    return _bvp1d.RadialProfile(grid=_bvp1d.RadialGrid(nodes=r, dimension=N), values=v)

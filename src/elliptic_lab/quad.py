@@ -10,6 +10,7 @@ or above 1 - DIV_FLOOR for several consecutive windows certifies divergence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -26,10 +27,11 @@ DIV_FLOOR = 1e-3          # increments failing to decay by this much look diverg
 DIV_CONSECUTIVE = 6       # consecutive non-decaying windows required
 BLOWUP = 1e6              # fast-divergence value threshold
 MAX_WINDOWS = 420
-DEFAULT_REL_TOL = 1e-9
+REL_TOL = 1e-9            # a finite verdict needs remainder + error below this share
 
 _GL_NODES, _GL_WTS = np.polynomial.legendre.leggauss(24)
 _PANEL_BLOCK = 1024       # panels per call of the integrand in _panels
+BOUNDARY_SUBPANELS = 8    # equal panels per dyadic window of the boundary certificate
 
 
 @dataclass(frozen=True)
@@ -102,20 +104,11 @@ def _panels(g: Callable, lo, hi) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow ends the scan, below
-def _scan(
-    g: _EvalCounter,
-    windows,
-    criterion: str,
-    rel_tol: float = DEFAULT_REL_TOL,
-    allow_divergence: bool = True,
-    max_windows: int = MAX_WINDOWS,
-) -> ConditionReport:
+def _scan(g: _EvalCounter, windows, criterion: str) -> ConditionReport:
     """Classify sum of window integrals as finite (with value) or infinite (with certificate).
 
-    With allow_divergence=False the streak and blow-up exits are disabled, for
-    integrals known finite whose integrand has a long 1/x plateau before its
-    vanishing endpoint factor takes over.  An integrand value that overflows
-    ends the scan inconclusive, with the certificate so far.
+    An integrand value that overflows ends the scan inconclusive, with the
+    certificate so far.
     """
     total = 0.0
     cert: list[float] = []
@@ -124,7 +117,7 @@ def _scan(
     streak = 0
     zero_run = 0
     for k, (lo, hi) in enumerate(windows):
-        if k >= max_windows:
+        if k >= MAX_WINDOWS:
             break
         try:
             inc = float(_panels(g, lo, hi)[0])
@@ -140,18 +133,18 @@ def _scan(
                                        g.count, 0.0)
             continue
         zero_run = 0
-        if allow_divergence and total > BLOWUP:
+        if total > BLOWUP:
             return ConditionReport(criterion, INFINITE, None, tuple(cert), "quadrature", g.count)
         if prev_inc is not None and prev_inc > 0:
             rho = inc / prev_inc
             streak = streak + 1 if rho >= 1.0 - DIV_FLOOR else 0
-            if allow_divergence and streak >= DIV_CONSECUTIVE:
+            if streak >= DIV_CONSECUTIVE:
                 return ConditionReport(criterion, INFINITE, None, tuple(cert), "quadrature", g.count)
             if rho < 1.0 - 3.0 * DIV_FLOOR and prev_rho is not None:
                 remainder = inc * rho / (1.0 - rho)
                 drift = abs(rho - prev_rho) / (1.0 - rho)
                 err = remainder * drift + 1e-15 * total
-                if remainder + err < rel_tol * max(total, 1e-300):
+                if remainder + err < REL_TOL * max(total, 1e-300):
                     value = total + remainder
                     return ConditionReport(criterion, FINITE, value, None, "quadrature",
                                            g.count, err + remainder * drift)
@@ -185,28 +178,42 @@ def integrate_singular(
     """Improper integral on (a, b) with possible power singularities at both ends.
 
     The interval is split at sqrt(a b) (the midpoint when a = 0) and each half
-    is a windowed scan toward its endpoint.  Divergent and inconclusive cases
-    carry the monotone partial sums of the half that decided the verdict.
+    is a windowed scan toward its endpoint; _join joins the two reports.
     """
     if not (a < b):
         raise DomainError("integrate_singular requires a < b")
-    counter = _EvalCounter(g)
     mid = float(np.sqrt(a * b)) if a > 0 else 0.5 * (a + b)
-    left = _scan(counter, _windows_to_point(a, mid - a), criterion)
-    if left.status == INFINITE:
-        return left
-    gb = _EvalCounter(lambda y: counter.g(b - y))
-    right = _scan(gb, _windows_to_point(0.0, b - mid), criterion)
-    evals = counter.count + gb.count
-    lift = left.value if left.status == FINITE and left.value else 0.0
-    right_cert = right.certificate and tuple(c + lift for c in right.certificate)
-    if right.status == INFINITE:
-        return ConditionReport(criterion, INFINITE, None, right_cert, "quadrature", evals)
-    if left.status == FINITE and right.status == FINITE:
-        err = (left.error_estimate or 0.0) + (right.error_estimate or 0.0)
-        return ConditionReport(criterion, FINITE, left.value + right.value, None,
+    left = _scan(_EvalCounter(g), _windows_to_point(a, mid - a), criterion)
+    right = None
+    if left.status != INFINITE:
+        right = _scan(_EvalCounter(lambda y: g(b - y)), _windows_to_point(0.0, b - mid),
+                      criterion)
+    return _join(criterion, left, right)
+
+
+def _join(criterion: str, first: ConditionReport,
+          second: ConditionReport | None) -> ConditionReport:
+    """Report on the union of two adjacent pieces from the reports of both.
+
+    A divergent first piece decides; second is None when it was not scanned,
+    which only a first piece that is not finite allows.  The second piece's
+    partial sums are lifted by a finite first value, and a divergent or
+    inconclusive join carries the monotone partial sums of the piece that
+    decided it.
+    """
+    evals = first.evaluations + (second.evaluations if second else 0)
+    if first.status == INFINITE or second is None:
+        return ConditionReport(criterion, first.status, None, first.certificate,
+                               "quadrature", evals)
+    lift = first.value if first.status == FINITE else 0.0
+    second_cert = second.certificate and tuple(c + lift for c in second.certificate)
+    if second.status == INFINITE:
+        return ConditionReport(criterion, INFINITE, None, second_cert, "quadrature", evals)
+    if first.status == FINITE and second.status == FINITE:
+        err = (first.error_estimate or 0.0) + (second.error_estimate or 0.0)
+        return ConditionReport(criterion, FINITE, first.value + second.value, None,
                                "quadrature", evals, err)
-    cert = left.certificate if left.status == INCONCLUSIVE else right_cert
+    cert = first.certificate if first.status == INCONCLUSIVE else second_cert
     return ConditionReport(criterion, INCONCLUSIVE, None, cert, "quadrature", evals)
 
 
@@ -365,27 +372,6 @@ def iterated_tail(
                            "quadrature", evals, rep.error_estimate)
 
 
-def _tail_value(w, N: int, lower: float, base: float, r: float) -> float:
-    """The double-integral profile at r over the inner cumulative base + int_lower^t."""
-    rep = iterated_tail(w, N, t_lo=r, inner_lower=lower, inner_base=base)
-    if rep.status == INFINITE:
-        raise DivergenceError("double-integral profile diverges", rep.certificate)
-    if rep.status == INCONCLUSIVE:
-        raise DivergenceError("double-integral profile could not be classified", None)
-    return float(rep.value)
-
-
-def iterated_tail_value(
-    w: Callable,
-    N: int,
-    inner_lower: float,
-    r: float,
-) -> float:
-    """Scalar double-integral profile value; raises DivergenceError when infinite."""
-    lower, base, _ = _inner_base(w, N, inner_lower, max(r, 1.0))
-    return _tail_value(w, N, lower, base, r)
-
-
 def iterated_tail_profile(
     w: Callable,
     N: int,
@@ -395,18 +381,24 @@ def iterated_tail_profile(
     """Double-integral profile on a whole increasing radius grid.
 
     The tail beyond the last radius is evaluated once; interior values follow by
-    a backward cumulative pass with positive per-segment additions.
+    a backward cumulative pass with positive per-segment additions.  Raises
+    DivergenceError (with a certificate when divergent) when the inner
+    integrand is not integrable at zero or the tail is not finite.
     """
     radii = np.asarray(radii, dtype=float)
     if np.any(np.diff(radii) <= 0):
         raise DomainError("radii must be strictly increasing")
     r_last = float(radii[-1])
     lower, base, kappa = _inner_base(w, N, inner_lower, max(r_last, 1.0))
-    tail = _tail_value(w, N, lower, base, r_last)
+    rep = iterated_tail(w, N, t_lo=r_last, inner_lower=lower, inner_base=base)
+    if rep.status == INFINITE:
+        raise DivergenceError("double-integral profile diverges", rep.certificate)
+    if rep.status == INCONCLUSIVE:
+        raise DivergenceError("double-integral profile could not be classified", None)
     J = _InnerCumulative(N, min(lower, float(radii[0])), r_last, _EvalCounter(w),
                          base=base, base_kappa=kappa)
     seg = _panels(lambda x: J(x) * x ** (1 - N), radii[:-1], radii[1:])
-    return np.cumsum(np.concatenate(([tail], seg[::-1])))[::-1]
+    return np.cumsum(np.concatenate(([rep.value], seg[::-1])))[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -507,32 +499,17 @@ def lemma_zero_check(
         return simple, iterated
     s0 = integrate_singular(lambda s: s * phi(s), 0.0, 1.0, criterion="simple-full")
     s1 = integrate_tail(lambda s: s * phi(s), 1.0, criterion="simple-full")
-    simple = _merge_reports("simple-full", s0, s1)
     it0 = iterated_near0(phi, N, 1.0)
-    if it0.status == FINITE:
-        base_rep = _inner_near0(phi, N, 1.0)
-        base = base_rep.value if base_rep.value is not None else 0.0
+    it1 = None
+    if it0.status == FINITE:  # then the inner scan toward zero is finite too
+        base = _inner_near0(phi, N, 1.0).value
         it1 = iterated_tail(phi, N, 1.0, inner_lower=1.0, inner_base=base)
-    else:
-        it1 = it0
-    iterated = _merge_reports("iterated-full", it0, it1)
-    return simple, iterated
-
-
-def _merge_reports(criterion: str, a: ConditionReport, b: ConditionReport) -> ConditionReport:
-    evals = a.evaluations + (b.evaluations if b is not a else 0)
-    if a.status == INFINITE or b.status == INFINITE:
-        src = a if a.status == INFINITE else b
-        return ConditionReport(criterion, INFINITE, None, src.certificate, "quadrature", evals)
-    if a.status == FINITE and b.status == FINITE:
-        err = (a.error_estimate or 0.0) + (b.error_estimate or 0.0)
-        return ConditionReport(criterion, FINITE, a.value + b.value, None, "quadrature", evals, err)
-    return ConditionReport(criterion, INCONCLUSIVE, None, None, "quadrature", evals)
+    return _join("simple-full", s0, s1), _join("iterated-full", it0, it1)
 
 
 @dataclass(frozen=True)
 class BoundaryCertificate:
-    """Monotone sequence I_k = int_{r_k}^{r0} (rho - r_k) phi(rho) d rho, r_k = r0 2^-k."""
+    """Monotone sequence I_k = int_{r_k}^{r0} (rho - r_k) phi(rho) d rho, r_k = r0 2^-(k+1)."""
 
     radii: tuple[float, ...]
     values: tuple[float, ...]
@@ -540,29 +517,36 @@ class BoundaryCertificate:
     limit: float | None
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing sum is refused, below
 def divergence_certificate_boundary(
     phi: Callable[[np.ndarray], np.ndarray],
     r0: float,
     levels: int = 24,
 ) -> BoundaryCertificate:
-    """Near-boundary divergence certificate from shrinking moment integrals."""
+    """Near-boundary divergence certificate from shrinking moment integrals.
+
+    One pass over the dyadic windows [r_j, 2 r_j], j < levels, each cut into
+    BOUNDARY_SUBPANELS equal panels so that a kink of the weight inside a
+    window costs little accuracy.  With P0_j = int phi and P1_j = int rho phi
+    over window j, I_k = sum_{j<=k} P1_j - r_k sum_{j<=k} P0_j.  Divergence is
+    judged from the increments of I_k across levels.
+    """
     if levels < 3:
         raise DomainError("levels must be >= 3")
     if r0 <= 0:
         raise DomainError("r0 must be positive")
-    radii = [r0 * 2.0 ** -(k + 1) for k in range(levels)]
-    values = []
-    for rk in radii:
-        counter = _EvalCounter(lambda rho, rk=rk: np.maximum(rho - rk, 0.0) * phi(rho))
-        # each level is a proper integral: the integrand vanishes linearly at rk,
-        # so the scan runs in convergence-only mode and divergence is judged
-        # across levels below
-        rep = _scan(counter, _windows_to_point(rk, r0 - rk), "boundary-moment",
-                    1e-10, allow_divergence=False, max_windows=2 * MAX_WINDOWS)
-        if rep.status != FINITE:
-            raise DomainError("boundary moment integral failed to converge")
-        values.append(rep.value)
-    vals = np.asarray(values)
+    r_min = math.ldexp(r0, -levels)
+    if r_min < np.finfo(float).tiny:
+        raise DomainError(f"r0 2^-levels = {r_min:g} is below the smallest normal double")
+    radii = np.ldexp(r0, -np.arange(1, levels + 1))
+    edges = radii[:, None] * (1.0 + np.arange(BOUNDARY_SUBPANELS + 1) / BOUNDARY_SUBPANELS)
+    lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    counter = _EvalCounter(phi)
+    P0 = _panels(counter, lo, hi).reshape(levels, -1).sum(axis=1)
+    P1 = _panels(lambda rho: rho * counter(rho), lo, hi).reshape(levels, -1).sum(axis=1)
+    vals = np.cumsum(P1) - radii * np.cumsum(P0)
+    if not np.all(np.isfinite(vals)):
+        raise DomainError("boundary moments overflow")
     inc = np.diff(vals)
     divergent = False
     if len(inc) >= DIV_CONSECUTIVE + 1:
@@ -576,7 +560,7 @@ def divergence_certificate_boundary(
             limit = float(vals[-1] + inc[-1] * rho_last / (1.0 - rho_last))
         else:
             limit = float(vals[-1])
-    return BoundaryCertificate(tuple(radii), tuple(values), divergent, limit)
+    return BoundaryCertificate(tuple(radii.tolist()), tuple(vals.tolist()), divergent, limit)
 
 
 def phi_tail_monotone(phi: Callable[[np.ndarray], np.ndarray], r0: float) -> bool:

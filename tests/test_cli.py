@@ -160,9 +160,10 @@ JSON_VALUES = st.recursive(
 )
 
 
+@pytest.mark.parametrize("command", ["classify", "certify-divergence"])
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(path=st.sampled_from(sorted(_field_paths(FUZZ_BASE))), value=JSON_VALUES)
-def test_fuzzed_config_field_keeps_exit_contract(tmp_path, capsys, path, value):
+def test_fuzzed_config_field_keeps_exit_contract(tmp_path, capsys, command, path, value):
     cfg = json.loads(json.dumps(FUZZ_BASE))
     parent = cfg
     for key in path[:-1]:
@@ -170,7 +171,7 @@ def test_fuzzed_config_field_keeps_exit_contract(tmp_path, capsys, path, value):
     parent[path[-1]] = value
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps(cfg))
-    rc = main(["classify", "--config", str(config), "--out", str(tmp_path / "o")])
+    rc = main([command, "--config", str(config), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert rc in (0, 1, 2, 3)
     if rc == 1:
@@ -443,22 +444,38 @@ def test_verify_unreadable_target(tmp_path, capsys):
     assert rc == 1
 
 
-SWAPPED_RADII = np.geomspace(1e-2, 1e2, 32)
+def _table(r, u=None):
+    """CSV body rows r,u of a target profile (u = 1 unless given)."""
+    u = np.ones_like(r) if u is None else u
+    return [f"{a:.16e},{b:.16e}" for a, b in zip(r, u)]
+
+
+RADII = np.geomspace(1e-2, 1e2, 32)
+SWAPPED_RADII = RADII.copy()
 SWAPPED_RADII[[10, 11]] = SWAPPED_RADII[[11, 10]]
 
 
-@pytest.mark.parametrize("r,message", [
-    (np.concatenate(([0.0], np.geomspace(1e-2, 1e2, 31))), "radii that are not positive"),
-    (SWAPPED_RADII, "radii that are not strictly increasing"),
-], ids=["zero-radius", "swapped-radii"])
-def test_verify_target_nonpositive_radius(tmp_path, capsys, recwarn, r, message):
+def _with_u(index, value):
+    u = np.ones_like(RADII)
+    u[index] = value
+    return _table(RADII, u)
+
+
+@pytest.mark.parametrize("rows,message", [
+    (_table(np.concatenate(([0.0], np.geomspace(1e-2, 1e2, 31)))), "radii that are not positive"),
+    (_table(SWAPPED_RADII), "radii that are not strictly increasing"),
+    (_table(RADII)[:7] + [f"{RADII[7]:.16e},one"] + _table(RADII)[8:], "not a table of numbers"),
+    (_table(RADII)[:7] + [f"{RADII[7]:.16e},1.0,2.0"] + _table(RADII)[8:],
+     "not a table of numbers"),
+    (_with_u(7, np.inf), "values that are not finite"),
+    (_with_u(7, np.nan), "values that are not finite"),
+], ids=["zero-radius", "swapped-radii", "non-numeric-cell", "ragged-row", "inf-value",
+        "nan-value"])
+def test_verify_target_nonpositive_radius(tmp_path, capsys, recwarn, rows, message):
     cfg = tmp_path / "cfg.json"
     write_config(cfg)
     target = tmp_path / "target.csv"
-    with open(target, "w") as fh:
-        fh.write("r,u\n")
-        for ri in r:
-            fh.write(f"{ri:.16e},{1.0:.16e}\n")
+    target.write_text("r,u\n" + "".join(row + "\n" for row in rows))
     rc = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o"),
                "--target", str(target)])
     err = capsys.readouterr().err
@@ -511,6 +528,25 @@ def test_certify_boundary_divergent(tmp_path):
     assert rc == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["headline"]["verdict"] == "divergent"
+
+
+@pytest.mark.parametrize("levels,code", [(1000, 0), (1001, 1), (1100, 1)])
+def test_certify_boundary_levels_bounded(tmp_path, capsys, levels, code):
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, problem={"N": 3, "phi": {"kind": "power", "alpha": -1},
+                               "f": {"kind": "power", "p": 1},
+                               "K": {"kind": "ball", "radius": 1.0}},
+                 certify={"regime": "boundary", "r0": 1.0, "levels": levels})
+    rc = main(["certify-divergence", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == code
+    if code == 1:
+        assert err.startswith("config error: certify.levels must be an integer <= 1000")
+        assert len(err.strip().splitlines()) == 1
+    else:
+        assert err == ""
+        _, rows = read_csv(tmp_path / "o" / "certificate.csv")
+        assert len(rows) == levels
 
 
 # ---------------------------------------------------------------------------

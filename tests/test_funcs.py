@@ -10,11 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import elliptic_lab as el
-from elliptic_lab.funcs import (
-    phi_values,
-    supersolution_profile,
-    supersolution_values,
-)
+from elliptic_lab.funcs import phi_values, supersolution_profile
 
 
 # ---------------------------------------------------------------------------
@@ -237,14 +233,14 @@ def test_supersolution_power_map():
 
 def test_supersolution_profile_values():
     # from the log-case profile value 1 at r=1: v(1) = sqrt(2)
-    data = supersolution_values(el.PowerPhi(-3.0), el.PowerF(1.0), 3,
-                                inner_lower=1.0, r_min=1.0, nodes=256)
-    assert data.values[0] == pytest.approx(math.sqrt(2.0), rel=1e-8)
+    values = supersolution_profile(el.PowerPhi(-3.0), el.PowerF(1.0), 3,
+                                   inner_lower=1.0, r_min=1.0, nodes=256).values
+    assert values[0] == pytest.approx(math.sqrt(2.0), rel=1e-8)
     # from the 1/2 value for the steeper power: v(1) = 1
-    data2 = supersolution_values(el.PowerPhi(-4.0), el.PowerF(1.0), 3,
-                                 inner_lower=1.0, r_min=1.0, nodes=256)
-    assert data2.values[0] == pytest.approx(1.0, rel=1e-8)
-    assert np.all(np.diff(data.values) < 0)
+    values2 = supersolution_profile(el.PowerPhi(-4.0), el.PowerF(1.0), 3,
+                                    inner_lower=1.0, r_min=1.0, nodes=256).values
+    assert values2[0] == pytest.approx(1.0, rel=1e-8)
+    assert np.all(np.diff(values) < 0)
 
 
 def test_supersolution_residual_sign():

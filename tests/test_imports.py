@@ -1,7 +1,7 @@
 """Import and source contracts: the package modules form a dependency order,
 every function parameter is read, one module holds the Gauss-Legendre rule
 and the radial flux stencil, every name the benchmark's tracer wraps exists, construct solves through one
-call site, and importing the package and the quadrature-only commands load
+call site, the window scan has no mode switches, and importing the package and the quadrature-only commands load
 numpy but no scipy module; scipy submodules are imported on first use."""
 
 from __future__ import annotations
@@ -9,6 +9,7 @@ from __future__ import annotations
 import ast
 import graphlib
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -19,7 +20,8 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded as scipy_solve_banded
 
-from elliptic_lab import bvp1d
+import elliptic_lab
+from elliptic_lab import bvp1d, funcs, quad
 from elliptic_lab.errors import SolverFault
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -209,6 +211,18 @@ def test_every_traced_attribute_exists():
         if not hasattr(obj, attr):
             missing.append(f"{target}.{attr}")
     assert missing == []
+
+
+def test_one_window_scan_and_one_double_integral_path():
+    """The window scan has no mode switches, and the package exports the one
+    supersolution entry point."""
+    assert list(inspect.signature(quad._scan).parameters) == ["g", "windows", "criterion"]
+    assert "supersolution_profile" in elliptic_lab.__dict__
+    for gone in ("_merge_reports", "iterated_tail_value", "_tail_value"):
+        assert not hasattr(quad, gone)
+    for gone in ("supersolution_values", "SupersolutionData"):
+        assert not hasattr(funcs, gone) and not hasattr(elliptic_lab, gone)
+    assert "r_max" not in inspect.signature(funcs.supersolution_profile).parameters
 
 
 def test_construct_solves_at_one_call_site():

@@ -225,12 +225,13 @@ def test_inner_zero_profile_matches_closed_form(r):
 
 def test_inner_zero_supersolution_matches_closed_form():
     # A(r) = 4.5/r - (2.5/1.4) r^-1.4 for r >= 1 and 4(r^-1/2 - 1) + A(1) below
-    data = el.supersolution_values(el.PowerSplitPhi(-2.5, -3.4), el.PowerF(1), 3, 0.0, 0.5,
-                                   nodes=300)
-    r = data.r
+    phi = el.PowerSplitPhi(-2.5, -3.4)
+    prof = el.supersolution_profile(phi, el.PowerF(1), 3, 0.0, 0.5, nodes=300)
+    r = prof.r
+    A = el.quad.iterated_tail_profile(phi, 3, 0.0, r)
     a1 = 4.5 - 2.5 / 1.4
     exact = np.where(r >= 1.0, 4.5 / r - (2.5 / 1.4) * r ** -1.4, 4.0 * (r ** -0.5 - 1.0) + a1)
-    np.testing.assert_allclose(data.A, exact, rtol=1e-10)
+    np.testing.assert_allclose(A, exact, rtol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +262,15 @@ def test_classify_overflow_report_keeps_its_certificate():
     near0 = el.classify_existence(problem).reports[0]
     assert near0.criterion == "shifted-moment-near0" and near0.status == INCONCLUSIVE
     assert near0.certificate is not None and np.all(np.diff(near0.certificate) > 0)
+
+
+def test_full_simple_certificate_is_lifted_by_the_finite_near_zero_value():
+    # int_0^1 s^-0.5 ds = 2 is finite, int_1^inf s^-1 ds diverges: the tail's
+    # partial sums are partial sums of the whole integral, so they start above 2
+    simple, iterated = el.lemma_zero_check(el.PowerSplitPhi(-1.5, -2.0), 3, "full")
+    assert simple.status == INFINITE and iterated.status == INFINITE
+    cert = np.asarray(simple.certificate)
+    assert cert[0] > 2.0 and np.all(np.diff(cert) > 0)
 
 
 def test_inconclusive_right_half_certificate_is_lifted_by_the_left_value():
@@ -392,6 +402,34 @@ def test_boundary_certificate_constant_weight():
 def test_boundary_certificate_levels_guard():
     with pytest.raises(el.DomainError):
         el.divergence_certificate_boundary(el.PowerPhi(-1.0), 1.0, levels=2)
+    # r0 2^-levels would be subnormal: refused before any panel is built
+    with pytest.raises(el.DomainError, match="smallest normal double"):
+        el.divergence_certificate_boundary(el.PowerPhi(-1.0), 1e-10, levels=1000)
+
+
+def _power_moment(alpha, lo, hi, r):
+    """int_lo^hi (rho - r) rho^alpha d rho in closed form."""
+    def F(a, x):  # an antiderivative of x^a
+        return np.log(x) if a == -1.0 else x ** (a + 1.0) / (a + 1.0)
+    return (F(alpha + 1.0, hi) - F(alpha + 1.0, lo)) - r * (F(alpha, hi) - F(alpha, lo))
+
+
+@pytest.mark.parametrize("r0", [0.3, 1.0, 5.0])
+@pytest.mark.parametrize("alpha", [-2.5, -2.0, -1.0, 0.0, 1.0])
+def test_boundary_certificate_matches_power_closed_form(alpha, r0):
+    cert = el.divergence_certificate_boundary(el.PowerPhi(alpha), r0)
+    r = np.asarray(cert.radii)
+    np.testing.assert_array_equal(r, r0 * 2.0 ** -np.arange(1.0, 25.0))
+    np.testing.assert_allclose(cert.values, _power_moment(alpha, r, r0, r), rtol=1e-13, atol=0)
+
+
+def test_boundary_certificate_split_weight_across_its_kink():
+    # rho^-1.5 below 1 and rho^-3 above: the kink at 1 lies inside the window [0.625, 1.25]
+    cert = el.divergence_certificate_boundary(el.PowerSplitPhi(-1.5, -3.0), 5.0)
+    r = np.asarray(cert.radii)
+    exact = np.where(r >= 1.0, _power_moment(-3.0, r, 5.0, r),
+                     _power_moment(-1.5, r, 1.0, r) + _power_moment(-3.0, 1.0, 5.0, r))
+    np.testing.assert_allclose(cert.values, exact, rtol=1e-5, atol=0)
 
 
 def test_tail_monotonicity_probe():
