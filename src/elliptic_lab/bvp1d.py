@@ -4,14 +4,18 @@ singular two-point problems -(r^{N-1} u')' = r^{N-1} w(r) f(u).
 The discretization is the conservative flux form on graded grids: face
 conductances are exact integrals of s^{1-N}, so pure harmonics a + b r^{2-N}
 are reproduced nodally and the operator stays an M-matrix, which is what the
-discrete comparison arguments lean on.  The nonlinearity is handled by a
-shifted monotone fixed-point iteration inside a decreasing regularization
-schedule f(. + eps_k), eps_k -> 0; the converged iterates are nondecreasing as
-eps decreases.
+discrete comparison arguments lean on.  The nonlinearity is regularized as
+f(. + eps_k) along a decade schedule eps_k = 1, 1/10, ... that ends at the
+largest 2^-k below tol_sup / 10; each level is solved by Newton steps (a
+monotone shifted iteration for a general f), and the converged levels are
+nondecreasing as eps decreases.  Problems with positive data need no
+regularization path: started from a discrete subsolution, one level at the
+final eps suffices (SolveConfig.final_level).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
@@ -25,6 +29,9 @@ if TYPE_CHECKING:
     from . import funcs as _funcs
 
 AUDIT_TOL = 1e-8  # slack of the order and residual audits, relative to max(1, scale)
+# a level stops at this relative Newton increment, or at a stall below STALL_TOL
+STEP_TOL = 1e-13
+STALL_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +190,8 @@ class RadialProfile:
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Stopping control for the regularized monotone iteration."""
+    """Where the regularization schedule ends, and the caps on its levels and
+    on the Newton steps of each level."""
 
     tol_sup: float = 1e-8
     max_outer: int = 64
@@ -196,14 +204,30 @@ class SolveConfig:
             raise DomainError("iteration caps must be positive")
 
     def schedule(self) -> tuple[float, ...]:
-        """Regularization levels eps = 1, 1/2, 1/4, ... ending below tol_sup / 10."""
-        eps = []
-        e = 1.0
-        while e >= self.tol_sup / 10.0 and len(eps) < self.max_outer:
-            eps.append(e)
-            e *= 0.5
-        eps.append(e)
-        return tuple(eps)
+        """Regularization levels eps = 1, 1/10, 1/100, ... above the final eps, then it.
+
+        The final eps is the largest 2^-k below tol_sup / 10, with k at most
+        max_outer (2^-30 at the default tol_sup), so the schedule has at most
+        max_outer + 1 entries.  k also stops at 1074, where 2^-k is the
+        smallest positive double (tol_sup / 10 can underflow to zero).
+        """
+        k = 0
+        while k < min(self.max_outer, 1074) and math.ldexp(1.0, -k) >= self.tol_sup / 10.0:
+            k += 1
+        final = math.ldexp(1.0, -k)
+        decades = itertools.takewhile(lambda e: e > final,
+                                      (10.0 ** -j for j in itertools.count()))
+        return (*decades, final)
+
+    def final_level(self) -> "SolveConfig":
+        """The same control with the schedule cut to its final eps: one level."""
+        return _FinalLevel(self.tol_sup, self.max_outer, self.max_picard)
+
+
+@dataclass(frozen=True)
+class _FinalLevel(SolveConfig):
+    def schedule(self) -> tuple[float, ...]:
+        return super().schedule()[-1:]
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +294,16 @@ def solve_on_nodes(
 ) -> np.ndarray:
     """Interior solution values of the flux-form system with Dirichlet data va, vb.
 
-    Each regularization level is solved by the shifted fixed-point iteration
+    Each level eps of config.schedule() is solved by the Newton step
         (L + Lam) u_new = Lam u + V w f(u + eps),   Lam = V w |f'(u + eps)|,
-    which is monotone from the zero subsolution.  Converged levels must be
-    pointwise nondecreasing as eps decreases (checked after every level).
+    from the previous level (from initial, or zero, at the first).  For a
+    convex power f the map u -> L u - V w f(u + eps) is concave and L + Lam is
+    an M-matrix, so from a discrete subsolution the iterates rise
+    monotonically; other f use slope_bound as a monotone shift.  A level stops
+    when max_i |du_i| / max(|u_i|, 1) <= STEP_TOL, or when that relative
+    increment is below STALL_TOL and fails to halve from one step to the next
+    (roundoff).  Converged levels must be pointwise nondecreasing as eps
+    decreases (checked after every level).
     """
     nodes = np.asarray(nodes, dtype=float)
     M = len(nodes)
@@ -296,32 +326,30 @@ def solve_on_nodes(
         raise DomainError("initial iterate must have one value per interior node")
 
     prev_level = None
-    schedule = config.schedule()
-    for eps in schedule:
-        last_inc = np.inf
+    for eps in config.schedule():
+        rel = np.inf
         for _ in range(config.max_picard):
             ueps = u + eps
-            fvals = f(ueps)
             lam = Vw * f.slope_bound(ueps)
-            rhs = Vw * fvals + lam * u
+            rhs = Vw * f(ueps) + lam * u
             rhs[0] += va / c[0]
             rhs[-1] += vb / c[-1]
             unew = solve_banded(off, diag + lam, off, rhs)
-            last_inc = float(np.max(np.abs(unew - u)))
+            step = np.abs(unew - u)
             u = unew
-            scale = max(1.0, float(np.max(u)))
-            if last_inc < max(1e-13 * scale, 3e-13):
+            prev_rel, rel = rel, float(np.max(step / np.maximum(np.abs(u), 1.0)))
+            if rel <= STEP_TOL or STALL_TOL > rel > 0.5 * prev_rel:
                 break
         else:
             raise NonConvergenceError(
-                f"fixed-point iteration cap at eps={eps:g}", last_increment=last_inc
+                f"fixed-point iteration cap at eps={eps:g}", last_increment=float(np.max(step))
             )
         if np.any(u < 0):
             raise SolverFault("iterate went negative")
         if prev_level is not None:
             slack = 1e-12 * max(1.0, float(np.max(u)))
             worst = float(np.min(u - prev_level))
-            if worst < -max(slack, 50.0 * last_inc):
+            if worst < -max(slack, 50.0 * float(np.max(step))):
                 raise SolverFault(
                     f"regularization levels lost monotonicity by {worst:.3e}"
                 )

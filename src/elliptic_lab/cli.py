@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -543,7 +544,11 @@ def cmd_certify_divergence(cfg: SimpleNamespace, out: Path) -> int:
     phi = cfg.problem.phi
     rows: list[list[str]] = []
     if regime == "boundary":
-        cert = _quad.divergence_certificate_boundary(phi, r0, cfg.certify.levels)
+        levels = cfg.certify.levels
+        if math.ldexp(r0, -levels) < sys.float_info.min:
+            raise ConfigError(f"certify.r0 = {r0:g} with certify.levels = {levels}: "
+                              "r0 2^-levels is below the smallest normal double")
+        cert = _quad.divergence_certificate_boundary(phi, r0, levels)
         verdict = "divergent" if cert.divergent else "convergent"
         for k, (rk, val) in enumerate(zip(cert.radii, cert.values)):
             rows.append([str(k), _fmt(rk), _fmt(val)])

@@ -241,8 +241,15 @@ def family_member(
     The data uses the level-matched raw minimal iterate xi_n (same grid), which
     makes a r^{2-N} + b a discrete subsolution and a r^{2-N} + b + xi_n a
     discrete supersolution of the same tridiagonal system; the sandwich then
-    holds at solver tolerance independent of discretization error.  The grids
-    come from xi, so nodes is not read; it is kept for callers that pass it.
+    holds at solver tolerance independent of discretization error.  The data
+    are positive, so each level is one Newton solve at the schedule's final
+    eps (config.final_level()), started from max(a r^{2-N} + b, xi_n): the
+    flux stencil annihilates the harmonic, xi_n solves the zero-data system,
+    and the maximum of two subsolutions is one, so the iterates rise
+    monotonically.  A positive initial_scale starts from that constant
+    instead.  The member (0, 0) is xi's own ladder and solves nothing.  The
+    grids come from xi, so nodes is not read; it is kept for callers that
+    pass it.
     """
     config = config or SolveConfig()
     if a < 0 or b < 0:
@@ -252,6 +259,7 @@ def family_member(
     if problem.f.power_exponent() is None:
         raise UnsupportedCombinationError("family construction requires a power nonlinearity")
 
+    one_level = config.final_level()
     levels: dict[float, RadialProfile] = {}
     low_margin = up_margin = np.inf
     for nv, xi_prof in xi.levels.items():
@@ -260,9 +268,13 @@ def family_member(
         rn = xi_prof.grid.nodes
         lower = a * rn ** (2.0 - problem.N) + b
         upper = lower + xi_prof.values
-        initial = np.full(len(rn) - 2, initial_scale) if initial_scale > 0.0 else None
-        prof = _solve_level(problem, problem.phi, xi_prof.grid, float(upper[0]),
-                            float(upper[-1]), config, initial=initial)
+        if a == 0.0 and b == 0.0:
+            prof = xi_prof
+        else:
+            start = (np.full(len(rn) - 2, initial_scale) if initial_scale > 0.0
+                     else np.maximum(lower, xi_prof.values)[1:-1])
+            prof = _solve_level(problem, problem.phi, xi_prof.grid, float(upper[0]),
+                                float(upper[-1]), one_level, initial=start)
         levels[nv] = prof
         low_margin = min(low_margin, float(np.min(prof.values - lower)))
         up_margin = min(up_margin, float(np.min(upper - prof.values)))

@@ -82,6 +82,22 @@ class PowerSplitPhi(PhiSpec):
         return PowerSplitPhi(alpha=shift - self.beta, beta=shift - self.alpha)
 
 
+def _power_times(r: np.ndarray, alpha: float, factor: np.ndarray,
+                 log_factor: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """r**alpha * factor, evaluated as exp(alpha log r + log_factor(mask)) where
+    r**alpha overflows (log_factor gives log(factor) at r[mask]).  Every value
+    that the plain product gives finite is left as the plain product."""
+    with np.errstate(over="ignore"):
+        power = r ** alpha
+        out = power * factor
+        big = np.isinf(power)
+        if np.any(big):
+            out = np.array(out)
+            out[big] = np.exp(alpha * np.log(r[big]) + log_factor(big))
+            out = out[()]
+    return out
+
+
 @dataclass(frozen=True)
 class PowerLogPhi(PhiSpec):
     """phi(r) = r**alpha * log(1+r)**beta with beta > 0."""
@@ -94,7 +110,9 @@ class PowerLogPhi(PhiSpec):
             raise DomainError("PowerLogPhi requires beta > 0")
 
     def _formula(self, r: np.ndarray) -> np.ndarray:
-        return r ** self.alpha * np.log1p(r) ** self.beta
+        ell = np.log1p(r)
+        return _power_times(r, self.alpha, ell ** self.beta,
+                            lambda m: self.beta * np.log(ell[m]))
 
     def near0_exponent(self) -> float:
         # log(1+r) ~ r as r -> 0, so the log factor contributes a full power.
@@ -125,11 +143,12 @@ class IterLogPhi(PhiSpec):
 
     def _formula(self, r: np.ndarray) -> np.ndarray:
         factors = np.ones_like(r)
-        ell = np.log1p(r)
+        ells = [np.log1p(r)]
         for b in self.betas:
-            factors = factors * ell ** b
-            ell = np.log1p(ell)
-        return r ** self.alpha * factors
+            factors = factors * ells[-1] ** b
+            ells.append(np.log1p(ells[-1]))
+        return _power_times(r, self.alpha, factors,
+                            lambda m: sum(b * np.log(ell[m]) for b, ell in zip(self.betas, ells)))
 
     def near0_exponent(self) -> float:
         return self.alpha + sum(self.betas)

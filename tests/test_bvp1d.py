@@ -54,6 +54,33 @@ def test_solve_config_schedule():
     assert eps[-1] < cfg.tol_sup
 
 
+def _halving_final_eps(tol_sup: float, max_outer: int) -> float:
+    """Last level of the halving schedule eps = 1, 1/2, 1/4, ... that stops below
+    tol_sup / 10 or after max_outer halvings."""
+    e, k = 1.0, 0
+    while e >= tol_sup / 10.0 and k < max_outer:
+        e *= 0.5
+        k += 1
+    return e
+
+
+@settings(max_examples=200, deadline=None)
+@given(tol_sup=st.floats(1e-30, 1e3), max_outer=st.integers(1, 200))
+def test_schedule_steps_by_decades_to_the_halving_final_eps(tol_sup, max_outer):
+    eps = el.SolveConfig(tol_sup=tol_sup, max_outer=max_outer).schedule()
+    assert eps[0] == 1.0
+    assert all(b < a for a, b in zip(eps, eps[1:]))
+    assert eps[:-1] == tuple(10.0 ** -j for j in range(len(eps) - 1))
+    assert eps[-1] == _halving_final_eps(tol_sup, max_outer)
+    assert len(eps) <= max_outer + 1
+
+
+def test_default_schedule_ends_at_two_to_the_minus_30():
+    cfg = el.SolveConfig()
+    assert cfg.schedule() == (*(10.0 ** -j for j in range(10)), 2.0 ** -30)
+    assert cfg.final_level().schedule() == (2.0 ** -30,)
+
+
 # ---------------------------------------------------------------------------
 # solver exactness
 # ---------------------------------------------------------------------------
@@ -172,6 +199,24 @@ def test_uniqueness_surrogate_initial_iterates(closed_form):
     upper = closed_form(grid.nodes[1:-1]) * 2.0
     u1 = solve_on_nodes(grid.nodes, 3, w, el.PowerF(1.0), 0.0, 0.0, cfg, initial=upper)
     assert np.max(np.abs(u1 - u0)) <= 10.0 * cfg.tol_sup * max(1.0, float(np.max(u0)))
+
+
+@pytest.mark.parametrize("N,p,alpha,a,b", [
+    (3, 2.0, -3.05, 0.0, 1.0), (3, 1.0, -3.0, 0.5, 1.0), (5, 1.0, -6.0, 0.5, 0.0),
+])
+def test_one_level_solve_from_a_subsolution(N, p, alpha, a, b):
+    # max(a r^{2-N} + b, xi) is a discrete subsolution of the family system, so
+    # the one-level Newton solve rises from it to the full-schedule solution
+    grid = el.RadialGrid.geometric(1.0 / 16.0, 16.0, 512, N)
+    r = grid.nodes
+    w, f, cfg = (lambda s: s ** alpha), el.PowerF(p), el.SolveConfig()
+    lower = a * r ** (2.0 - N) + b
+    xi = solve_on_nodes(r, N, w, f, 0.0, 0.0, cfg)
+    start = np.maximum(lower[1:-1], xi)
+    one = solve_on_nodes(r, N, w, f, lower[0], lower[-1], cfg.final_level(), initial=start)
+    full = solve_on_nodes(r, N, w, f, lower[0], lower[-1], cfg)
+    assert np.all(one >= start)
+    assert np.max(np.abs(one - full) / full) <= 1e-9
 
 
 def test_nonconvergence_cap():

@@ -151,20 +151,38 @@ def _field_paths(obj, prefix=()):
             yield from _field_paths(val, prefix + (key,))
 
 
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats()
-    | st.sampled_from([1e308, -1e308, 1e400]) | st.text(max_size=8),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
-                                                                 max_size=3),
-    max_leaves=6,
-)
+def _json_values(integers):
+    return st.recursive(
+        st.none() | st.booleans() | integers | st.floats()
+        | st.sampled_from([1e308, -1e308, 1e400]) | st.text(max_size=8),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                                     max_size=3),
+        max_leaves=6,
+    )
 
 
-@pytest.mark.parametrize("command", ["classify", "certify-divergence"])
+JSON_VALUES = _json_values(st.integers())
+# solve and verify allocate arrays of nodes, n_max and samples entries, so their
+# fuzz keeps integers at most 4096
+SMALL_JSON_VALUES = _json_values(st.integers(max_value=4096))
+# FUZZ_BASE around the origin with a small ladder: solve and verify run it
+SOLVE_BASE = {**FUZZ_BASE,
+              "problem": {**FUZZ_BASE["problem"], "K": {"kind": "origin"}},
+              "solve": {**FUZZ_BASE["solve"], "nodes": 128, "n_max": 64}}
+FUZZ_CASES = {"classify": (FUZZ_BASE, JSON_VALUES),
+              "certify-divergence": (FUZZ_BASE, JSON_VALUES),
+              "solve": (SOLVE_BASE, SMALL_JSON_VALUES),
+              "verify": (SOLVE_BASE, SMALL_JSON_VALUES)}
+
+
+@pytest.mark.parametrize("command", list(FUZZ_CASES))
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(path=st.sampled_from(sorted(_field_paths(FUZZ_BASE))), value=JSON_VALUES)
-def test_fuzzed_config_field_keeps_exit_contract(tmp_path, capsys, command, path, value):
-    cfg = json.loads(json.dumps(FUZZ_BASE))
+@given(data=st.data())
+def test_fuzzed_config_field_keeps_exit_contract(tmp_path, capsys, command, data):
+    base, values = FUZZ_CASES[command]
+    path = data.draw(st.sampled_from(sorted(_field_paths(base))), label="path")
+    value = data.draw(values, label="value")
+    cfg = json.loads(json.dumps(base))
     parent = cfg
     for key in path[:-1]:
         parent = parent[key]
@@ -547,6 +565,40 @@ def test_certify_boundary_levels_bounded(tmp_path, capsys, levels, code):
         assert err == ""
         _, rows = read_csv(tmp_path / "o" / "certificate.csv")
         assert len(rows) == levels
+
+
+@pytest.mark.parametrize("r0,levels,code", [(1e-300, 24, 0), (1e-300, 30, 1), (1e-10, 1000, 1)])
+def test_certify_boundary_underflowing_radius_is_a_config_error(tmp_path, capsys, r0, levels,
+                                                               code):
+    # 1e-300 2^-24 = 5.96e-308 is still a normal double; 2^-30 and 2^-1000 take
+    # the deepest radius below the smallest normal double
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, problem={"N": 3, "phi": {"kind": "power", "alpha": -1},
+                               "f": {"kind": "power", "p": 1},
+                               "K": {"kind": "ball", "radius": 1.0}},
+                 certify={"regime": "boundary", "r0": r0, "levels": levels})
+    rc = main(["certify-divergence", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == code
+    if code:
+        assert err.startswith("config error: certify.r0") and "certify.levels" in err
+        assert len(err.strip().splitlines()) == 1
+    else:
+        assert err == ""
+
+
+def test_certify_boundary_power_log_weight_to_the_deepest_level(tmp_path, capsys):
+    # r**-2 overflows near 2^-1000, the weight r**-2 log(1+r) does not
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, problem={"N": 3, "phi": {"kind": "power_log", "alpha": -2, "beta": 1},
+                               "f": {"kind": "power", "p": 1},
+                               "K": {"kind": "ball", "radius": 1.0}},
+                 certify={"regime": "boundary", "r0": 1.0, "levels": 1000})
+    rc = main(["certify-divergence", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    _, rows = read_csv(tmp_path / "o" / "certificate.csv")
+    assert len(rows) == 1000
 
 
 # ---------------------------------------------------------------------------

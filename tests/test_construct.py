@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import elliptic_lab as el
+from elliptic_lab.bvp1d import AUDIT_TOL
 from elliptic_lab.construct import _radial_inequality_residual, _trusted_window
 
 
@@ -154,6 +155,24 @@ def test_family_zero_parameters_consistent(problem_power, minimal64):
                  / minimal64.value.profile(rw))
     assert rel <= 0.01
     assert el.comparison_check(fm.raw_last, minimal64.value.raw_last)
+
+
+def test_family_zero_member_is_the_minimal_ladder(problem_power, minimal64):
+    fm = el.family_member(problem_power, 0.0, 0.0, minimal64.value, n_max=64)
+    assert np.array_equal(fm.profile.values, minimal64.value.profile.values)
+    assert fm.raw_last is minimal64.value.raw_last  # reused, not solved again
+    assert fm.sandwich_lower_margin == 0.0
+    assert fm.sandwich_upper_margin == 0.0
+
+
+def test_family_member_with_positive_data_needs_no_regularization():
+    # with the whole eps schedule on every level this member stopped at the
+    # Newton step cap (eps = 1.9e-6); positive data need only the final eps
+    problem = el.ProblemSpec(3, el.PowerPhi(-3.05), el.PowerF(2.0), el.Origin())
+    xi = el.minimal_solution(problem, n_max=4096, nodes=2048)
+    fm = el.family_member(problem, 0.0, 1.0, xi, n_max=4096)
+    assert fm.sandwich_lower_margin >= -AUDIT_TOL
+    assert fm.sandwich_upper_margin >= -AUDIT_TOL
 
 
 def test_family_below_the_minimal_ladder(problem_power, minimal64):

@@ -33,6 +33,25 @@ def test_power_log_eval():
     assert el.PowerLogPhi(-3.0, 1.0)(1.0) == pytest.approx(math.log(2.0), rel=1e-12)
 
 
+def test_log_weights_evaluate_in_log_space_where_the_power_overflows():
+    # r**-2 overflows at 1e-200, but r**-2 log(1+r) = r**-1 (1 + O(r)) is finite
+    assert el.PowerLogPhi(-2.0, 1.0)(1e-200) == pytest.approx(1e200, rel=1e-12)
+    assert el.IterLogPhi(-2.0, (0.5, 0.5))(1e-200) == pytest.approx(1e200, rel=1e-12)
+
+
+@pytest.mark.parametrize("phi, plain", [
+    (el.PowerLogPhi(-2.5, 0.7), lambda r: r ** -2.5 * np.log1p(r) ** 0.7),
+    (el.IterLogPhi(-3.0, (1.5, 0.5)),
+     lambda r: r ** -3.0 * (np.log1p(r) ** 1.5 * np.log1p(np.log1p(r)) ** 0.5)),
+])
+def test_log_weights_keep_every_finite_plain_value(phi, plain):
+    r = np.geomspace(1e-120, 1e120, 2001)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = plain(r)
+    finite = np.isfinite(ref)
+    assert np.array_equal(phi(r)[finite], ref[finite])
+
+
 def test_iterlog_near0_exponent_matches_evaluation():
     # the iterated-log factors each behave like r near zero, so
     # phi(r) / r^(alpha + sum(betas)) tends to a positive constant
