@@ -10,6 +10,8 @@ quad and bvp1d take the families as callables and do not import this module.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -82,20 +84,23 @@ class PowerSplitPhi(PhiSpec):
         return PowerSplitPhi(alpha=shift - self.beta, beta=shift - self.alpha)
 
 
+_LOG_MAX = math.log(sys.float_info.max)
+
+
 def _power_times(r: np.ndarray, alpha: float, factor: np.ndarray,
                  log_factor: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """r**alpha * factor, evaluated as exp(alpha log r + log_factor(mask)) where
     r**alpha overflows (log_factor gives log(factor) at r[mask]).  Every value
     that the plain product gives finite is left as the plain product."""
-    with np.errstate(over="ignore"):
+    extreme = r.min(initial=1.0) if alpha < 0 else r.max(initial=1.0)
+    if alpha * math.log(extreme) < _LOG_MAX - 1.0:  # no power can overflow
+        return r ** alpha * factor
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 where factor underflows
         power = r ** alpha
-        out = power * factor
+        out = np.array(power * factor)
         big = np.isinf(power)
-        if np.any(big):
-            out = np.array(out)
-            out[big] = np.exp(alpha * np.log(r[big]) + log_factor(big))
-            out = out[()]
-    return out
+        out[big] = np.exp(alpha * np.log(r[big]) + log_factor(big))
+    return out[()]
 
 
 @dataclass(frozen=True)
@@ -209,7 +214,7 @@ class TabulatedPhi(PhiSpec):
 def phi_values(phi: PhiSpec, r: np.ndarray) -> np.ndarray:
     """Vectorized weight evaluation on positive radii; every weight call goes through here."""
     r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
+    if (r <= 0).any():
         raise DomainError("weight evaluation requires r > 0")
     return phi._formula(r)
 

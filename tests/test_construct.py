@@ -167,7 +167,7 @@ def test_family_zero_member_is_the_minimal_ladder(problem_power, minimal64):
 
 def test_family_member_with_positive_data_needs_no_regularization():
     # with the whole eps schedule on every level this member stopped at the
-    # Newton step cap (eps = 1.9e-6); positive data need only the final eps
+    # iteration cap (eps = 1.9e-6); positive data need only the final eps
     problem = el.ProblemSpec(3, el.PowerPhi(-3.05), el.PowerF(2.0), el.Origin())
     xi = el.minimal_solution(problem, n_max=4096, nodes=2048)
     fm = el.family_member(problem, 0.0, 1.0, xi, n_max=4096)
