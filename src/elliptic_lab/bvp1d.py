@@ -330,8 +330,9 @@ def solve_on_nodes(
         rel = np.inf
         for _ in range(config.max_picard):
             ueps = u + eps
+            fvals = f(ueps)
             lam = Vw * f.slope_bound(ueps)
-            rhs = Vw * f(ueps) + lam * u
+            rhs = Vw * fvals + lam * u
             rhs[0] += va / c[0]
             rhs[-1] += vb / c[-1]
             unew = solve_banded(off, diag + lam, off, rhs)
