@@ -87,8 +87,6 @@ class RadialGrid:
             raise DomainError("t_min must lie in (0, 0.25)")
         if count < 16:
             raise DomainError("grid needs at least 16 nodes")
-        from scipy.optimize import brentq
-
         if count % 2 == 0:
             count += 1  # keep the midpoint as an exact node
         xi = np.linspace(0.0, 1.0, count)
@@ -97,7 +95,16 @@ class RadialGrid:
             s = math.tanh(gamma * (xi[1] - 0.5)) / math.tanh(gamma * 0.5)
             return 0.5 * (1.0 + s)
 
-        gamma = brentq(lambda g: first_node(g) - t_min, 1e-2, 80.0, xtol=1e-12)
+        # the first node decreases in gamma: bisect on [1e-2, 80] to 1e-12
+        lo, hi = 1e-2, 80.0
+        if not first_node(hi) < t_min < first_node(lo):
+            raise DomainError(f"t_min = {t_min:g} is out of reach of a {count}-node grid "
+                              f"(first node between {first_node(hi):.3g} and "
+                              f"{first_node(lo):.3g})")
+        while hi - lo > 1e-12:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if first_node(mid) > t_min else (lo, mid)
+        gamma = 0.5 * (lo + hi)
         s = np.tanh(gamma * (xi - 0.5)) / np.tanh(gamma * 0.5)
         nodes = 0.5 * (1.0 + s)
         nodes[0], nodes[-1] = 0.0, 1.0
@@ -108,28 +115,110 @@ class RadialGrid:
         return self.nodes[1:-1]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
+class MonotoneCubic:
+    """Monotone piecewise cubic Hermite interpolant of the knots (x, y), with
+    linear continuation along the end secants beyond the first and last knot.
+
+    The knot slopes are PCHIP's (Fritsch & Carlson 1980), as scipy's
+    PchipInterpolator computes them: zero where the adjacent secants vanish or
+    change sign, else their weighted harmonic mean (Fritsch & Butland 1984);
+    at each end the three-point estimate, set to zero when its sign differs
+    from the end secant's and clamped to 3 times that secant when the first two
+    secants change sign.  Segment k of the coefficient table starts at
+    anchor[k]: k = 0 is the left continuation, 1 .. n-1 are the cubics and n
+    is the right continuation, so evaluation is one searchsorted, gathers and
+    Horner.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    _anchor: np.ndarray = field(init=False, repr=False)
+    _coef: tuple[np.ndarray, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        x = np.asarray(self.x, dtype=float)
+        y = np.asarray(self.y, dtype=float)
+        if x.ndim != 1 or x.shape != y.shape or x.size < 2:
+            raise DomainError("monotone cubic needs two or more knots and one value per knot")
+        if np.any(np.diff(x) <= 0):
+            raise DomainError("knots must be strictly increasing")
+        h = np.diff(x)
+        m = np.diff(y) / h
+        d = _pchip_slopes(h, m)
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        zero = np.zeros(1)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "_anchor", np.concatenate((x[:1], x)))
+        object.__setattr__(self, "_coef", (
+            np.concatenate((zero, t / h, zero)),
+            np.concatenate((zero, (m - d[:-1]) / h - t, zero)),
+            np.concatenate((m[:1], d[:-1], m[-1:])),
+            np.concatenate((y[:1], y[:-1], y[-1:])),
+        ))
+
+    def __call__(self, q):
+        k = np.searchsorted(self.x, q, side="right")
+        s = q - self._anchor[k]
+        c3, c2, c1, c0 = self._coef
+        return ((c3[k] * s + c2[k]) * s + c1[k]) * s + c0[k]
+
+
+def _pchip_slopes(h: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """PCHIP knot slopes from the knot spacings h and the secants m."""
+    if m.size == 1:
+        return np.concatenate((m, m))  # two knots: the line through them
+    d = np.zeros(m.size + 1)
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    flat = np.sign(m[:-1]) * np.sign(m[1:]) <= 0  # a secant vanishes or the sign changes
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # at flat knots
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        d[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
+    d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    return d
+
+
+def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    """The one-sided three-point slope at an end knot, kept shape-preserving."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+@dataclass(frozen=True, eq=False)
 class RadialProfile:
     """Sampled positive profile on a graded grid with monotone cubic interpolation.
 
     Node values at the two ends may be zero (Dirichlet data); interior values
-    are strictly positive.  Evaluation interpolates log-values against log-radius
-    (pchip), with power-law continuation beyond the sampled range.
+    are strictly positive.  Evaluation interpolates log-values against
+    log-radius through the positive nodes (MonotoneCubic, PCHIP slopes), with
+    power-law continuation along the end segments beyond the sampled range.
+    The interpolant is built with the profile, which is not modified after.
     """
 
     grid: RadialGrid
     values: np.ndarray
-    _interp: PchipInterpolator | None = field(default=None, repr=False)
+    _log_interp: MonotoneCubic = field(init=False, repr=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        self.values = values
+        object.__setattr__(self, "values", values)
         if values.shape != self.grid.nodes.shape:
             raise DomainError("values must match grid nodes")
         if np.any(values[1:-1] <= 0):
             raise SolverFault("interior profile values must be positive")
         if np.any(values < 0):
             raise SolverFault("profile values must be nonnegative")
+        r = self.grid.nodes
+        keep = (values > 0) & (r > 0)
+        object.__setattr__(self, "_log_interp",
+                           MonotoneCubic(np.log(r[keep]), np.log(values[keep])))
 
     @property
     def r(self) -> np.ndarray:
@@ -143,46 +232,12 @@ class RadialProfile:
     def r_max(self) -> float:
         return float(self.grid.nodes[-1])
 
-    def _positive_view(self) -> tuple[np.ndarray, np.ndarray]:
-        mask = self.values > 0
-        return self.grid.nodes[mask], self.values[mask]
-
-    def _build(self) -> PchipInterpolator:
-        if self._interp is None:
-            from scipy.interpolate import PchipInterpolator
-
-            r, v = self._positive_view()
-            if r[0] <= 0:
-                r = r[1:]
-                v = v[1:]
-            self._interp = PchipInterpolator(np.log(r), np.log(v), extrapolate=False)
-        return self._interp
-
     def __call__(self, r) -> np.ndarray:
-        interp = self._build()
         r = np.asarray(r, dtype=float)
-        scalar = r.ndim == 0
-        rr = np.atleast_1d(r)
-        if np.any(rr <= 0):
+        if np.any(r <= 0):
             raise DomainError("profiles are evaluated at positive radii")
-        x = np.log(rr)
-        lo, hi = interp.x[0], interp.x[-1]
-        out = np.empty_like(rr)
-        inside = (x >= lo) & (x <= hi)
-        out[inside] = np.exp(interp(x[inside]))
-        if np.any(~inside):
-            # one-sided power-law continuation from the end segments
-            xl = interp.x[:2]
-            yl = interp(xl)
-            sl = (yl[1] - yl[0]) / (xl[1] - xl[0])
-            xr = interp.x[-2:]
-            yr = interp(xr)
-            sr = (yr[1] - yr[0]) / (xr[1] - xr[0])
-            left = x < lo
-            right = x > hi
-            out[left] = np.exp(yl[0] + sl * (x[left] - lo))
-            out[right] = np.exp(yr[1] + sr * (x[right] - hi))
-        return float(out[0]) if scalar else out
+        out = np.exp(self._log_interp(np.log(r)))
+        return float(out) if r.ndim == 0 else out
 
     def to_csv_rows(self) -> list[list[str]]:
         return [[f"{r:.16e}", f"{u:.16e}"] for r, u in zip(self.grid.nodes, self.values)]

@@ -183,9 +183,9 @@ CONFIG = _record({
         "tol_sup": (_number(above=0.0), 1e-8),
         "max_outer": (_integer(1), 64),
         "max_picard": (_integer(1), 600),
-        "nodes": (_integer(32), 2048),    # the residual audit's minimum
+        "nodes": (_integer(32, 2 ** 20), 2048),    # the residual audit's minimum
         "which": (_one_of(SOLVE_TARGETS), "minimal"),
-        "n_max": (_integer(4), 64),
+        "n_max": (_integer(4, 2 ** 16), 64),    # 16 doubling levels at most
         "a": (_number(minimum=0.0), 0.0),
         "b": (_number(minimum=0.0), 0.0),
         "t_min": (_number(above=0.0, below=0.25), 1e-7),
@@ -196,7 +196,7 @@ CONFIG = _record({
         "mode": (_one_of(("equality", "inequality")), "inequality"),
         "tol": (_number(), None),
         "r1": (_number(above=0.0), None),
-        "samples": (_integer(1), 10_000),
+        "samples": (_integer(1, 10 ** 6), 10_000),
         "h": (_number(above=0.0), 0.01),
     }), {}),
     "certify": (_record({

@@ -25,7 +25,8 @@ from .errors import (
 )
 from ._extrapolate import aitken_limit_rows
 from .bvp1d import RadialGrid, RadialProfile, SolveConfig, neg_laplacian, solve_on_nodes
-from .problem import Ball, Origin, ProblemSpec, check_centers, nearest_center_distance
+from .problem import (Ball, Origin, ProblemSpec, center_distance, check_centers,
+                      nearest_center_distance)
 from . import quad as _quad
 
 # extrapolation ladder refinement: steps of 2^(1/3) below the final annulus
@@ -486,7 +487,7 @@ class SuperpositionField:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         total = np.zeros(x.shape[0])
         for a in self.centers:
-            total += np.asarray(self.U(np.linalg.norm(x - a[None, :], axis=1)))
+            total += np.asarray(self.U(center_distance(x, a)))
         return total
 
 

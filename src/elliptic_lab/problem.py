@@ -19,12 +19,20 @@ def check_centers(centers: np.ndarray) -> None:
                 raise DomainError("centers must be pairwise distinct")
 
 
+def center_distance(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Distance from each row of x to the point a: the sum of squares that
+    np.linalg.norm(x - a, axis=1) reduces, without its copies."""
+    s = x - a
+    s *= s
+    return np.sqrt(s.sum(axis=1))
+
+
 def nearest_center_distance(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Distance from each row of x to the nearest row of centers."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     d = np.full(x.shape[0], np.inf)
     for a in centers:
-        d = np.minimum(d, np.linalg.norm(x - a[None, :], axis=1))
+        d = np.minimum(d, center_distance(x, a))
     return d
 
 

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 import elliptic_lab as el
-from elliptic_lab.bvp1d import neg_laplacian, solve_on_nodes
+from elliptic_lab.bvp1d import MonotoneCubic, neg_laplacian, solve_on_nodes
 
 
 ONES = el.GeneralDecreasingF(lambda t: np.ones_like(np.asarray(t, dtype=float)))
@@ -44,6 +47,153 @@ def test_profile_rejects_nonpositive_interior():
     vals[5] = 0.0
     with pytest.raises(el.SolverFault):
         el.RadialProfile(grid=grid, values=vals)
+
+
+EPS = np.finfo(float).eps
+TINY = np.finfo(float).tiny
+
+
+@st.composite
+def knot_data(draw):
+    """Strictly increasing knots (2 to 400) with monotone, sign-changing or
+    piecewise flat values."""
+    n = draw(st.integers(2, 400))
+    gaps = draw(st.lists(st.floats(1e-3, 10.0), min_size=n - 1, max_size=n - 1))
+    x = draw(st.floats(-50.0, 50.0)) + np.concatenate(([0.0], np.cumsum(gaps)))
+    steps = st.one_of(st.just(0.0), st.floats(0.0, 100.0))
+    kind = draw(st.sampled_from(["monotone", "signed", "flat runs"]))
+    if kind == "monotone":
+        rises = draw(st.lists(steps, min_size=n - 1, max_size=n - 1))
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        y = sign * np.concatenate(([0.0], np.cumsum(rises)))
+    elif kind == "signed":
+        y = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+    else:
+        levels = draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=8))
+        y = np.array(levels)[np.arange(n) * len(levels) // n]
+    return kind, x, y
+
+
+def _queries(x: np.ndarray, fractions) -> np.ndarray:
+    """The knots, their nextafter neighbours inside [x0, xn], and points at the
+    given fractions of every segment."""
+    h = np.diff(x)
+    inside = [x[:-1] + u * h for u in fractions]
+    return np.sort(np.concatenate([x, np.nextafter(x[1:], -np.inf),
+                                   np.nextafter(x[:-1], np.inf), *inside]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(knot_data(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+def test_monotone_cubic_matches_scipy_pchip(data, fractions):
+    kind, x, y = data
+    q = _queries(x, fractions)
+    ours = MonotoneCubic(x, y)(q)
+    with np.errstate(over="ignore"):  # scipy's slopes at flat knots
+        ref = PchipInterpolator(x, y)(q)
+    # a few ulps of the segment's data, which bound the cubic's terms, or less
+    # than the smallest normal double (the data may be subnormal)
+    k = np.clip(np.searchsorted(x, q, side="right") - 1, 0, len(x) - 2)
+    scale = np.maximum(np.abs(y[k]), np.abs(y[k + 1]))
+    assert np.all(np.abs(ours - ref) <= 8 * EPS * scale + TINY)
+    assert np.array_equal(MonotoneCubic(x, y)(x), y)  # the knots are reproduced exactly
+    if kind == "monotone":
+        # monotone data give monotone values, continuation included
+        span = x[-1] - x[0]
+        dense = np.sort(np.concatenate([q, x[0] - span * np.linspace(0.01, 1, 5),
+                                        x[-1] + span * np.linspace(0.01, 1, 5)]))
+        v = MonotoneCubic(x, y)(dense) * np.sign(y[-1] - y[0] or 1.0)
+        assert np.all(np.diff(v) >= -4 * EPS * np.max(np.abs(y)))
+
+
+def _old_profile_values(prof: el.RadialProfile, r: np.ndarray) -> np.ndarray:
+    """The profile evaluation before the numpy interpolant: scipy's pchip of
+    log-values against log-radius, continued along the end secants."""
+    keep = (prof.values > 0) & (prof.grid.nodes > 0)
+    interp = PchipInterpolator(np.log(prof.grid.nodes[keep]), np.log(prof.values[keep]),
+                               extrapolate=False)
+    x = np.log(r)
+    lo, hi = interp.x[0], interp.x[-1]
+    yl, yr = interp(interp.x[:2]), interp(interp.x[-2:])
+    sl = (yl[1] - yl[0]) / (interp.x[1] - interp.x[0])
+    sr = (yr[1] - yr[0]) / (interp.x[-1] - interp.x[-2])
+    left, right = x < lo, x > hi
+    inside = ~(left | right)
+    out = np.empty_like(x)
+    out[inside] = np.exp(interp(x[inside]))
+    out[left] = np.exp(yl[0] + sl * (x[left] - lo))
+    out[right] = np.exp(yr[1] + sr * (x[right] - hi))
+    return out
+
+
+@pytest.mark.parametrize("grid, values", [
+    (el.RadialGrid.geometric(0.5, 8.0, 40, 3), lambda r: 2.0 / np.sqrt(r) + 0.5 * np.sin(r)),
+    (el.RadialGrid.two_sided_unit(1e-5, 64), lambda t: np.sqrt(t * (1 - t))),
+    (el.RadialGrid.boundary_layer(1.0, 1e-6, 10.0, 64, 4), lambda r: (r - 1.0) ** 0.3 + 1e-3 / r),
+])
+def test_profile_matches_the_scipy_evaluation(grid, values):
+    """Inside the knots and along both power-law continuations."""
+    prof = el.RadialProfile(grid=grid, values=values(grid.nodes))
+    r = grid.nodes[grid.nodes > 0]
+    lo, hi = r[0], r[-1]
+    mids = np.sqrt(r[:-1] * r[1:])
+    outside = np.concatenate([lo * np.geomspace(1e-6, 0.999, 9), hi * np.geomspace(1.001, 1e6, 9)])
+    for points in (r, mids, outside):
+        old = _old_profile_values(prof, points)
+        assert np.allclose(prof(points), old, rtol=1e-13, atol=0.0)
+    assert isinstance(prof(float(mids[3])), float)
+
+
+def _old_two_sided_unit(t_min: float, count: int) -> np.ndarray:
+    """The tanh-graded nodes with the grading found by brentq, as before."""
+    if count % 2 == 0:
+        count += 1
+    xi = np.linspace(0.0, 1.0, count)
+
+    def first_node(gamma: float) -> float:
+        return 0.5 * (1.0 + math.tanh(gamma * (xi[1] - 0.5)) / math.tanh(gamma * 0.5))
+
+    gamma = brentq(lambda g: first_node(g) - t_min, 1e-2, 80.0, xtol=1e-12)
+    nodes = 0.5 * (1.0 + np.tanh(gamma * (xi - 0.5)) / np.tanh(gamma * 0.5))
+    nodes[0], nodes[-1] = 0.0, 1.0
+    return nodes
+
+
+@pytest.mark.parametrize("t_min", [1e-3, 1e-5, 1e-7, 1e-9])
+@pytest.mark.parametrize("count", [17, 101, 512, 4096])
+def test_two_sided_unit_bisection_matches_brentq(t_min, count):
+    if t_min > 1.0 / count:
+        with pytest.raises(el.DomainError, match="t_min"):
+            el.RadialGrid.two_sided_unit(t_min, count)
+        return
+    nodes = el.RadialGrid.two_sided_unit(t_min, count).nodes
+    old = _old_two_sided_unit(t_min, count)
+    # The first-node map is computed as 0.5 (1 + s) with s near -1, so it is a
+    # staircase of steps eps / 2, flat over gamma intervals of relative width
+    # about eps / t_min; the two root finders may stop anywhere on that step.
+    assert np.allclose(nodes, old, rtol=EPS / t_min, atol=1e-12)
+    assert nodes[1] == pytest.approx(t_min, rel=EPS / t_min + 1e-12)
+
+
+def test_two_sided_unit_unreachable_first_node_is_a_domain_error():
+    # the first node of 65 nodes cannot exceed 1/64, the uniform grid's
+    with pytest.raises(el.DomainError, match="t_min = 0.2 is out of reach"):
+        el.RadialGrid.two_sided_unit(0.2, 64)
+
+
+def test_profile_is_immutable_and_has_no_cache():
+    grid = el.RadialGrid.geometric(0.5, 8.0, 32, 3)
+    prof = el.RadialProfile(grid=grid, values=2.0 / np.sqrt(grid.nodes))
+    r = np.geomspace(0.1, 20.0, 57)
+    state = dict(vars(prof))
+    first = prof(r)
+    assert {k: id(v) for k, v in vars(prof).items()} == {k: id(v) for k, v in state.items()}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        prof.values = prof.values * 2.0
+    for copy in (dataclasses.replace(prof), pickle.loads(pickle.dumps(prof))):
+        assert np.array_equal(copy(r), first)
+    doubled = dataclasses.replace(prof, values=2.0 * prof.values)
+    assert np.allclose(doubled(r), 2.0 * first, rtol=1e-14, atol=0.0)
 
 
 def test_solve_config_schedule():

@@ -196,6 +196,24 @@ def test_fuzzed_config_field_keeps_exit_contract(tmp_path, capsys, command, data
         assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("command, key, value, maximum", [
+    ("solve", "solve.nodes", 2 ** 20 + 1, 2 ** 20),
+    ("solve", "solve.nodes", 10 ** 12, 2 ** 20),
+    ("solve", "solve.n_max", 2 ** 16 + 1, 2 ** 16),
+    ("verify", "verify.samples", 10 ** 6 + 1, 10 ** 6),
+])
+def test_oversized_config_integer_is_a_config_error(tmp_path, capsys, command, key, value,
+                                                    maximum):
+    """Sizes that would allocate the arrays are refused before any solve."""
+    section, field = key.split(".")
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, **{section: {field: value}})
+    rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.strip() == f"config error: {key} must be an integer <= {maximum}"
+
+
 def test_config_not_json(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{not json")
@@ -237,6 +255,20 @@ def test_solve_gauge_profile(tmp_path):
     assert (out / "profile.svg").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["headline"]["H_mid"] == pytest.approx(0.125, abs=1e-9)
+
+
+def test_solve_gauge_unreachable_t_min_is_one_line(tmp_path, capsys):
+    """A first gauge node above the uniform grid's cannot be graded to."""
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, problem={"N": 3, "phi": {"kind": "power", "alpha": 0},
+                               "f": {"kind": "constant", "value": 1.0},
+                               "K": {"kind": "ball", "radius": 1.0}},
+                 solve={"which": "h", "nodes": 64, "t_min": 0.2})
+    rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "t_min = 0.2 is out of reach of a 65-node grid" in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
 def test_solve_minimal_headline(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 import elliptic_lab as el
 from elliptic_lab.bvp1d import AUDIT_TOL
 from elliptic_lab.construct import _radial_inequality_residual, _trusted_window
+from elliptic_lab.problem import center_distance
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +306,14 @@ def test_glue_needs_overlap(problem_power, closed_form):
 # ---------------------------------------------------------------------------
 # superposition
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
+def test_center_distance_is_the_norm_bit_for_bit(N):
+    rng = np.random.default_rng(N)
+    x = rng.normal(size=(1000, N)) * 10.0 ** rng.uniform(-3, 3, size=(1000, 1))
+    a = rng.normal(size=N)
+    assert np.array_equal(center_distance(x, a), np.linalg.norm(x - a[None, :], axis=1))
+
 
 def test_superposition_single_center_identity(glued_split):
     U = glued_split.value

@@ -2,7 +2,7 @@
 every function parameter is read, one module holds the Gauss-Legendre rule
 and the radial flux stencil, every name the benchmark's tracer wraps exists, construct solves through one
 call site, the window scan has no mode switches, and importing the package and the quadrature-only commands load
-numpy but no scipy module; scipy submodules are imported on first use."""
+numpy but no scipy module; scipy submodules are imported on first use, and solve and verify load only scipy.linalg."""
 
 from __future__ import annotations
 
@@ -141,6 +141,41 @@ def test_classify_loads_no_scipy(tmp_path):
 def test_certify_divergence_loads_no_scipy(tmp_path):
     code = cli_probe(tmp_path, "certify-divergence", BOUNDARY_POWER)
     assert scipy_modules_after(code) == []
+
+
+SCIPY_HELPERS = {"scipy", "scipy.version"}  # the package's own set-up modules
+
+
+def scipy_subpackages(modules: list[str]) -> set[str]:
+    """The public scipy subpackages among the loaded modules, e.g. ``scipy.linalg``."""
+    return {".".join(m.split(".")[:2]) for m in modules
+            if m not in SCIPY_HELPERS and not m.split(".")[1].startswith("_")}
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_solve_and_verify_load_scipy_only_for_lapack(tmp_path, command):
+    """Profiles interpolate with numpy: a cold lab solve or lab verify on the
+    minimal construction loads scipy.linalg and no other scipy subpackage."""
+    modules = scipy_modules_after(cli_probe(tmp_path, command, {"problem": SPLIT_CUBIC}))
+    assert not [m for m in modules if m.startswith(("scipy.interpolate", "scipy.optimize"))]
+    assert scipy_subpackages(modules) == {"scipy.linalg"}
+
+
+def test_gauge_grid_loads_no_scipy():
+    code = "from elliptic_lab.bvp1d import RadialGrid\nRadialGrid.two_sided_unit(1e-3, 101)"
+    assert scipy_modules_after(code) == []
+
+
+def test_package_imports_scipy_only_for_lapack_and_the_halton_sampler():
+    imported = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+    assert {m for m in imported if m.split(".")[0] == "scipy"} == {
+        "scipy.linalg.lapack", "scipy.stats"}
 
 
 def test_solve_banded_matches_scipy_exactly():
