@@ -282,11 +282,13 @@ def residual_field(
     hloc = np.minimum(h, margin / 4.0)
     v0 = V(pts)
     lap = np.zeros(len(pts))
+    shifted = pts.copy()
     for j in range(N):
-        e = np.zeros(N)
-        e[j] = 1.0
-        vp = V(pts + hloc[:, None] * e[None, :])
-        vm = V(pts - hloc[:, None] * e[None, :])
+        shifted[:, j] = pts[:, j] + hloc
+        vp = V(shifted)
+        shifted[:, j] = pts[:, j] - hloc
+        vm = V(shifted)
+        shifted[:, j] = pts[:, j]
         lap += (vp - 2.0 * v0 + vm) / hloc ** 2
     residual = problem.residual(-lap, problem.delta_points(pts), v0)
     return _report(residual, float(np.max(hloc)), skipped=skipped,

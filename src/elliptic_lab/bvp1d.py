@@ -127,39 +127,89 @@ class MonotoneCubic:
     from the end secant's and clamped to 3 times that secant when the first two
     secants change sign.  Segment k of the coefficient table starts at
     anchor[k]: k = 0 is the left continuation, 1 .. n-1 are the cubics and n
-    is the right continuation, so evaluation is one searchsorted, gathers and
-    Horner.
+    is the right continuation, so evaluation is a lookup, gathers and Horner.
+
+    The lookup returns searchsorted(x, q, side="right") through a guide table
+    (Chen & Asau 1974): n equal buckets over [x[0], x[-1]], the index of the
+    first knot of each bucket, and a fixed number of branch-free bisection
+    steps within one bucket, one step when no bucket holds two knots (grids
+    uniform in the variable, such as geometric grids in log r).  The bucket
+    map is a chain of monotone rounded operations, so knots in lower buckets
+    lie below q and knots in higher buckets above it, and the lookup is exact
+    for every double q, NaN (sorted last) and the infinities included.
     """
 
     x: np.ndarray
     y: np.ndarray
     _anchor: np.ndarray = field(init=False, repr=False)
     _coef: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    _scale: float = field(init=False, repr=False)
+    _first: np.ndarray = field(init=False, repr=False)
+    _steps: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
         y = np.asarray(self.y, dtype=float)
         if x.ndim != 1 or x.shape != y.shape or x.size < 2:
             raise DomainError("monotone cubic needs two or more knots and one value per knot")
-        if np.any(np.diff(x) <= 0):
-            raise DomainError("knots must be strictly increasing")
         h = np.diff(x)
+        if np.any(h <= 0):
+            raise DomainError("knots must be strictly increasing")
+        span = float(x[-1] - x[0])
+        if not math.isfinite(span):
+            raise DomainError("knots must span a finite interval")
         m = np.diff(y) / h
         d = _pchip_slopes(h, m)
         t = (d[:-1] + d[1:] - 2 * m) / h
         zero = np.zeros(1)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "_anchor", np.concatenate((x[:1], x)))
         object.__setattr__(self, "_coef", (
             np.concatenate((zero, t / h, zero)),
             np.concatenate((zero, (m - d[:-1]) / h - t, zero)),
             np.concatenate((m[:1], d[:-1], m[-1:])),
             np.concatenate((y[:1], y[:-1], y[-1:])),
         ))
+        # the guide table: first[b] counts the knots in buckets below b
+        object.__setattr__(self, "_scale", x.size / span)
+        per_bucket = np.bincount(self._bucket(x), minlength=x.size)
+        first = np.zeros(x.size + 1, dtype=np.intp)
+        np.cumsum(per_bucket, out=first[1:])
+        steps = int(per_bucket.max()).bit_length()
+        object.__setattr__(self, "_first", first)
+        object.__setattr__(self, "_steps", tuple(1 << j for j in reversed(range(steps))))
+        # +inf past the right continuation's anchor stops every step of a finite q
+        object.__setattr__(self, "_anchor",
+                           np.concatenate((x[:1], x, np.full(1 << steps, np.inf))))
+
+    def _bucket(self, q: np.ndarray) -> np.ndarray:
+        """clip(floor((q - x[0]) * scale), 0, n - 1), with NaN in the last bucket,
+        for q of one or more dimensions."""
+        t = q - self.x[0]
+        t *= self._scale
+        np.fmin(t, self.x.size - 1, out=t)
+        np.fmax(t, 0.0, out=t)
+        return t.astype(np.intp)
+
+    def index(self, q) -> np.ndarray:
+        """searchsorted(x, q, side="right"), the segment of q, for q of any shape.
+
+        From the first knot of q's bucket, each step moves k on to segment
+        k + step unless q lies below where that segment starts.  The knots of
+        higher buckets and the +inf padding stop every finite q; the final
+        clamp stops +inf and NaN at len(x).
+        """
+        q = np.asarray(q, dtype=float)
+        if q.ndim == 0:
+            return self.index(q.reshape(1))[0]
+        k = self._first[self._bucket(q)]
+        for step in self._steps:
+            k += step * ~(q < self._anchor[step:][k])
+        return np.minimum(k, self.x.size, out=k)
 
     def __call__(self, q):
-        k = np.searchsorted(self.x, q, side="right")
+        q = np.asarray(q, dtype=float)
+        k = self.index(q)
         s = q - self._anchor[k]
         c3, c2, c1, c0 = self._coef
         return ((c3[k] * s + c2[k]) * s + c1[k]) * s + c0[k]
@@ -172,7 +222,8 @@ def _pchip_slopes(h: np.ndarray, m: np.ndarray) -> np.ndarray:
     d = np.zeros(m.size + 1)
     w1 = 2 * h[1:] + h[:-1]
     w2 = h[1:] + 2 * h[:-1]
-    flat = np.sign(m[:-1]) * np.sign(m[1:]) <= 0  # a secant vanishes or the sign changes
+    sign = np.sign(m)
+    flat = sign[:-1] * sign[1:] <= 0  # a secant vanishes or the sign changes
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # at flat knots
         whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
         d[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
@@ -211,14 +262,16 @@ class RadialProfile:
         object.__setattr__(self, "values", values)
         if values.shape != self.grid.nodes.shape:
             raise DomainError("values must match grid nodes")
-        if np.any(values[1:-1] <= 0):
+        if not values[1:-1].min() > 0:
             raise SolverFault("interior profile values must be positive")
-        if np.any(values < 0):
+        if values[0] < 0 or values[-1] < 0:
             raise SolverFault("profile values must be nonnegative")
+        # interior nodes and values are positive, so the knots are one slice
         r = self.grid.nodes
-        keep = (values > 0) & (r > 0)
+        lo = 0 if values[0] > 0 and r[0] > 0 else 1
+        hi = r.size if values[-1] > 0 else r.size - 1
         object.__setattr__(self, "_log_interp",
-                           MonotoneCubic(np.log(r[keep]), np.log(values[keep])))
+                           MonotoneCubic(np.log(r[lo:hi]), np.log(values[lo:hi])))
 
     @property
     def r(self) -> np.ndarray:

@@ -348,6 +348,11 @@ def cmd_solve(cfg: SimpleNamespace, out: Path, svg: bool, which: str | None = No
     asym = None
 
     if which == "h":
+        try:  # the reachable first node depends on both keys
+            _bvp1d.RadialGrid.two_sided_unit(cfg.solve.t_min, cfg.solve.nodes)
+        except DomainError as exc:
+            raise ConfigError(f"solve.t_min = {cfg.solve.t_min:g} with solve.nodes = "
+                              f"{cfg.solve.nodes}: {exc}") from exc
         profile = _bvp1d.solve_H(cfg.problem.phi, cfg.problem.f, cfg.solve.config,
                                  nodes=cfg.solve.nodes, t_min=cfg.solve.t_min)
         headline["H_mid"] = float(profile(0.5))

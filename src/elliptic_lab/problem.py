@@ -14,17 +14,25 @@ def check_centers(centers: np.ndarray) -> None:
     if centers.size == 0:  # also catches atleast_2d([]), shape (1, 0)
         raise DomainError("at least one center is required")
     for i in range(len(centers)):
-        for j in range(i + 1, len(centers)):
-            if np.linalg.norm(centers[i] - centers[j]) == 0.0:
-                raise DomainError("centers must be pairwise distinct")
+        if np.any(center_distance(centers[i + 1:], centers[i]) == 0.0):
+            raise DomainError("centers must be pairwise distinct")
 
 
 def center_distance(x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Distance from each row of x to the point a: the sum of squares that
-    np.linalg.norm(x - a, axis=1) reduces, without its copies."""
-    s = x - a
-    s *= s
-    return np.sqrt(s.sum(axis=1))
+    """Distance from each row of x to the point a.
+
+    The squares are summed column by column from the left,
+    ((x_0 - a_0)^2 + (x_1 - a_1)^2) + ..., which is the order of
+    np.linalg.norm(x - a, axis=1) for rows of up to 7 entries (numpy sums
+    longer rows pairwise, so from 8 columns on the last bits may differ).
+    """
+    d = x[:, 0] - a[0]
+    d *= d
+    for j in range(1, x.shape[1]):
+        s = x[:, j] - a[j]
+        s *= s
+        d += s
+    return np.sqrt(d, out=d)
 
 
 def nearest_center_distance(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -32,7 +40,7 @@ def nearest_center_distance(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=float))
     d = np.full(x.shape[0], np.inf)
     for a in centers:
-        d = np.minimum(d, center_distance(x, a))
+        np.minimum(d, center_distance(x, a), out=d)
     return d
 
 
@@ -105,7 +113,7 @@ class ProblemSpec:
         """delta_K at arbitrary points (rows of x) for a point-set K or the origin."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if isinstance(self.K, Origin):
-            return np.linalg.norm(x, axis=1)
+            return center_distance(x, np.zeros(self.N))
         if isinstance(self.K, PointSet):
             return nearest_center_distance(x, self.K.as_array())
         raise DomainError("delta_points supports Origin and PointSet")

@@ -49,6 +49,15 @@ def test_profile_rejects_nonpositive_interior():
         el.RadialProfile(grid=grid, values=vals)
 
 
+@pytest.mark.parametrize("bad", [-1.0, np.nan])
+def test_profile_rejects_negative_or_nan_interior(bad):
+    grid = el.RadialGrid.geometric(0.5, 8.0, 32, 3)
+    vals = np.ones(32)
+    vals[5] = bad
+    with pytest.raises(el.SolverFault):
+        el.RadialProfile(grid=grid, values=vals)
+
+
 EPS = np.finfo(float).eps
 TINY = np.finfo(float).tiny
 
@@ -104,6 +113,90 @@ def test_monotone_cubic_matches_scipy_pchip(data, fractions):
                                         x[-1] + span * np.linspace(0.01, 1, 5)]))
         v = MonotoneCubic(x, y)(dense) * np.sign(y[-1] - y[0] or 1.0)
         assert np.all(np.diff(v) >= -4 * EPS * np.max(np.abs(y)))
+
+
+SUBNORMAL = np.nextafter(0.0, 1.0)
+
+
+@st.composite
+def lookup_knots(draw):
+    """Strictly increasing knots (2 to 3000): the log-radii of geometric and
+    boundary-layer grids, the unit gauge grid, random gaps over many scales,
+    and knots a few subnormals apart."""
+    kind = draw(st.sampled_from(["geometric", "boundary layer", "two-sided", "random", "subnormal"]))
+    if kind == "geometric":
+        n = draw(st.integers(16, 3000))
+        lo = draw(st.floats(1e-6, 1.0))
+        return np.log(el.RadialGrid.geometric(lo, lo * draw(st.floats(1.5, 1e8)), n, 3).nodes)
+    if kind == "boundary layer":
+        n = draw(st.integers(16, 3000))
+        grid = el.RadialGrid.boundary_layer(draw(st.floats(0.1, 10.0)), draw(st.floats(1e-9, 1e-3)),
+                                            draw(st.floats(1.0, 100.0)), n, 3)
+        return np.log(grid.nodes)
+    if kind == "two-sided":
+        n = draw(st.integers(16, 3000))
+        return el.RadialGrid.two_sided_unit(draw(st.floats(1e-9, 0.5 / n)), n).nodes
+    n = draw(st.integers(2, 3000))
+    if kind == "subnormal":
+        gaps = draw(st.lists(st.integers(1, 5), min_size=n - 1, max_size=n - 1))
+        return SUBNORMAL * (draw(st.integers(-50, 50)) + np.concatenate(([0], np.cumsum(gaps))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    gaps = 10.0 ** rng.uniform(-9, 2, n - 1)
+    return draw(st.floats(-1e3, 1e3)) + np.concatenate(([0.0], np.cumsum(gaps)))
+
+
+def _lookup_queries(x: np.ndarray) -> np.ndarray:
+    """The knots, their nextafter neighbours, midpoints, points far outside,
+    the infinities, NaN, the signed zeros and subnormals."""
+    span = x[-1] - x[0]
+    edge = [-np.inf, np.inf, np.nan, 0.0, -0.0, SUBNORMAL, -SUBNORMAL, TINY, -TINY,
+            -1e308, 1e308, x[0] - span, x[-1] + span, x[0] - 1e6, x[-1] + 1e6]
+    return np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
+                           0.5 * (x[:-1] + x[1:]), edge])
+
+
+@settings(max_examples=80, deadline=None)
+@given(lookup_knots(), st.sampled_from(["increasing", "random"]))
+def test_monotone_cubic_lookup_is_searchsorted(x, values):
+    """The guide-table lookup is searchsorted(side="right") for every double,
+    and evaluation is the Horner formula of the segment it finds, bit for bit."""
+    y = np.arange(x.size, dtype=float) if values == "increasing" else \
+        np.random.default_rng(x.size).normal(size=x.size)
+    q = _lookup_queries(x)
+    # knots a few subnormals apart overflow the slopes and the bucket scale, and
+    # far queries overflow (q - x0) * scale; the lookup stays exact
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        mc = MonotoneCubic(x, y)
+        k = np.searchsorted(x, q, side="right")
+        assert np.array_equal(mc.index(q), k)
+        assert all(mc.index(v) == kv for v, kv in zip(q[-15:], k[-15:]))  # 0-d queries
+        s = q - mc._anchor[k]
+        c3, c2, c1, c0 = mc._coef
+        assert np.array_equal(mc(q), ((c3[k] * s + c2[k]) * s + c1[k]) * s + c0[k],
+                              equal_nan=True)
+
+
+@pytest.mark.parametrize("x, message", [
+    ([0.0, 0.0, 1.0], "strictly increasing"),
+    ([0.0], "two or more knots"),
+    ([-1e308, 1e308], "finite interval"),  # the bucket scale would be 0
+])
+def test_monotone_cubic_rejects_bad_knots(x, message):
+    with np.errstate(over="ignore"), pytest.raises(el.DomainError, match=message):
+        MonotoneCubic(np.array(x), np.zeros(len(x)))
+
+
+@pytest.mark.parametrize("ra, rb, count", [(1e-3, 1e3, 2048), (1.0, 64.0, 800),
+                                           (0.5, 8.0, 16), (1e-8, 1e8, 4097)])
+def test_geometric_profiles_look_up_in_one_step(ra, rb, count):
+    """No bucket of a geometric grid (or of its Kelvin image) holds two knots,
+    so the lookup is one bisection step; the edge values stay NaN."""
+    grid = el.RadialGrid.geometric(ra, rb, count, 3)
+    prof = el.RadialProfile(grid=grid, values=grid.nodes ** -0.7)
+    for p in (prof, el.kelvin_transform(prof, 3)):
+        assert p._log_interp._steps == (1,)
+        with np.errstate(invalid="ignore"):  # the linear end segment's 0 * inf
+            assert math.isnan(p(np.inf)) and math.isnan(p(np.nan))
 
 
 def _old_profile_values(prof: el.RadialProfile, r: np.ndarray) -> np.ndarray:

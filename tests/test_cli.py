@@ -266,7 +266,8 @@ def test_solve_gauge_unreachable_t_min_is_one_line(tmp_path, capsys):
                  solve={"which": "h", "nodes": 64, "t_min": 0.2})
     rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
-    assert rc == 3
+    assert rc == 1
+    assert err.startswith("config error: solve.t_min = 0.2 with solve.nodes = 64: ")
     assert "t_min = 0.2 is out of reach of a 65-node grid" in err
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 

@@ -307,12 +307,27 @@ def test_glue_needs_overlap(problem_power, closed_form):
 # superposition
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
-def test_center_distance_is_the_norm_bit_for_bit(N):
+def _scattered_points(N: int) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(N)
     x = rng.normal(size=(1000, N)) * 10.0 ** rng.uniform(-3, 3, size=(1000, 1))
-    a = rng.normal(size=N)
+    return x, rng.normal(size=N)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6, 7])
+def test_center_distance_is_the_norm_bit_for_bit(N):
+    x, a = _scattered_points(N)
     assert np.array_equal(center_distance(x, a), np.linalg.norm(x - a[None, :], axis=1))
+    origin = el.ProblemSpec(N, el.PowerPhi(-3.0), el.PowerF(1.0), el.Origin())
+    assert np.array_equal(origin.delta_points(x), np.linalg.norm(x, axis=1))
+
+
+@pytest.mark.parametrize("N", range(2, 11))
+def test_center_distance_sums_the_squares_from_the_left(N):
+    x, a = _scattered_points(N)
+    total = np.zeros(len(x))
+    for j in range(N):
+        total = total + (x[:, j] - a[j]) ** 2
+    assert np.array_equal(center_distance(x, a), np.sqrt(total))
 
 
 def test_superposition_single_center_identity(glued_split):
