@@ -6,6 +6,12 @@ toward the singular endpoint (zero or infinity).  Window increments of a
 power-like integrand decay or grow geometrically, so a stable increment ratio
 rho < 1 permits an exact-on-powers tail extrapolation, while a ratio pinned at
 or above 1 - DIV_FLOOR for several consecutive windows certifies divergence.
+
+Windows are integrated _WINDOW_BLOCK at a time, one integrand call per block.
+Each window's integral is the same double whichever block computes it (the
+panel sum is row by row, and inner anchors follow one fixed dyadic chain), so
+verdicts, values and certificates do not depend on the block size; only the
+evaluation count includes the windows of the last block past the verdict.
 """
 
 from __future__ import annotations
@@ -31,12 +37,17 @@ REL_TOL = 1e-9            # a finite verdict needs remainder + error below this 
 
 _GL_NODES, _GL_WTS = np.polynomial.legendre.leggauss(24)
 _PANEL_BLOCK = 1024       # panels per call of the integrand in _panels
+_WINDOW_BLOCK = 16        # scan windows per call of _panels in _scan
 BOUNDARY_SUBPANELS = 8    # equal panels per dyadic window of the boundary certificate
 
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Finiteness verdict for one integral criterion."""
+    """Finiteness verdict for one integral criterion.
+
+    evaluations counts the integrand points evaluated, windows the scan windows
+    whose increments the verdict read (0 for analytic reports).
+    """
 
     criterion: str
     status: str
@@ -45,6 +56,7 @@ class ConditionReport:
     method: str
     evaluations: int
     error_estimate: float | None = None
+    windows: int = 0
 
     def csv_row(self) -> list[str]:
         val = "" if self.value is None else f"{self.value:.16e}"
@@ -89,26 +101,55 @@ def _panels(g: Callable, lo, hi) -> np.ndarray:
     """24-point Gauss-Legendre integrals of g over the panels [lo_k, hi_k].
 
     g is called once per block of at most _PANEL_BLOCK panels, on all their
-    nodes at once.
+    nodes at once.  Each panel's value is the same double whichever block
+    computes it: the weighted sum is einsum's row-by-row loop, where a matrix
+    product would switch between BLAS kernels with the number of rows, and the
+    midpoint lo + half stays finite wherever hi does.
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
     half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
+    mid = lo + half
     out = np.empty_like(half)
     for b in range(0, len(half), _PANEL_BLOCK):
         blk = slice(b, b + _PANEL_BLOCK)
         x = half[blk, None] * _GL_NODES + mid[blk, None]
-        out[blk] = half[blk] * (g(x.ravel()).reshape(x.shape) @ _GL_WTS)
+        out[blk] = half[blk] * np.einsum("ij,j->i", g(x.ravel()).reshape(x.shape), _GL_WTS)
     return out
+
+
+def _window_increments(g: _EvalCounter, windows):
+    """Integrals of the windows k = 0, 1, ... < MAX_WINDOWS, in order.
+
+    One _panels call covers _WINDOW_BLOCK windows.  A block whose evaluation
+    raises DomainError is evaluated again window by window, so an overflow ends
+    the stream, and a negative value raises, at the window where a one-window
+    scan would meet it.
+    """
+    for start in range(0, MAX_WINDOWS, _WINDOW_BLOCK):
+        lo, hi = windows(np.arange(start, min(start + _WINDOW_BLOCK, MAX_WINDOWS)))
+        try:
+            block = _panels(g, lo, hi)
+        except DomainError:
+            block = None
+        for j in range(len(lo)):
+            if block is None:
+                try:
+                    yield float(_panels(g, lo[j], hi[j])[0])
+                except _NonFinite:
+                    return
+            else:
+                yield float(block[j])
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow ends the scan, below
 def _scan(g: _EvalCounter, windows, criterion: str) -> ConditionReport:
     """Classify sum of window integrals as finite (with value) or infinite (with certificate).
 
-    An integrand value that overflows ends the scan inconclusive, with the
-    certificate so far.
+    windows maps an integer array k to the window edges (lo, hi); the
+    increments come from _window_increments, a block of windows per integrand
+    call, and are read one by one.  An integrand value that overflows ends the
+    scan inconclusive, with the certificate so far.
     """
     total = 0.0
     cert: list[float] = []
@@ -116,13 +157,8 @@ def _scan(g: _EvalCounter, windows, criterion: str) -> ConditionReport:
     prev_rho = None
     streak = 0
     zero_run = 0
-    for k, (lo, hi) in enumerate(windows):
-        if k >= MAX_WINDOWS:
-            break
-        try:
-            inc = float(_panels(g, lo, hi)[0])
-        except _NonFinite:
-            break
+    k = -1
+    for k, inc in enumerate(_window_increments(g, windows)):
         total += inc
         if inc > 0.0:
             cert.append(total)
@@ -130,16 +166,18 @@ def _scan(g: _EvalCounter, windows, criterion: str) -> ConditionReport:
             zero_run += 1
             if zero_run >= 4 and k >= 8:
                 return ConditionReport(criterion, FINITE, total, None, "quadrature",
-                                       g.count, 0.0)
+                                       g.count, 0.0, k + 1)
             continue
         zero_run = 0
         if total > BLOWUP:
-            return ConditionReport(criterion, INFINITE, None, tuple(cert), "quadrature", g.count)
+            return ConditionReport(criterion, INFINITE, None, tuple(cert), "quadrature",
+                                   g.count, windows=k + 1)
         if prev_inc is not None and prev_inc > 0:
             rho = inc / prev_inc
             streak = streak + 1 if rho >= 1.0 - DIV_FLOOR else 0
             if streak >= DIV_CONSECUTIVE:
-                return ConditionReport(criterion, INFINITE, None, tuple(cert), "quadrature", g.count)
+                return ConditionReport(criterion, INFINITE, None, tuple(cert), "quadrature",
+                                       g.count, windows=k + 1)
             if rho < 1.0 - 3.0 * DIV_FLOOR and prev_rho is not None:
                 remainder = inc * rho / (1.0 - rho)
                 drift = abs(rho - prev_rho) / (1.0 - rho)
@@ -147,26 +185,21 @@ def _scan(g: _EvalCounter, windows, criterion: str) -> ConditionReport:
                 if remainder + err < REL_TOL * max(total, 1e-300):
                     value = total + remainder
                     return ConditionReport(criterion, FINITE, value, None, "quadrature",
-                                           g.count, err + remainder * drift)
+                                           g.count, err + remainder * drift, k + 1)
             prev_rho = rho
         prev_inc = inc
     return ConditionReport(criterion, INCONCLUSIVE, None, tuple(cert) or None,
-                           "quadrature", g.count)
+                           "quadrature", g.count, windows=k + 1)
 
 
 def _windows_to_point(a: float, width: float):
-    """Dyadic windows shrinking toward the endpoint a from a+width."""
-    k = 0
-    while True:
-        yield a + width * 2.0 ** -(k + 1), a + width * 2.0 ** -k
-        k += 1
+    """Dyadic windows [a + width 2^-(k+1), a + width 2^-k] shrinking toward a."""
+    return lambda k: (a + width * np.ldexp(1.0, -(k + 1)), a + width * np.ldexp(1.0, -k))
 
 
 def _windows_to_inf(a: float):
-    k = 0
-    while True:
-        yield a * 2.0 ** k, a * 2.0 ** (k + 1)
-        k += 1
+    """Doubling windows [a 2^k, a 2^(k+1)] toward infinity."""
+    return lambda k: (a * np.ldexp(1.0, k), a * np.ldexp(1.0, k + 1))
 
 
 def integrate_singular(
@@ -202,19 +235,22 @@ def _join(criterion: str, first: ConditionReport,
     decided it.
     """
     evals = first.evaluations + (second.evaluations if second else 0)
+    windows = first.windows + (second.windows if second else 0)
     if first.status == INFINITE or second is None:
         return ConditionReport(criterion, first.status, None, first.certificate,
-                               "quadrature", evals)
+                               "quadrature", evals, windows=windows)
     lift = first.value if first.status == FINITE else 0.0
     second_cert = second.certificate and tuple(c + lift for c in second.certificate)
     if second.status == INFINITE:
-        return ConditionReport(criterion, INFINITE, None, second_cert, "quadrature", evals)
+        return ConditionReport(criterion, INFINITE, None, second_cert, "quadrature", evals,
+                               windows=windows)
     if first.status == FINITE and second.status == FINITE:
         err = (first.error_estimate or 0.0) + (second.error_estimate or 0.0)
         return ConditionReport(criterion, FINITE, first.value + second.value, None,
-                               "quadrature", evals, err)
+                               "quadrature", evals, err, windows)
     cert = first.certificate if first.status == INCONCLUSIVE else second_cert
-    return ConditionReport(criterion, INCONCLUSIVE, None, cert, "quadrature", evals)
+    return ConditionReport(criterion, INCONCLUSIVE, None, cert, "quadrature", evals,
+                           windows=windows)
 
 
 def integrate_tail(
@@ -233,25 +269,29 @@ def integrate_tail(
 # iterated double integrals
 # ---------------------------------------------------------------------------
 
-def _dyadic_anchors_up(g: Callable, lo: float, hi: float):
-    """Cumulative J(t) = int_lo^t g(s) ds at dyadic anchors, ascending.
+def _dyadic_anchors_up(g: Callable, lo: float, hi: float, start: float = 0.0):
+    """Anchors lo 2^j up to the first one >= hi, and J(t) = start + int_lo^t g(s) ds there.
 
-    All additions are of positive segment integrals, so no cancellation occurs.
-    A knot is forced at s = 1 to respect spliced weights.
+    All additions are of positive segment integrals, so no cancellation occurs,
+    and the partial sums are one left-to-right cumsum from start.  A knot is
+    forced at s = 1 to respect spliced weights.
     """
     t = lo * 2.0 ** np.arange(np.ceil(np.log2(hi / lo)) + 2)
-    edges = np.minimum(t[:np.argmax(t >= hi * (1.0 - 1e-12)) + 1], hi)
-    if lo < 1.0 < hi and not np.any(np.isclose(edges, 1.0)):
+    edges = t[:np.argmax(t >= hi) + 1]
+    if lo < 1.0 < edges[-1] and not np.any(np.isclose(edges, 1.0)):
         edges = np.union1d(edges, [1.0])
-    return edges, np.concatenate(([0.0], np.cumsum(_panels(g, edges[:-1], edges[1:]))))
+    return edges, np.cumsum(np.concatenate(([start], _panels(g, edges[:-1], edges[1:]))))
 
 
 class _InnerCumulative:
     """J(t) for t in [lo, hi] from precomputed ascending anchors plus a local panel.
 
-    Below the first anchor, J is continued by the power law J ~ base (t/lo)^kappa
-    (when a positive base and exponent are supplied), matching the local growth
-    of the cumulative of a power-like integrand.
+    The anchors are the dyadic chain lo 2^j (with a knot at 1), and extend_to
+    continues that chain and its cumsum, so anchors and their values do not
+    depend on how far, or in how many steps, J was extended.  Below the first
+    anchor, J is continued by the power law J ~ base (t/lo)^kappa (when a
+    positive base and exponent are supplied), matching the local growth of the
+    cumulative of a power-like integrand.
     """
 
     def __init__(self, N: int, lo: float, hi: float, counter: _EvalCounter,
@@ -264,9 +304,9 @@ class _InnerCumulative:
     def extend_to(self, hi: float):
         if hi <= self.edges[-1]:
             return
-        edges2, J2 = _dyadic_anchors_up(self.g, self.edges[-1], hi)
-        self.edges = np.concatenate([self.edges, edges2[1:]])
-        self.J = np.concatenate([self.J, self.J[-1] + J2[1:]])
+        edges, J = _dyadic_anchors_up(self.g, self.edges[-1], hi, self.J[-1])
+        self.edges = np.concatenate([self.edges, edges[1:]])
+        self.J = np.concatenate([self.J, J[1:]])
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -329,9 +369,10 @@ def iterated_near0(
     if inner_report.status == INFINITE:
         # inner integrand already non-integrable: the outer integrand is +inf
         return ConditionReport("iterated-near0", INFINITE, None, inner_report.certificate,
-                               "quadrature", inner_report.evaluations)
-    inconclusive = ConditionReport("iterated-near0", INCONCLUSIVE, None, None,
-                                   "quadrature", inner_report.evaluations)
+                               "quadrature", inner_report.evaluations,
+                               windows=inner_report.windows)
+    inconclusive = ConditionReport("iterated-near0", INCONCLUSIVE, None, None, "quadrature",
+                                   inner_report.evaluations, windows=inner_report.windows)
     if inner_report.status == INCONCLUSIVE:
         return inconclusive
     try:
@@ -343,7 +384,7 @@ def iterated_near0(
     rep = _scan(outer, _windows_to_point(0.0, t_hi), "iterated-near0")
     evals = counter.count + outer.count + inner_report.evaluations
     return ConditionReport(rep.criterion, rep.status, rep.value, rep.certificate,
-                           "quadrature", evals, rep.error_estimate)
+                           "quadrature", evals, rep.error_estimate, rep.windows)
 
 
 def iterated_tail(
@@ -369,7 +410,7 @@ def iterated_tail(
     rep = _scan(outer, _windows_to_inf(t_lo), "iterated-tail")
     evals = counter.count + outer.count
     return ConditionReport(rep.criterion, rep.status, rep.value, rep.certificate,
-                           "quadrature", evals, rep.error_estimate)
+                           "quadrature", evals, rep.error_estimate, rep.windows)
 
 
 def iterated_tail_profile(

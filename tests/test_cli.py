@@ -620,6 +620,22 @@ def test_certify_boundary_underflowing_radius_is_a_config_error(tmp_path, capsys
         assert err == ""
 
 
+def test_certify_boundary_near_the_largest_double(tmp_path, capsys):
+    # the top sub-panel [r0 15/16, r0] has lo + hi above the largest double;
+    # I_0 = int_{r0/2}^{r0} (rho - r0/2) / rho d rho = (r0/2)(1 - ln 2)
+    r0 = 1e308
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, problem={"N": 3, "phi": {"kind": "power", "alpha": -1},
+                               "f": {"kind": "power", "p": 1},
+                               "K": {"kind": "ball", "radius": 1.0}},
+                 certify={"regime": "boundary", "r0": r0})
+    rc = main(["certify-divergence", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    _, rows = read_csv(tmp_path / "o" / "certificate.csv")
+    assert float(rows[0][2]) == pytest.approx(0.5 * r0 * (1.0 - np.log(2.0)), rel=1e-13)
+
+
 def test_certify_boundary_power_log_weight_to_the_deepest_level(tmp_path, capsys):
     # r**-2 overflows near 2^-1000, the weight r**-2 log(1+r) does not
     cfg = tmp_path / "cfg.json"

@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import elliptic_lab as el
-from elliptic_lab.quad import (FINITE, INCONCLUSIVE, INFINITE, _EvalCounter, _GL_NODES,
-                               _GL_WTS, _InnerCumulative, _panels, _scan, _windows_to_point,
-                               iterated_near0, iterated_tail)
+from elliptic_lab import quad
+from elliptic_lab.quad import (FINITE, INCONCLUSIVE, INFINITE, MAX_WINDOWS, _EvalCounter,
+                               _GL_NODES, _GL_WTS, _InnerCumulative, _join, _panels, _scan,
+                               _windows_to_inf, _windows_to_point, iterated_near0,
+                               iterated_tail)
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +245,32 @@ def test_scan_overflow_ends_inconclusive_with_certificate():
     counter = _EvalCounter(lambda s: np.where(s < 1e-3, np.inf, s ** -0.5))
     rep = _scan(counter, _windows_to_point(0.0, 1.0), "overflow")
     assert rep.status == INCONCLUSIVE and rep.value is None
-    assert rep.evaluations == 24 * 10
+    # the first block of 16 windows raises (16 * 24 points) and is evaluated
+    # again one window at a time up to the overflowing tenth (10 * 24 points)
+    assert rep.evaluations == 24 * 16 + 24 * 10
+    assert rep.windows == 9
     cert = np.asarray(rep.certificate)
     assert len(cert) == 9 and np.all(np.diff(cert) > 0)
+
+
+def test_scan_reports_the_windows_it_read():
+    # s^-0.99 converges too slowly for the exit test: every window is read
+    counter = _EvalCounter(lambda s: s ** -0.99)
+    rep = _scan(counter, _windows_to_point(0.0, 1.0), "slow")
+    assert rep.status == INCONCLUSIVE
+    assert rep.windows == MAX_WINDOWS and rep.evaluations == 24 * MAX_WINDOWS
+    reports = [el.integrate_tail(lambda r: r * r ** -3.0, 1.0),
+               el.integrate_tail(lambda r: r * r ** -2.0, 1.0),
+               iterated_near0(lambda s: s ** -1.5, 3, 1.0),
+               iterated_tail(lambda s: s ** -4.0, 3, 1.0)]
+    for rep in reports:
+        assert 0 < rep.windows <= MAX_WINDOWS
+        assert rep.evaluations >= 24 * rep.windows
+    joined = _join("both", reports[0], reports[1])
+    assert joined.windows == reports[0].windows + reports[1].windows
+    analytic = el.classify_existence(
+        el.ProblemSpec(3, el.PowerPhi(-3.0), el.PowerF(1.0), el.Ball(1.0))).reports[-1]
+    assert analytic.method == "analytic" and analytic.windows == 0
 
 
 def test_classify_overflow_is_inconclusive():
@@ -296,7 +321,7 @@ def test_lemma_near0_overflow_is_inconclusive():
 def _panels_reference(g, lo, hi):
     out = []
     for a, b in zip(lo, hi):
-        x = 0.5 * (b - a) * _GL_NODES + 0.5 * (b + a)
+        x = 0.5 * (b - a) * _GL_NODES + (a + 0.5 * (b - a))
         out.append(0.5 * (b - a) * float(np.dot(_GL_WTS, g(x))))
     return np.asarray(out)
 
@@ -343,6 +368,97 @@ def test_panels_call_the_integrand_once_per_block():
     got = _panels(g, lo, hi)
     assert sizes == [24 * 1024, 24 * 1024, 24]
     np.testing.assert_allclose(got, _panels_reference(g, lo, hi), rtol=1e-15, atol=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 2049), alpha=st.floats(-4.0, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_panels_are_independent_of_their_block(n, alpha, seed):
+    rng = np.random.default_rng(seed)
+    lo = 10.0 ** rng.uniform(-6.0, 3.0, n)
+    hi = lo * (1.0 + 10.0 ** rng.uniform(-9.0, 1.0, n))
+    g = lambda s: s ** alpha  # noqa: E731
+    block = _panels(g, lo, hi)
+    alone = np.array([_panels(g, a, b)[0] for a, b in zip(lo, hi)])
+    np.testing.assert_array_equal(block, alone)
+
+
+def _old_windows_to_point(a, width, count):
+    return [(a + width * 2.0 ** -(k + 1), a + width * 2.0 ** -k) for k in range(count)]
+
+
+def _old_windows_to_inf(a, count):
+    return [(a * 2.0 ** k, a * 2.0 ** (k + 1)) for k in range(count)]
+
+
+@pytest.mark.parametrize("a,width", [(0.0, 1.0), (0.0, 0.3), (0.5, 0.5), (0.0, 1e-300),
+                                     (2.0, 1e-5), (0.0, 7.3e300)])
+def test_point_windows_are_the_old_generator(a, width):
+    lo, hi = _windows_to_point(a, width)(np.arange(MAX_WINDOWS))
+    old = np.array(_old_windows_to_point(a, width, MAX_WINDOWS))
+    np.testing.assert_array_equal(lo, old[:, 0])
+    np.testing.assert_array_equal(hi, old[:, 1])
+
+
+@pytest.mark.parametrize("a", [1.0, 0.3, 1e-300, 3.7, 1e300])
+def test_tail_windows_are_the_old_generator(a):
+    with np.errstate(over="ignore"):  # a 2^k overflows for a = 1e300, to inf on both sides
+        lo, hi = _windows_to_inf(a)(np.arange(MAX_WINDOWS))
+    old = np.array(_old_windows_to_inf(a, MAX_WINDOWS))
+    np.testing.assert_array_equal(lo, old[:, 0])
+    np.testing.assert_array_equal(hi, old[:, 1])
+
+
+WEIGHTS = [el.PowerPhi(-1.0), el.PowerPhi(-2.0), el.PowerPhi(-3.5), el.PowerPhi(-3.417),
+           el.PowerSplitPhi(-1.5, -3.5), el.PowerSplitPhi(-3.0, -2.0),
+           el.PowerLogPhi(-2.5, 0.7), el.PowerLogPhi(-3.6, 0.7), el.PowerLogPhi(-1.2, 1.5),
+           el.IterLogPhi(-3.5, (0.6, 0.6)), el.IterLogPhi(-6.5, (1.0, 1.0)),
+           el.TabulatedPhi(knots=np.array([0.5, 1.0, 2.0, 4.0]),
+                           values=np.array([4.0, 1.0, 0.2, 0.02]),
+                           near0_exp=-2.0, tail_exp=-3.3)]
+
+
+def _verdicts(phi):
+    """Every report field but the evaluation count, for classify and all regimes."""
+    reports = list(el.classify_existence(
+        el.ProblemSpec(3, phi, el.PowerF(0.5), el.Origin())).reports)
+    for regime in ("near0", "tail", "full"):
+        reports.extend(el.lemma_zero_check(phi, 3, regime))
+    return [(r.criterion, r.status, r.value, r.certificate, r.error_estimate, r.windows)
+            for r in reports]
+
+
+@pytest.mark.parametrize("phi", WEIGHTS, ids=repr)
+def test_reports_are_independent_of_the_window_block(phi, monkeypatch):
+    results = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for size in (1, 3, 16, MAX_WINDOWS):
+            monkeypatch.setattr(quad, "_WINDOW_BLOCK", size)
+            results.append(_verdicts(phi))
+    for other in results[1:]:
+        assert other == results[0]
+
+
+def test_window_block_cases_cover_every_verdict():
+    statuses = {r[1] for phi in WEIGHTS for r in _verdicts(phi)}
+    assert statuses == {FINITE, INFINITE, INCONCLUSIVE}
+
+
+@settings(max_examples=40, deadline=None)
+@given(lo=st.floats(1e-3, 10.0), span=st.floats(2.0, 1e6),
+       cuts=st.lists(st.floats(0.0, 1.0), max_size=8))
+def test_inner_cumulative_is_independent_of_its_extensions(lo, span, cuts):
+    N = 3
+    T = lo * span
+    w = lambda s: 1.0 / (1.0 + s * s)  # noqa: E731
+    once = _InnerCumulative(N, lo, 2.0 * lo, _EvalCounter(w))
+    once.extend_to(T)
+    steps = _InnerCumulative(N, lo, 2.0 * lo, _EvalCounter(w))
+    for c in sorted(cuts):
+        steps.extend_to(2.0 * lo + c * (T - 2.0 * lo))
+    steps.extend_to(T)
+    np.testing.assert_array_equal(steps.edges, once.edges)
+    np.testing.assert_array_equal(steps.J, once.J)
 
 
 FRACTIONS = st.lists(st.floats(0.001, 0.999), max_size=6)
