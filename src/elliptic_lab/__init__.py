@@ -59,10 +59,8 @@ from .bvp1d import (
     solve_radial_dirichlet,
 )
 from .construct import (
-    ExteriorBallResult,
-    FamilyMemberResult,
     GluedField,
-    MinimalSolutionResult,
+    LadderResult,
     SuperpositionField,
     exterior_ball_minimal,
     family_member,

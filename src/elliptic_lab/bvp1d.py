@@ -81,7 +81,10 @@ class RadialGrid:
         """Grid on [0, 1] graded smoothly into both endpoints (tanh mapping).
 
         The smooth mapping avoids spacing kinks, so the scheme's truncation
-        stays uniformly second order; t_min sets the first interior node.
+        stays uniformly second order; t_min sets the first interior node.  The
+        node 0.5 (1 + tanh(g (x - 1/2)) / tanh(g / 2)) is computed as
+        0.5 sinh(g x) / (cosh(g (x - 1/2)) sinh(g / 2)), which has no
+        cancellation near 0.
         """
         if not (0 < t_min < 0.25):
             raise DomainError("t_min must lie in (0, 0.25)")
@@ -92,8 +95,8 @@ class RadialGrid:
         xi = np.linspace(0.0, 1.0, count)
 
         def first_node(gamma: float) -> float:
-            s = math.tanh(gamma * (xi[1] - 0.5)) / math.tanh(gamma * 0.5)
-            return 0.5 * (1.0 + s)
+            return 0.5 * math.sinh(gamma * xi[1]) / (math.cosh(gamma * (xi[1] - 0.5))
+                                                     * math.sinh(gamma * 0.5))
 
         # the first node decreases in gamma: bisect on [1e-2, 80] to 1e-12
         lo, hi = 1e-2, 80.0
@@ -105,9 +108,8 @@ class RadialGrid:
             mid = 0.5 * (lo + hi)
             lo, hi = (mid, hi) if first_node(mid) > t_min else (lo, mid)
         gamma = 0.5 * (lo + hi)
-        s = np.tanh(gamma * (xi - 0.5)) / np.tanh(gamma * 0.5)
-        nodes = 0.5 * (1.0 + s)
-        nodes[0], nodes[-1] = 0.0, 1.0
+        nodes = 0.5 * np.sinh(gamma * xi) / (np.cosh(gamma * (xi - 0.5)) * np.sinh(gamma * 0.5))
+        nodes[0], nodes[count // 2], nodes[-1] = 0.0, 0.5, 1.0
         return RadialGrid(nodes=nodes, dimension=1)
 
     @property
@@ -411,7 +413,8 @@ def solve_on_nodes(
     when max_i |du_i| / max(|u_i|, 1) <= STEP_TOL, or when that relative
     increment is below STALL_TOL and fails to halve from one step to the next
     (roundoff).  Converged levels must be pointwise nondecreasing as eps
-    decreases (checked after every level).
+    decreases (checked after every level).  A stencil or a Newton step that
+    is not finite in double precision is a DomainError.
     """
     nodes = np.asarray(nodes, dtype=float)
     M = len(nodes)
@@ -419,15 +422,19 @@ def solve_on_nodes(
         raise DomainError("need at least 16 nodes")
     if va < 0 or vb < 0:
         raise DomainError("boundary data must be nonnegative")
-    c = _face_conductance(nodes, N)
-    V = _cell_volumes(nodes, N)
     w_i = np.asarray(weight(nodes[1:-1]), dtype=float)
     if np.any(w_i < 0) or np.any(~np.isfinite(w_i)):
         raise DomainError("weight must be finite and nonnegative at interior nodes")
 
-    Vw = V * w_i
-    off = -1.0 / c[1:-1]  # the flux form is symmetric: one off-diagonal
-    diag = 1.0 / c[:-1] + 1.0 / c[1:]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # refused below
+        c = _face_conductance(nodes, N)
+        V = _cell_volumes(nodes, N)
+        Vw = V * w_i
+        off = -1.0 / c[1:-1]  # the flux form is symmetric: one off-diagonal
+        diag = 1.0 / c[:-1] + 1.0 / c[1:]
+    if not (np.all(c > 0) and np.all(diag < np.inf) and np.all((V > 0) & (Vw < np.inf))):
+        raise DomainError(f"the N = {N} flux stencil over- or underflows on "
+                          f"[{nodes[0]:g}, {nodes[-1]:g}]")
 
     u = np.zeros(M - 2) if initial is None else np.asarray(initial, dtype=float).copy()
     if initial is not None and len(u) != M - 2:
@@ -437,16 +444,20 @@ def solve_on_nodes(
     for eps in config.schedule():
         rel = np.inf
         for _ in range(config.max_picard):
-            ueps = u + eps
-            fvals = f(ueps)
-            lam = Vw * f.slope_bound(ueps)
-            rhs = Vw * fvals + lam * u
-            rhs[0] += va / c[0]
-            rhs[-1] += vb / c[-1]
-            unew = solve_banded(off, diag + lam, off, rhs)
-            step = np.abs(unew - u)
-            u = unew
-            prev_rel, rel = rel, float(np.max(step / np.maximum(np.abs(u), 1.0)))
+            with np.errstate(over="ignore", invalid="ignore"):  # a NaN rel is refused below
+                ueps = u + eps
+                fvals = f(ueps)
+                lam = Vw * f.slope_bound(ueps)
+                rhs = Vw * fvals + lam * u
+                rhs[0] += va / c[0]
+                rhs[-1] += vb / c[-1]
+                unew = solve_banded(off, diag + lam, off, rhs)
+                step = np.abs(unew - u)
+                u = unew
+                prev_rel, rel = rel, float(np.max(step / np.maximum(np.abs(u), 1.0)))
+            if math.isnan(rel):  # an infinite or NaN entry of u
+                raise DomainError(f"the Newton step at eps={eps:g} is not finite: f or its "
+                                  "slope overflows")
             if rel <= STEP_TOL or STALL_TOL > rel > 0.5 * prev_rel:
                 break
         else:

@@ -7,6 +7,8 @@ minimal solutions (the measured deficit follows (r/n)^kappa with kappa < 1),
 so the returned minimal profile is a guarded pointwise extrapolation of the
 monotone ladder; the raw iterates and their increments stay available on the
 result for the discrete order checks, which hold exactly on shared grids.
+Every ladder is defined from its top level n_max down, and every exhaustion
+returns one result type, LadderResult.
 """
 
 from __future__ import annotations
@@ -70,8 +72,16 @@ def _trusted_window(n_max: float) -> tuple[float, float]:
 
 
 def _doublings(n_max: float) -> list[float]:
-    """The exhaustion radii 2, 4, 8, ... up to n_max (n_max >= 0)."""
-    return [2.0 ** k for k in range(1, int(n_max).bit_length())]
+    """The ladder's doubling radii n_max 2^-k >= 2, in increasing order (n_max >= 2)."""
+    k = math.frexp(n_max / 2.0)[1] - 1  # the largest k with n_max 2^-k >= 2
+    return [n_max * 2.0 ** -j for j in range(k, -1, -1)]
+
+
+def _origin_ladder(n_max: float) -> list[float]:
+    """The doublings and the refinements n_max 2^(-j/3) >= 2, j = 1.._REFINE_STEPS,
+    in increasing order: the top seven levels step by 2^(1/3)."""
+    refinements = (n_max * 2.0 ** (-j / 3.0) for j in range(1, _REFINE_STEPS + 1))
+    return sorted(set(_doublings(n_max)).union(n for n in refinements if n >= 2.0))
 
 
 def _solve_level(problem: ProblemSpec, weight: Callable, grid: RadialGrid,
@@ -83,34 +93,55 @@ def _solve_level(problem: ProblemSpec, weight: Callable, grid: RadialGrid,
     return RadialProfile(grid=grid, values=np.concatenate(([va], interior, [vb])))
 
 
-def _increments(profiles: Sequence[RadialProfile],
-                window: tuple[float, float]) -> list[float]:
-    """Sup change from each profile to the next over the later one's interior
-    nodes inside window; inf where the window holds none of them."""
+def _ladder_gaps(rungs: Sequence[RadialProfile], window: tuple[float, float],
+                 ordered: bool) -> list[float]:
+    """One pass over consecutive doublings, each earlier level evaluated once.
+
+    Gives the sup change from each level to the next over the later one's
+    interior nodes inside window, inf where the window holds none of them.
+    On an ordered (zero-data) ladder the later level must not fall below the
+    earlier one there by more than 1e-8 of its scale: NoSolutionError otherwise.
+    """
     lo, hi = window
     out = []
-    for prev, cur in zip(profiles, profiles[1:]):
+    for prev, cur in zip(rungs, rungs[1:]):
         r = cur.grid.interior
         mask = (r >= lo) & (r <= hi)
-        out.append(float(np.max(np.abs(cur.values[1:-1][mask] - prev(r[mask]))))
-                   if np.any(mask) else np.inf)
+        if not np.any(mask):
+            out.append(np.inf)
+            continue
+        gap = cur.values[1:-1][mask] - prev(r[mask])
+        out.append(float(np.max(np.abs(gap))))
+        if ordered and float(np.min(gap)) < -1e-8 * max(1.0, float(np.max(prev.values))):
+            raise NoSolutionError(
+                f"exhaustion iterates lost monotonicity by {float(np.min(gap)):.3e}")
     return out
 
 
 @dataclass(eq=False)
-class MinimalSolutionResult:
-    """Accelerated minimal-solution estimate plus the monotone ladder.
+class LadderResult:
+    """An exhaustion construction: its profile and its monotone ladder.
 
-    levels maps each annulus radius n of the ladder, the doublings and the
-    refinements below the final annulus, to the raw iterate on [1/n, n].
+    levels maps each ladder radius n, in increasing order, to the raw iterate
+    of that level: on [1/n, n] around the origin, on [R, R + n] outside a
+    ball of radius R.  The top level is the construction's n_max; the
+    doublings n_max 2^-k >= 2 are raw_levels, and around the origin the
+    refinements n_max 2^(-j/3) lie between them.  window_increments are the
+    sup changes between consecutive doublings over the construction's
+    increment window.  Construction-specific fields: truncation (per-node
+    extrapolation error estimate, around the origin), the sandwich margins
+    (family members) and layer_window (exterior ball).
     """
 
     profile: RadialProfile
     levels: dict[float, RadialProfile] = field(repr=False)
-    window_increments: list[float] = field(default_factory=list)
-    converged: bool = False
+    window_increments: list[float]
+    converged: bool
+    trusted_window: tuple[float, float]
     truncation: np.ndarray | None = None
-    trusted_window: tuple[float, float] = (0.0, np.inf)
+    sandwich_lower_margin: float | None = None
+    sandwich_upper_margin: float | None = None
+    layer_window: tuple[float, float] | None = None
 
     @property
     def raw_levels(self) -> list[RadialProfile]:
@@ -119,26 +150,28 @@ class MinimalSolutionResult:
 
     @property
     def raw_last(self) -> RadialProfile:
-        """The raw iterate at the largest doubling radius."""
-        return self.raw_levels[-1]
+        """The raw iterate at the top level n_max."""
+        return self.levels[max(self.levels)]
 
     def __call__(self, r):
         return self.profile(r)
 
 
-def _assert_exhaustion_monotone(prev: RadialProfile, cur: RadialProfile) -> None:
-    lo = max(_WINDOW[0], prev.r_min * 1.05)
-    hi = min(_WINDOW[1], prev.r_max / 1.05)
-    mask = (cur.grid.interior >= lo) & (cur.grid.interior <= hi)
-    if not np.any(mask):
-        return
-    rw = cur.grid.interior[mask]
-    gap = cur.values[1:-1][mask] - prev(rw)
-    scale = max(1.0, float(np.max(prev.values)))
-    if float(np.min(gap)) < -1e-8 * scale:
-        raise NoSolutionError(
-            f"expanding-annulus iterates lost monotonicity by {float(np.min(gap)):.3e}"
-        )
+def _origin_result(levels: dict[float, RadialProfile], grid: RadialGrid,
+                   config: SolveConfig, ordered: bool, **fields) -> LadderResult:
+    """The result of an origin ladder: its gaps, and its extrapolation on grid."""
+    top = max(levels)
+    increments = _ladder_gaps([levels[n] for n in _doublings(top)], _WINDOW, ordered)
+    accel, trunc = _extrapolate_ladder(levels, grid)
+    return LadderResult(
+        profile=RadialProfile(grid=grid, values=accel),
+        levels=levels,
+        window_increments=increments,
+        converged=bool(increments and increments[-1] < config.tol_sup),
+        trusted_window=_trusted_window(top),
+        truncation=trunc,
+        **fields,
+    )
 
 
 def minimal_solution(
@@ -146,13 +179,13 @@ def minimal_solution(
     n_max: int = 64,
     config: SolveConfig | None = None,
     nodes: int = 2048,
-) -> MinimalSolutionResult:
+) -> LadderResult:
     """Minimal solution around the origin as the limit of zero-data annulus problems.
 
-    Solves on [1/n, n] for doubling n up to n_max (the raw monotone ladder),
-    refines the top of the ladder at ratio 2^(1/3), and returns a guarded
-    pointwise Aitken extrapolation on the final grid.  Refuses when the
-    existence criteria fail.
+    Solves on [1/n, n] for the ladder radii n of n_max: the doublings
+    n_max 2^-k >= 2 (the raw monotone ladder) and the refinements of its top
+    at ratio 2^(1/3).  Returns a guarded pointwise Aitken extrapolation on
+    the final grid.  Refuses when the existence criteria fail.
     """
     config = config or SolveConfig()
     if not isinstance(problem.K, Origin):
@@ -162,29 +195,15 @@ def minimal_solution(
         raise DomainError("n_max must be at least 4")
     decades_final = math.log10(float(n_max) ** 2)
 
-    doublings = _doublings(n_max)
     levels: dict[float, RadialProfile] = {}
-    for nv in sorted(set(doublings).union(
-            float(n_max) * 2.0 ** (-j / 3.0) for j in range(1, _REFINE_STEPS + 1))):
+    for nv in _origin_ladder(float(n_max)):
         ra, rb = 1.0 / nv, nv
         count = max(192, int(round(nodes * math.log10(rb / ra) / decades_final)))
         levels[nv] = _solve_level(problem, problem.phi,
                                   RadialGrid.geometric(ra, rb, count, problem.N),
                                   0.0, 0.0, config)
-        if nv in doublings[1:]:
-            _assert_exhaustion_monotone(levels[nv / 2.0], levels[nv])
-
-    increments = _increments([levels[nv] for nv in doublings], _WINDOW)
     final_grid = RadialGrid.geometric(1.0 / n_max, float(n_max), nodes, problem.N)
-    accel, trunc = _extrapolate_ladder(levels, final_grid)
-    return MinimalSolutionResult(
-        profile=RadialProfile(grid=final_grid, values=accel),
-        levels=levels,
-        window_increments=increments,
-        converged=bool(increments and increments[-1] < config.tol_sup),
-        truncation=trunc,
-        trusted_window=_trusted_window(float(n_max)),
-    )
+    return _origin_result(levels, final_grid, config, ordered=True)
 
 
 def _extrapolate_ladder(levels: dict[float, RadialProfile],
@@ -210,33 +229,16 @@ def _extrapolate_ladder(levels: dict[float, RadialProfile],
             np.where(use, errors, np.inf))
 
 
-@dataclass(eq=False)
-class FamilyMemberResult:
-    """Two-parameter family member with its discrete sandwich margins."""
-
-    profile: RadialProfile
-    raw_last: RadialProfile
-    a: float
-    b: float
-    sandwich_lower_margin: float
-    sandwich_upper_margin: float
-    window_increments: list[float] = field(default_factory=list)
-    trusted_window: tuple[float, float] = (0.0, np.inf)
-
-    def __call__(self, r):
-        return self.profile(r)
-
-
 def family_member(
     problem: ProblemSpec,
     a: float,
     b: float,
-    xi: MinimalSolutionResult,
+    xi: LadderResult,
     n_max: int = 64,
     config: SolveConfig | None = None,
     nodes: int = 2048,
     initial_scale: float = 0.0,
-) -> FamilyMemberResult:
+) -> LadderResult:
     """Family member with boundary data a r^{2-N} + b + xi_n(r) on each annulus.
 
     The data uses the level-matched raw minimal iterate xi_n (same grid), which
@@ -249,8 +251,9 @@ def family_member(
     and the maximum of two subsolutions is one, so the iterates rise
     monotonically.  A positive initial_scale starts from that constant
     instead.  The member (0, 0) is xi's own ladder and solves nothing.  The
-    grids come from xi, so nodes is not read; it is kept for callers that
-    pass it.
+    member is solved on xi's whole ladder, so n_max must be its top level
+    (DomainError otherwise).  The grids come from xi, so nodes is not read;
+    it is kept for callers that pass it.
     """
     config = config or SolveConfig()
     if a < 0 or b < 0:
@@ -259,13 +262,14 @@ def family_member(
         raise DomainError("family members are built around the origin")
     if problem.f.power_exponent() is None:
         raise UnsupportedCombinationError("family construction requires a power nonlinearity")
+    if float(n_max) != max(xi.levels):
+        raise DomainError(f"n_max = {n_max} is not the top level {max(xi.levels):g} "
+                          "of the minimal-solution ladder")
 
     one_level = config.final_level()
     levels: dict[float, RadialProfile] = {}
     low_margin = up_margin = np.inf
     for nv, xi_prof in xi.levels.items():
-        if nv > n_max:
-            continue
         rn = xi_prof.grid.nodes
         lower = a * rn ** (2.0 - problem.N) + b
         upper = lower + xi_prof.values
@@ -279,41 +283,8 @@ def family_member(
         levels[nv] = prof
         low_margin = min(low_margin, float(np.min(prof.values - lower)))
         up_margin = min(up_margin, float(np.min(upper - prof.values)))
-    if not levels:
-        raise DomainError("minimal-solution ladder does not reach n_max")
-
-    deepest = max(levels)
-    raw_last = levels[deepest]
-    accel, _ = _extrapolate_ladder(levels, raw_last.grid)
-    return FamilyMemberResult(
-        profile=RadialProfile(grid=raw_last.grid, values=accel),
-        raw_last=raw_last,
-        a=a,
-        b=b,
-        sandwich_lower_margin=low_margin,
-        sandwich_upper_margin=up_margin,
-        window_increments=_increments([levels[n] for n in _doublings(deepest)], _WINDOW),
-        trusted_window=_trusted_window(deepest),
-    )
-
-
-@dataclass(eq=False)
-class ExteriorBallResult:
-    """Exterior minimal solution (the raw last shell iterate) with its boundary-layer
-    window for ratio analysis and the radius window its audits trust."""
-
-    profile: RadialProfile
-    layer_window: tuple[float, float]
-    window_increments: list[float] = field(default_factory=list)
-    converged: bool = False
-    trusted_window: tuple[float, float] = (0.0, np.inf)
-
-    @property
-    def raw_last(self) -> RadialProfile:
-        return self.profile
-
-    def __call__(self, r):
-        return self.profile(r)
+    return _origin_result(levels, levels[max(levels)].grid, config, ordered=False,
+                          sandwich_lower_margin=low_margin, sandwich_upper_margin=up_margin)
 
 
 def exterior_ball_minimal(
@@ -322,12 +293,13 @@ def exterior_ball_minimal(
     config: SolveConfig | None = None,
     nodes: int = 2048,
     delta_min: float = 1e-6,
-) -> ExteriorBallResult:
+) -> LadderResult:
     """Minimal solution outside a ball as the limit of zero-data shell problems.
 
-    Solves on (R, R+n) for doubling n with zero data at both ends; the weight
-    argument is the distance r - R, so the grid grades geometrically in that
-    distance.  Refused when the full first-moment criterion fails.
+    Solves on (R, R+n) for the doublings n = n_max 2^-k >= 2 with zero data
+    at both ends; the weight argument is the distance r - R, so the grid
+    grades geometrically in that distance.  The profile is the raw top shell.
+    Refused when the full first-moment criterion fails.
     """
     config = config or SolveConfig()
     if not isinstance(problem.K, Ball):
@@ -342,19 +314,21 @@ def exterior_ball_minimal(
     def shifted_weight(r: np.ndarray) -> np.ndarray:
         return problem.phi(np.maximum(np.asarray(r, dtype=float) - R, 1e-300))
 
-    shells = [
-        _solve_level(problem, shifted_weight,
-                     RadialGrid.boundary_layer(R, delta_min, n, nodes, problem.N),
-                     0.0, 0.0, config)
-        for n in _doublings(n_max)
-    ]
-    increments = _increments(shells, (R + 10.0 * delta_min, R + 0.5))
-    return ExteriorBallResult(
-        profile=shells[-1],
-        layer_window=(max(1e-3, 2.0 * delta_min), 0.1),
+    levels = {
+        n: _solve_level(problem, shifted_weight,
+                        RadialGrid.boundary_layer(R, delta_min, n, nodes, problem.N),
+                        0.0, 0.0, config)
+        for n in _doublings(float(n_max))
+    }
+    increments = _ladder_gaps(list(levels.values()), (R + 10.0 * delta_min, R + 0.5),
+                              ordered=True)
+    return LadderResult(
+        profile=levels[max(levels)],
+        levels=levels,
         window_increments=increments,
         converged=bool(increments and increments[-1] < max(config.tol_sup, 1e-6)),
         trusted_window=(R + 1e-2, R + n_max / 4.0),
+        layer_window=(max(1e-3, 2.0 * delta_min), 0.1),
     )
 
 

@@ -364,27 +364,32 @@ def iterated_near0(
     """int_0^{t_hi} t^{1-N} int_0^t s^{N-1} w(s) ds dt with divergence certificates."""
     if N < 3:
         raise DomainError("iterated integrals require N >= 3")
+    return _iterated_near0(w, N, t_hi)[0]
+
+
+def _iterated_near0(w, N: int, t_hi: float) -> tuple[ConditionReport, ConditionReport]:
+    """iterated_near0's report, and the scan of its inner integral over [0, t_hi]."""
     counter = _EvalCounter(w)
     inner_report = _inner_near0(w, N, t_hi)
     if inner_report.status == INFINITE:
         # inner integrand already non-integrable: the outer integrand is +inf
         return ConditionReport("iterated-near0", INFINITE, None, inner_report.certificate,
                                "quadrature", inner_report.evaluations,
-                               windows=inner_report.windows)
+                               windows=inner_report.windows), inner_report
     inconclusive = ConditionReport("iterated-near0", INCONCLUSIVE, None, None, "quadrature",
                                    inner_report.evaluations, windows=inner_report.windows)
     if inner_report.status == INCONCLUSIVE:
-        return inconclusive
+        return inconclusive, inner_report
     try:
         floor, stub, kappa = _inner_base(w, N, 0.0, t_hi)
     except DivergenceError:  # the stub's scan, below the floor, can still overflow
-        return inconclusive
+        return inconclusive, inner_report
     J = _InnerCumulative(N, floor, t_hi, counter, base=stub, base_kappa=kappa)
     outer = _EvalCounter(lambda t: J(t) * t ** (1 - N))
     rep = _scan(outer, _windows_to_point(0.0, t_hi), "iterated-near0")
     evals = counter.count + outer.count + inner_report.evaluations
     return ConditionReport(rep.criterion, rep.status, rep.value, rep.certificate,
-                           "quadrature", evals, rep.error_estimate, rep.windows)
+                           "quadrature", evals, rep.error_estimate, rep.windows), inner_report
 
 
 def iterated_tail(
@@ -540,11 +545,10 @@ def lemma_zero_check(
         return simple, iterated
     s0 = integrate_singular(lambda s: s * phi(s), 0.0, 1.0, criterion="simple-full")
     s1 = integrate_tail(lambda s: s * phi(s), 1.0, criterion="simple-full")
-    it0 = iterated_near0(phi, N, 1.0)
+    it0, inner0 = _iterated_near0(phi, N, 1.0)
     it1 = None
     if it0.status == FINITE:  # then the inner scan toward zero is finite too
-        base = _inner_near0(phi, N, 1.0).value
-        it1 = iterated_tail(phi, N, 1.0, inner_lower=1.0, inner_base=base)
+        it1 = iterated_tail(phi, N, 1.0, inner_lower=1.0, inner_base=inner0.value)
     return _join("simple-full", s0, s1), _join("iterated-full", it0, it1)
 
 
@@ -604,6 +608,7 @@ def divergence_certificate_boundary(
     return BoundaryCertificate(tuple(radii.tolist()), tuple(vals.tolist()), divergent, limit)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing weight reads not monotone
 def phi_tail_monotone(phi: Callable[[np.ndarray], np.ndarray], r0: float) -> bool:
     """Sampled monotonicity of the weight on 64 geometric radii in [r0, 1e6 r0]
     (hypothesis check for tail verdicts)."""

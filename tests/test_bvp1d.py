@@ -268,6 +268,19 @@ def test_two_sided_unit_bisection_matches_brentq(t_min, count):
     assert nodes[1] == pytest.approx(t_min, rel=EPS / t_min + 1e-12)
 
 
+@settings(max_examples=200, deadline=None)
+@given(log_t=st.floats(-12.0, -3.0), count=st.integers(16, 4096))
+def test_two_sided_unit_first_node_is_t_min(log_t, count):
+    # the nodes are 0.5 sinh(g x) / (cosh(g (x - 1/2)) sinh(g / 2)), free of the
+    # cancellation in 0.5 (1 + s) with s near -1
+    t_min = 10.0 ** log_t
+    if t_min >= 1.0 / (count + 1):
+        return
+    nodes = el.RadialGrid.two_sided_unit(t_min, count).nodes
+    assert abs(nodes[1] - t_min) <= 1e-12 * t_min
+    assert nodes[(len(nodes) - 1) // 2] == 0.5
+
+
 def test_two_sided_unit_unreachable_first_node_is_a_domain_error():
     # the first node of 65 nodes cannot exceed 1/64, the uniform grid's
     with pytest.raises(el.DomainError, match="t_min = 0.2 is out of reach"):
@@ -460,6 +473,19 @@ def test_one_level_solve_from_a_subsolution(N, p, alpha, a, b):
     full = solve_on_nodes(r, N, w, f, lower[0], lower[-1], cfg)
     assert np.all(one >= start)
     assert np.max(np.abs(one - full) / full) <= 1e-9
+
+
+@pytest.mark.parametrize("r,N,p,match", [
+    (np.geomspace(0.5, 2.0, 64), 2000, 1.0, "flux stencil"),
+    (np.arange(64) * 1e-310, 1, 1.0, "flux stencil"),
+    (np.geomspace(0.5, 2.0, 64), 3, 1e6, "Newton step"),
+])
+def test_solver_refuses_what_overflows(r, N, p, match):
+    # r^(2-N) on [1/2, 2] for N = 2000, 1/c for the subnormal spacings 1e-310,
+    # and (u + eps)^p for p = 1e6 leave the doubles: a refusal that names the
+    # cause, not NaN iterations up to the cap
+    with pytest.raises(el.DomainError, match=match):
+        solve_on_nodes(r, N, np.ones_like, el.PowerF(p), 0.0, 0.0, el.SolveConfig())
 
 
 def test_nonconvergence_cap():

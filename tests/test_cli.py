@@ -353,6 +353,18 @@ def test_solve_n_max_too_small_for_asymptotics(tmp_path, capsys, which, n_max, c
         assert err == ""
 
 
+@pytest.mark.parametrize("which", ["minimal", "family"])
+def test_solve_n_max_4_exits_on_the_asymptotics_window(tmp_path, capsys, which):
+    # the documented minimum: every ladder radius is >= 2, so the construction
+    # returns and only its trusted window is too short for the asymptotics
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, solve={"which": which, "nodes": 512, "n_max": 4})
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: solve.n_max = 4 is too small")
+    assert len(err.splitlines()) == 1
+
+
 def test_solve_manifest_is_strict_json(tmp_path, capsys):
     # the increment window (R + 10 delta_min, R + 0.5) holds no node here, so
     # the window increments are not finite; they are written as null

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import elliptic_lab as el
 from elliptic_lab.bvp1d import AUDIT_TOL
-from elliptic_lab.construct import _radial_inequality_residual, _trusted_window
+from elliptic_lab.construct import (_doublings, _ladder_gaps, _origin_ladder,
+                                    _radial_inequality_residual, _trusted_window)
 from elliptic_lab.problem import center_distance
 
 
@@ -58,15 +60,57 @@ def test_minimal_window_increments_decrease(minimal64):
 
 
 def test_minimal_ladder_below_a_power_of_two(problem_power):
-    # n_max = 24: the doublings stop at 16, the refinements 24 * 2^(-j/3) sit between
+    # n_max = 24: the doublings 3, 6, 12, 24 end at n_max, and the refinements
+    # 24 * 2^(-j/3) sit between them
     ms = el.minimal_solution(problem_power, n_max=24, nodes=256)
-    doublings = [2.0, 4.0, 8.0, 16.0]
+    doublings = [3.0, 6.0, 12.0, 24.0]
     assert ms.raw_levels == [ms.levels[n] for n in doublings]
     assert [p.r_max for p in ms.raw_levels] == pytest.approx(doublings, rel=1e-14)
     refinements = {24.0 * 2.0 ** (-j / 3.0) for j in range(1, 7)}
     assert list(ms.levels) == sorted(set(doublings) | refinements)
-    assert ms.raw_last is ms.levels[16.0]
+    assert ms.raw_last is ms.levels[24.0]
+    assert ms.trusted_window == _trusted_window(24.0)
     assert len(ms.window_increments) == 3
+
+
+def _parent_ladder(n_max: int) -> list[float]:
+    """The ladder before it ended at n_max: doublings 2, 4, ... up to n_max,
+    and the refinements n_max 2^(-j/3)."""
+    doublings = [2.0 ** k for k in range(1, n_max.bit_length())]
+    return sorted(set(doublings).union(float(n_max) * 2.0 ** (-j / 3.0) for j in range(1, 7)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_max=st.integers(4, 4096))
+def test_ladder_ends_at_n_max(n_max):
+    ladder = _origin_ladder(float(n_max))
+    assert ladder[-1] == n_max and ladder == sorted(set(ladder))
+    assert min(ladder) >= 2.0 and min(_doublings(float(n_max))) < 4.0
+    top = np.array(ladder[-7:])
+    assert np.allclose(top[1:] / top[:-1], 2.0 ** (1.0 / 3.0), rtol=1e-14, atol=0.0)
+    assert set(_doublings(float(n_max))) <= set(ladder)
+    if n_max >= 8 and n_max & (n_max - 1) == 0:
+        assert ladder == _parent_ladder(n_max)
+
+
+def test_minimal_matches_closed_form_between_powers_of_two(problem_power, closed_form):
+    # the top seven levels step by 2^(1/3) up to n_max = 100 itself, so the
+    # Aitken rows are geometric (mixed with the doublings 32 and 64 they were
+    # 0.19 off)
+    ms = el.minimal_solution(problem_power, n_max=100, nodes=2048)
+    rw = np.geomspace(0.1, 10.0, 400)
+    assert np.max(np.abs(ms.profile(rw) - closed_form(rw)) / closed_form(rw)) <= 0.02
+
+
+def test_ladder_gaps_check_the_order_of_zero_data_ladders():
+    grid = el.RadialGrid.geometric(0.25, 4.0, 64, 3)
+    low = el.RadialProfile(grid=grid, values=np.where(grid.nodes < 4.0, 1.0, 0.0))
+    high = el.RadialProfile(grid=grid, values=np.where(grid.nodes < 4.0, 1.5, 0.0))
+    assert _ladder_gaps([low, high], (0.5, 2.0), ordered=True) == [0.5]
+    assert _ladder_gaps([high, low], (0.5, 2.0), ordered=False) == [0.5]
+    with pytest.raises(el.NoSolutionError, match="lost monotonicity by -5"):
+        _ladder_gaps([high, low], (0.5, 2.0), ordered=True)
+    assert _ladder_gaps([high, low], (5.0, 6.0), ordered=True) == [np.inf]
 
 
 def test_minimal_tail_decay(minimal64):
@@ -177,16 +221,17 @@ def test_family_member_with_positive_data_needs_no_regularization():
 
 
 def test_family_below_the_minimal_ladder(problem_power, minimal64):
-    # n_max = 24 under the minimal ladder's 64: increments over the doublings
-    # 2..16 only, trusted window and last iterate from the deepest level <= 24
-    fm = el.family_member(problem_power, 1.0, 0.5, minimal64.value, n_max=24)
-    deepest = max(n for n in minimal64.value.levels if n <= 24)
-    assert deepest == pytest.approx(64.0 * 2.0 ** (-5.0 / 3.0), rel=1e-14)
-    assert fm.raw_last.grid is minimal64.value.levels[deepest].grid
-    assert fm.trusted_window == _trusted_window(deepest)
-    fm16 = el.family_member(problem_power, 1.0, 0.5, minimal64.value, n_max=16)
+    # a member solves on xi's whole ladder: any n_max but its top level 64 is
+    # refused, and a member of the ladder that ends at 24 ends there too
+    for n_max in (8, 24, 100):
+        with pytest.raises(el.DomainError, match="top level 64"):
+            el.family_member(problem_power, 1.0, 0.5, minimal64.value, n_max=n_max)
+    xi = el.minimal_solution(problem_power, n_max=24, nodes=256)
+    fm = el.family_member(problem_power, 1.0, 0.5, xi, n_max=24)
+    assert list(fm.levels) == list(xi.levels)
+    assert fm.raw_last.grid is xi.levels[24.0].grid
+    assert fm.trusted_window == xi.trusted_window == _trusted_window(24.0)
     assert len(fm.window_increments) == 3
-    assert fm.window_increments == fm16.window_increments
 
 
 def test_family_harnack_type_lower_bound(problem_power, minimal64):
@@ -232,6 +277,28 @@ def test_exterior_increments_per_doubling(exterior32):
     # shells at n = 2, 4, 8, 16, 32: log2(32) - 1 increments
     inc = exterior32.value.window_increments
     assert len(inc) == 4 and all(np.isfinite(inc))
+
+
+def test_exterior_ladder_ends_at_n_max(ball_problem):
+    ext = el.exterior_ball_minimal(ball_problem, n_max=24, nodes=512)
+    assert list(ext.levels) == [3.0, 6.0, 12.0, 24.0] == [
+        p.r_max - 1.0 for p in ext.raw_levels]
+    assert ext.profile is ext.raw_last is ext.levels[24.0]
+    assert len(ext.window_increments) == 3 and all(np.isfinite(ext.window_increments))
+
+
+@pytest.mark.parametrize("nodes", [32, 64, 128])
+def test_exterior_order_check_on_coarse_grids(ball_problem, nodes):
+    # the exterior levels take nodes as given: on coarse boundary-layer grids
+    # each shell still lies above the one before it over the whole increment
+    # window, so the order check passes where the window holds nodes
+    ext = el.exterior_ball_minimal(ball_problem, n_max=32, nodes=nodes)
+    inc = ext.window_increments
+    assert len(inc) == 4 and all(np.isfinite(inc))
+    for prev, cur in zip(ext.raw_levels, ext.raw_levels[1:]):
+        r = cur.grid.interior
+        r = r[(r >= 1.0 + 1e-5) & (r <= 1.5)]
+        assert np.min(cur(r) - prev(r)) > 0.0
 
 
 def test_exterior_refusal():

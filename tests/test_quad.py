@@ -439,6 +439,24 @@ def test_reports_are_independent_of_the_window_block(phi, monkeypatch):
         assert other == results[0]
 
 
+@pytest.mark.parametrize("phi", WEIGHTS, ids=repr)
+def test_full_lemma_scans_toward_zero_once(phi, monkeypatch):
+    # the reports equal the composition of the public pieces, evaluations
+    # included, while the inner scan over [0, 1] runs once
+    s0 = el.integrate_singular(lambda s: s * phi(s), 0.0, 1.0, criterion="simple-full")
+    s1 = el.integrate_tail(lambda s: s * phi(s), 1.0, criterion="simple-full")
+    it0 = iterated_near0(phi, 3, 1.0)
+    it1 = (iterated_tail(phi, 3, 1.0, inner_lower=1.0,
+                         inner_base=quad._inner_near0(phi, 3, 1.0).value)
+           if it0.status == FINITE else None)
+    expected = (_join("simple-full", s0, s1), _join("iterated-full", it0, it1))
+    his = []
+    scan = quad._inner_near0
+    monkeypatch.setattr(quad, "_inner_near0", lambda w, N, hi: his.append(hi) or scan(w, N, hi))
+    assert el.lemma_zero_check(phi, 3, "full") == expected
+    assert his.count(1.0) == 1
+
+
 def test_window_block_cases_cover_every_verdict():
     statuses = {r[1] for phi in WEIGHTS for r in _verdicts(phi)}
     assert statuses == {FINITE, INFINITE, INCONCLUSIVE}
@@ -554,3 +572,8 @@ def test_tail_monotonicity_probe():
                             values=np.array([1.0, 2.0, 0.5, 1.5]),
                             near0_exp=0.0, tail_exp=0.0)
     assert not el.quad.phi_tail_monotone(bumpy, 1.0)
+
+
+def test_tail_monotonicity_probe_of_an_overflowing_weight():
+    # r^1e3 is inf beyond r = 2.1, and inf - inf is NaN: not monotone, and no warning
+    assert not el.quad.phi_tail_monotone(el.PowerPhi(1e3), 1.0)
