@@ -13,7 +13,7 @@ from .errors import DomainError
 from .quad import _panels
 from ._extrapolate import MAX_LEVELS, aitken_limit
 from .bvp1d import AUDIT_TOL, RadialGrid, RadialProfile, neg_laplacian
-from .problem import Origin, PointSet, ProblemSpec
+from .problem import ProblemSpec
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +236,7 @@ def residual_radial(
         raise DomainError("residual audit needs at least 32 nodes")
     rin = r[1:-1]
     residual = problem.residual(neg_laplacian(r, u, problem.N),
-                                problem.delta_radial(rin), u[1:-1])
+                                problem.K.delta_radial(rin), u[1:-1])
     if r_window is not None:
         keep = (rin >= r_window[0]) & (rin <= r_window[1])
         if not np.any(keep):
@@ -255,13 +255,13 @@ def residual_field(
 ) -> ResidualReport:
     """Stencil-Laplacian audit of a superposition field at low-discrepancy points.
 
-    Halton points fill the centers' bounding box grown by FIELD_BOX_PAD.  Uses
-    the 2N+1-point stencil with spacing min(h, margin/4), margin being the
-    distance to the nearest center; points closer than 2h to a center are
-    skipped and counted.  The report's table holds the kept samples.
+    V is built from K's own centers.  Halton points fill their bounding box,
+    grown by FIELD_BOX_PAD, and the 2N+1-point stencil has spacing
+    min(h, delta/4), delta = K.delta(x); points closer than 2h to a center
+    are skipped and counted.  The report's table holds the kept samples.
     """
-    if not isinstance(problem.K, (PointSet, Origin)):
-        raise DomainError("field audits expect a point-set compact set")
+    if problem.K.solid:
+        raise DomainError("field audits expect the origin or a point-set compact set")
     if problem.phi.is_zero:
         raise DomainError("field audits require a positive weight")
     centers = V.centers
@@ -274,12 +274,12 @@ def residual_field(
 
     sampler = qmc.Halton(d=N, seed=seed)
     pts = qmc.scale(sampler.random(samples), lo, hi)
-    margin = V.delta(pts)
-    keep = margin > 2.0 * h
+    delta = problem.K.delta(pts)
+    keep = delta > 2.0 * h
     skipped = int(np.sum(~keep))
     pts = pts[keep]
-    margin = margin[keep]
-    hloc = np.minimum(h, margin / 4.0)
+    delta = delta[keep]
+    hloc = np.minimum(h, delta / 4.0)
     v0 = V(pts)
     lap = np.zeros(len(pts))
     shifted = pts.copy()
@@ -290,7 +290,7 @@ def residual_field(
         vm = V(shifted)
         shifted[:, j] = pts[:, j]
         lap += (vp - 2.0 * v0 + vm) / hloc ** 2
-    residual = problem.residual(-lap, problem.delta_points(pts), v0)
+    residual = problem.residual(-lap, delta, v0)
     return _report(residual, float(np.max(hloc)), skipped=skipped,
                    table=np.column_stack([pts, v0, residual]))
 

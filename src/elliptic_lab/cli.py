@@ -7,8 +7,9 @@ Usage:
     lab verify             --config cfg.json [--target ID_OR_PATH] [--out DIR]
     lab certify-divergence --config cfg.json [--out DIR]
 
-Exit codes: 0 success/determinate; 1 malformed config or unreadable input;
-2 inconclusive verdict or failed verification; 3 solver error.
+Exit codes: 0 success/determinate; 1 malformed config, unreadable input, or a
+command that does not fit K or f; 2 inconclusive verdict or failed
+verification; 3 solver error.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, DomainError, LabError
+from .errors import ConfigError, DomainError, LabError, UnsupportedCombinationError
 from . import analysis as _analysis
 from . import bvp1d as _bvp1d
 from . import construct as _construct
@@ -505,7 +506,7 @@ def cmd_verify(cfg: SimpleNamespace, out: Path, target: str | None = None) -> in
             r1 = float(np.sqrt(lo * min(hi, profile.r_max)))
         floor = window[0] if window else None
         ok = _analysis.min_principle_check(profile, float(r1), r_floor=floor,
-                                           annulus=isinstance(cfg.problem.K, _problem.Ball))
+                                           annulus=cfg.problem.K.solid)
         add("min-principle", ok, 0.0 if ok else -1.0, f"r1={float(r1):g}")
         tail = profile.values[-max(8, len(profile.values) // 16):]
         tail = tail[tail > 0]
@@ -635,7 +636,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_verify(cfg, out, target=args.target)
         if args.command == "certify-divergence":
             return cmd_certify_divergence(cfg, out)
-    except ConfigError as exc:
+    except (ConfigError, UnsupportedCombinationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except LabError as exc:

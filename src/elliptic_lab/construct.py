@@ -27,8 +27,7 @@ from .errors import (
 )
 from ._extrapolate import aitken_limit_rows
 from .bvp1d import RadialGrid, RadialProfile, SolveConfig, neg_laplacian, solve_on_nodes
-from .problem import (Ball, Origin, ProblemSpec, center_distance, check_centers,
-                      nearest_center_distance)
+from .problem import Origin, ProblemSpec, center_distance, check_centers
 from . import quad as _quad
 
 # extrapolation ladder refinement: steps of 2^(1/3) below the final annulus
@@ -84,10 +83,12 @@ def _origin_ladder(n_max: float) -> list[float]:
     return sorted(set(_doublings(n_max)).union(n for n in refinements if n >= 2.0))
 
 
-def _solve_level(problem: ProblemSpec, weight: Callable, grid: RadialGrid,
-                 va: float, vb: float, config: SolveConfig,
-                 initial: np.ndarray | None = None) -> RadialProfile:
-    """One ladder level: the Dirichlet problem with data va, vb on grid."""
+def _solve_level(problem: ProblemSpec, grid: RadialGrid, va: float, vb: float,
+                 config: SolveConfig, initial: np.ndarray | None = None) -> RadialProfile:
+    """One ladder level: data va, vb on grid, weight phi(K.delta_radial(r))."""
+    def weight(r: np.ndarray) -> np.ndarray:
+        return problem.phi(problem.K.delta_radial(r))
+
     interior = solve_on_nodes(grid.nodes, problem.N, weight, problem.f, va, vb,
                               config, initial=initial)
     return RadialProfile(grid=grid, values=np.concatenate(([va], interior, [vb])))
@@ -188,8 +189,8 @@ def minimal_solution(
     the final grid.  Refuses when the existence criteria fail.
     """
     config = config or SolveConfig()
-    if not isinstance(problem.K, Origin):
-        raise DomainError("minimal_solution expects the origin as compact set")
+    if problem.K != Origin():
+        raise UnsupportedCombinationError("minimal_solution expects the origin as compact set")
     _require_existence(problem)
     if n_max < 4:
         raise DomainError("n_max must be at least 4")
@@ -199,8 +200,7 @@ def minimal_solution(
     for nv in _origin_ladder(float(n_max)):
         ra, rb = 1.0 / nv, nv
         count = max(192, int(round(nodes * math.log10(rb / ra) / decades_final)))
-        levels[nv] = _solve_level(problem, problem.phi,
-                                  RadialGrid.geometric(ra, rb, count, problem.N),
+        levels[nv] = _solve_level(problem, RadialGrid.geometric(ra, rb, count, problem.N),
                                   0.0, 0.0, config)
     final_grid = RadialGrid.geometric(1.0 / n_max, float(n_max), nodes, problem.N)
     return _origin_result(levels, final_grid, config, ordered=True)
@@ -258,8 +258,8 @@ def family_member(
     config = config or SolveConfig()
     if a < 0 or b < 0:
         raise DomainError("family parameters must be nonnegative")
-    if not isinstance(problem.K, Origin):
-        raise DomainError("family members are built around the origin")
+    if problem.K != Origin():
+        raise UnsupportedCombinationError("family members are built around the origin")
     if problem.f.power_exponent() is None:
         raise UnsupportedCombinationError("family construction requires a power nonlinearity")
     if float(n_max) != max(xi.levels):
@@ -278,7 +278,7 @@ def family_member(
         else:
             start = (np.full(len(rn) - 2, initial_scale) if initial_scale > 0.0
                      else np.maximum(lower, xi_prof.values)[1:-1])
-            prof = _solve_level(problem, problem.phi, xi_prof.grid, float(upper[0]),
+            prof = _solve_level(problem, xi_prof.grid, float(upper[0]),
                                 float(upper[-1]), one_level, initial=start)
         levels[nv] = prof
         low_margin = min(low_margin, float(np.min(prof.values - lower)))
@@ -297,26 +297,21 @@ def exterior_ball_minimal(
     """Minimal solution outside a ball as the limit of zero-data shell problems.
 
     Solves on (R, R+n) for the doublings n = n_max 2^-k >= 2 with zero data
-    at both ends; the weight argument is the distance r - R, so the grid
-    grades geometrically in that distance.  The profile is the raw top shell.
+    at both ends; the grid grades geometrically in the distance r - R to the
+    ball, which is the weight's argument.  The profile is the raw top shell.
     Refused when the full first-moment criterion fails.
     """
     config = config or SolveConfig()
-    if not isinstance(problem.K, Ball):
-        raise DomainError("exterior_ball_minimal expects a ball compact set")
+    if not problem.K.solid:
+        raise UnsupportedCombinationError("exterior_ball_minimal expects a ball compact set")
     if not 0.0 < delta_min < 0.05:
         raise DomainError("delta_min must lie in (0, 0.05), below the layer window's end 0.1")
     if n_max < 2:
         raise DomainError("n_max must be at least 2")
     _require_existence(problem)
     R = problem.K.radius
-
-    def shifted_weight(r: np.ndarray) -> np.ndarray:
-        return problem.phi(np.maximum(np.asarray(r, dtype=float) - R, 1e-300))
-
     levels = {
-        n: _solve_level(problem, shifted_weight,
-                        RadialGrid.boundary_layer(R, delta_min, n, nodes, problem.N),
+        n: _solve_level(problem, RadialGrid.boundary_layer(R, delta_min, n, nodes, problem.N),
                         0.0, 0.0, config)
         for n in _doublings(float(n_max))
     }
@@ -397,7 +392,7 @@ def _radial_inequality_residual(U: Callable, problem: ProblemSpec,
     nodes = np.exp([-_H_LOG, 0.0, _H_LOG])[:, None] * r
     u = np.asarray(U(nodes), dtype=float)
     return problem.residual(neg_laplacian(nodes, u, problem.N)[0],
-                            problem.delta_radial(r), u[1])
+                            problem.K.delta_radial(r), u[1])
 
 
 def glue_supersolution(
@@ -453,9 +448,6 @@ class SuperpositionField:
     def __post_init__(self):
         self.centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
         check_centers(self.centers)
-
-    def delta(self, x: np.ndarray) -> np.ndarray:
-        return nearest_center_distance(x, self.centers)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))

@@ -35,33 +35,51 @@ def center_distance(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.sqrt(d, out=d)
 
 
-def nearest_center_distance(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Distance from each row of x to the nearest row of centers."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    d = np.full(x.shape[0], np.inf)
-    for a in centers:
-        np.minimum(d, center_distance(x, a), out=d)
-    return d
+class CompactSet:
+    """Protocol of the compact sets K: one class per kind.  ``delta_radial(r)``
+    is the distance to K along a ray from the origin (DomainError where K has
+    none).  ``solid`` is True for a set with interior, whose existence
+    criterion is the plain first moment; the others give ``delta(x)`` =
+    dist(x, K) at the rows of x.  ``dimension`` is the N that a set's points
+    fix, or None.
+    """
+
+    solid = False
+    dimension = None
 
 
 @dataclass(frozen=True)
-class Origin:
+class Origin(CompactSet):
     """The single point at the origin."""
 
+    def delta(self, x: np.ndarray) -> np.ndarray:
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        return center_distance(x, np.zeros(x.shape[1]))
+
+    def delta_radial(self, r: np.ndarray) -> np.ndarray:
+        return np.asarray(r, dtype=float)
+
 
 @dataclass(frozen=True)
-class Ball:
+class Ball(CompactSet):
     """Closed ball of the given radius centered at the origin."""
 
     radius: float
+    solid = True
 
     def __post_init__(self):
         if self.radius <= 0:
             raise DomainError("ball radius must be positive")
 
+    def delta_radial(self, r: np.ndarray) -> np.ndarray:
+        d = np.asarray(r, dtype=float) - self.radius
+        if np.any(d <= 0):
+            raise DomainError("radial distance defined outside the ball only")
+        return d
+
 
 @dataclass(frozen=True)
-class PointSet:
+class PointSet(CompactSet):
     """A finite set of pairwise distinct points."""
 
     centers: tuple[tuple[float, ...], ...]
@@ -73,11 +91,22 @@ class PointSet:
             raise DomainError("all centers must share one dimension")
         check_centers(self.as_array())
 
+    @property
+    def dimension(self) -> int:
+        return len(self.centers[0])
+
     def as_array(self) -> np.ndarray:
         return np.asarray(self.centers, dtype=float)
 
+    def delta(self, x: np.ndarray) -> np.ndarray:
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        d = np.full(x.shape[0], np.inf)
+        for a in self.as_array():
+            np.minimum(d, center_distance(x, a), out=d)
+        return d
 
-KSet = Origin | Ball | PointSet
+    def delta_radial(self, r: np.ndarray) -> np.ndarray:
+        raise DomainError("point sets have no radial distance function")
 
 
 @dataclass(frozen=True)
@@ -87,36 +116,15 @@ class ProblemSpec:
     N: int
     phi: object
     f: object
-    K: KSet
+    K: CompactSet
 
     def __post_init__(self):
         if self.N < 2:
             raise DomainError("dimension must be >= 2")
-        if not isinstance(self.K, (Origin, Ball, PointSet)):
+        if not isinstance(self.K, CompactSet):
             raise DomainError("K must be Origin, Ball, or PointSet")
-        if isinstance(self.K, PointSet) and len(self.K.centers[0]) != self.N:
+        if self.K.dimension not in (None, self.N):
             raise DomainError("point-set centers must live in dimension N")
-
-    def delta_radial(self, r: np.ndarray) -> np.ndarray:
-        """Distance to the boundary of K along a ray from the origin."""
-        r = np.asarray(r, dtype=float)
-        if isinstance(self.K, Origin):
-            return r
-        if isinstance(self.K, Ball):
-            d = r - self.K.radius
-            if np.any(d <= 0):
-                raise DomainError("radial distance defined outside the ball only")
-            return d
-        raise DomainError("point sets have no radial distance function")
-
-    def delta_points(self, x: np.ndarray) -> np.ndarray:
-        """delta_K at arbitrary points (rows of x) for a point-set K or the origin."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if isinstance(self.K, Origin):
-            return center_distance(x, np.zeros(self.N))
-        if isinstance(self.K, PointSet):
-            return nearest_center_distance(x, self.K.as_array())
-        raise DomainError("delta_points supports Origin and PointSet")
 
     def residual(self, neg_lap: np.ndarray, delta: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Defect of -Lap(u) >= phi(delta) f(u), normalized by the equation scale:

@@ -23,7 +23,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import DivergenceError, DomainError, UnsupportedCombinationError
-from . import problem as _problem
 
 FINITE = "finite"
 INFINITE = "infinite"
@@ -467,8 +466,8 @@ def _analytic_exists(phi, weight_shift: float) -> bool | None:
     return sigma > -1.0 and phi.tail_exponent() + 1.0 < -1.0
 
 
-def classify_existence(problem: "_problem.ProblemSpec") -> ExistencePrediction:
-    """Existence verdict for the inequality on the complement of the compact set.
+def classify_existence(problem) -> ExistencePrediction:
+    """Existence verdict of a ProblemSpec on the complement of its compact set.
 
     One moment test for every compact set: the tail first moment together with
     the near-zero moment of s^(1+shift) phi(s).  A ball (solid K) uses shift 0,
@@ -482,14 +481,13 @@ def classify_existence(problem: "_problem.ProblemSpec") -> ExistencePrediction:
         # positive superharmonic functions on the plane admit no decaying states
         return ExistencePrediction(False, "two-dimensional-obstruction", ())
 
-    if isinstance(problem.K, _problem.Ball):
+    if problem.K.solid:
         shift, name = 0.0, "first-moment"
     else:
         p = problem.f.power_exponent()
         if p is None:
             raise UnsupportedCombinationError(
-                "point-set compact sets are classified only for power nonlinearities"
-            )
+                "the origin or a point set is classified only for power nonlinearities")
         shift, name = (1.0 + p) * (problem.N - 2), "shifted-moment"
     near0 = integrate_singular(lambda s: s ** (1.0 + shift) * phi(s), 0.0, 1.0,
                                criterion=f"{name}-near0")

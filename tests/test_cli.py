@@ -420,6 +420,33 @@ def test_solve_refusal_exit_code(tmp_path, capsys):
     assert "solver error" in capsys.readouterr().err
 
 
+K_KINDS = {"origin": {"kind": "origin"},
+           "ball": {"kind": "ball", "radius": 1.0},
+           "points": {"kind": "point_set", "centers": [[0, 0, 0], [4, 0, 0]]}}
+MISFITS = [([command, flag, target], K, "power")
+           for command, flag in (("solve", "--which"), ("verify", "--target"))
+           for target, kinds in (("minimal", ("ball", "points")), ("family", ("ball", "points")),
+                                 ("exterior-ball", ("origin", "points")))
+           for K in kinds] + [(["classify"], "origin", "constant")]
+
+
+@pytest.mark.parametrize("argv,K,f", MISFITS,
+                         ids=["-".join([*argv[::2], K, f]) for argv, K, f in MISFITS])
+def test_command_that_does_not_fit_K_or_f_is_a_config_error(tmp_path, capsys, argv, K, f):
+    """A construction for another kind of K, or a criterion that needs a power
+    f, exits 1 with one line and no traceback."""
+    problem = {"N": 3, "phi": {"kind": "power_split", "alpha": -1, "beta": -3},
+               "f": {"kind": "power", "p": 1} if f == "power" else {"kind": f, "value": 1.0},
+               "K": K_KINDS[K]}
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, problem=problem)
+    rc = main([*argv, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert len(err.strip().splitlines()) == 1 and err.startswith("config error: ")
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

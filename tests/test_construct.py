@@ -382,10 +382,29 @@ def _scattered_points(N: int) -> tuple[np.ndarray, np.ndarray]:
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 6, 7])
 def test_center_distance_is_the_norm_bit_for_bit(N):
+    """Every compact set's distance is np.linalg.norm, bit for bit: to the
+    origin, to the nearest center of a point set, and r - R outside a ball."""
     x, a = _scattered_points(N)
     assert np.array_equal(center_distance(x, a), np.linalg.norm(x - a[None, :], axis=1))
     origin = el.ProblemSpec(N, el.PowerPhi(-3.0), el.PowerF(1.0), el.Origin())
-    assert np.array_equal(origin.delta_points(x), np.linalg.norm(x, axis=1))
+    assert np.array_equal(origin.K.delta(x), np.linalg.norm(x, axis=1))
+    r = np.linalg.norm(x, axis=1)
+    assert np.array_equal(el.Origin().delta_radial(r), r)
+
+    centers = np.vstack([a, -a, 2.0 * a, np.zeros(N)])
+    points = el.PointSet(tuple(map(tuple, centers)))
+    nearest = np.min([np.linalg.norm(x - c[None, :], axis=1) for c in centers], axis=0)
+    assert np.array_equal(points.delta(x), nearest)
+    with pytest.raises(el.DomainError, match="no radial distance"):
+        points.delta_radial(r)
+
+    R = float(np.median(r))
+    ball = el.Ball(R)
+    outside = r[r > R]
+    assert np.array_equal(ball.delta_radial(outside), outside - R)
+    for inside in (R, np.nextafter(R, 0.0), 0.5 * R):
+        with pytest.raises(el.DomainError, match="outside the ball"):
+            ball.delta_radial(np.array([inside, 2.0 * R]))
 
 
 @pytest.mark.parametrize("N", range(2, 11))
@@ -406,10 +425,10 @@ def test_superposition_single_center_identity(glued_split):
     assert np.max(np.abs(V(pts) - exact)) == 0.0
 
 
-def test_superposition_delta_geometry(glued_split):
-    V = el.superposition_field(glued_split.value, [[0, 0, 0], [4, 0, 0]])
-    assert V.delta(np.array([[2.0, 0.0, 0.0]]))[0] == pytest.approx(2.0)
-    assert V.delta(np.array([[4.0, 1.0, 0.0]]))[0] == pytest.approx(1.0)
+def test_superposition_delta_geometry():
+    K = el.PointSet(((0, 0, 0), (4, 0, 0)))
+    assert K.delta(np.array([[2.0, 0.0, 0.0]]))[0] == pytest.approx(2.0)
+    assert K.delta(np.array([[4.0, 1.0, 0.0]]))[0] == pytest.approx(1.0)
 
 
 def test_superposition_two_center_audit(glued_split):

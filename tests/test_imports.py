@@ -1,7 +1,8 @@
 """Import and source contracts: the package modules form a dependency order,
 every function parameter is read, one module holds the Gauss-Legendre rule
-and the radial flux stencil, every name the benchmark's tracer wraps exists, construct solves through one
-call site, the window scan has no mode switches, and importing the package and the quadrature-only commands load
+and the radial flux stencil, no layer checks the class of K, every name the
+benchmark's tracer wraps exists, construct solves through one call site,
+the window scan has no mode switches, and importing the package and the quadrature-only commands load
 numpy but no scipy module; scipy submodules are imported on first use, and solve and verify load only scipy.linalg."""
 
 from __future__ import annotations
@@ -79,6 +80,7 @@ def test_modules_form_a_dependency_order():
     graph = import_graph()
     order = list(graphlib.TopologicalSorter(graph).static_order())  # CycleError on a cycle
     assert "funcs" not in graph["quad"]
+    assert "problem" not in graph["quad"]
     assert "funcs" not in graph["bvp1d"]
     assert order.index("quad") < order.index("bvp1d") < order.index("funcs")
 
@@ -210,6 +212,29 @@ def test_one_radial_stencil():
     users = sorted(p.name for p in PACKAGE.glob("*.py")
                    if "_face_conductance" in p.read_text() or "_cell_volumes" in p.read_text())
     assert users == ["bvp1d.py"]
+
+
+def compact_set_class_checks() -> list[tuple[str, str]]:
+    """(module file, class) of every isinstance call that names Origin, Ball or PointSet."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance"):
+                kinds = node.args[1]
+                for kind in kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]:
+                    name = ast.unparse(kind).split(".")[-1]
+                    if name in ("Origin", "Ball", "PointSet"):
+                        found.append((path.name, name))
+    return found
+
+
+def test_one_compact_set_protocol():
+    """Every layer asks K for its distance, solid and dimension; only problem.py
+    and the superposition target of lab verify check K's class."""
+    checks = compact_set_class_checks()
+    assert {module for module, _ in checks} <= {"problem.py", "cli.py"}
+    assert [kind for module, kind in checks if module == "cli.py"] == ["PointSet"]
 
 
 def traced_attributes() -> list[tuple[str, str]]:
