@@ -59,15 +59,20 @@ def aitken_limit_rows(table: np.ndarray, valid: np.ndarray) -> tuple[np.ndarray,
 
     valid marks usable entries per (level, point); invalid levels are dropped
     for that point, and a point with no valid level gets (nan, inf).  Columns
-    sharing a valid pattern are extrapolated together.  Returns (limits,
-    errors) per point.
+    sharing a valid pattern are extrapolated together; the patterns are told
+    apart by the integer whose bits are a column's valid flags, so a table
+    has at most 63 levels.  Returns (limits, errors) per point.
     """
     table = np.asarray(table, dtype=float)
     limits = np.full(table.shape[1], np.nan)
     errors = np.full(table.shape[1], np.inf)
-    patterns, which = np.unique(valid, axis=1, return_inverse=True)
-    which = which.ravel()
-    for k, rows in enumerate(patterns.T):
+    valid = np.asarray(valid, dtype=bool)
+    if len(valid) > 63:
+        raise ValueError("at most 63 levels")
+    code = (1 << np.arange(len(valid), dtype=np.int64)) @ valid
+    _, first, which = np.unique(code, return_index=True, return_inverse=True)
+    for k, col in enumerate(first):
+        rows = valid[:, col]
         if not rows.any():
             continue
         cols = which == k

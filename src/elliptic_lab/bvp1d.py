@@ -11,6 +11,11 @@ monotone shifted iteration for a general f), and the converged levels are
 nondecreasing as eps decreases.  Problems with positive data need no
 regularization path: started from a discrete subsolution, one level at the
 final eps suffices (SolveConfig.final_level).
+
+The solver takes a stack of grids, such as the levels of an exhaustion
+ladder, as one block-diagonal system whose blocks are not coupled: one
+Newton step is one symmetric positive definite banded solve (LAPACK ptsv) of
+the stack, and each grid keeps its own stopping rule and checks.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -374,107 +379,165 @@ def neg_laplacian(nodes: np.ndarray, u: np.ndarray, N: int) -> np.ndarray:
     return ((u[1:-1] - u[:-2]) / c[:-1] + (u[1:-1] - u[2:]) / c[1:]) / V
 
 
-def solve_banded(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
-                 rhs: np.ndarray) -> np.ndarray:
-    """Solution of the tridiagonal system (sub, diag, sup) x = rhs by LAPACK gtsv.
+def solve_banded(off: np.ndarray, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solution of the symmetric positive definite tridiagonal system with one
+    off-diagonal off and the diagonal diag, for rhs, by LAPACK ptsv (the
+    L D L^T factorization).
 
     diag and rhs are overwritten (the solution is returned in rhs's storage);
-    sub and sup are left intact, so callers can reuse them.  gtsv is imported
-    on first use to keep imports light.  The name stays a module global that
-    solve_on_nodes looks up on every step, so a tracer that replaces it sees
-    every banded solve.
+    off is left intact, so callers can reuse it.  A matrix that is not
+    positive definite is a SolverFault.  ptsv is imported on first use to
+    keep imports light.  The name stays a module global that solve_on_nodes
+    looks up on every step, so a tracer that replaces it sees every banded
+    solve.
     """
-    from scipy.linalg.lapack import dgtsv
+    from scipy.linalg.lapack import dptsv
 
-    _, _, _, x, info = dgtsv(sub, diag, sup, rhs, overwrite_d=1, overwrite_b=1)
+    _, _, x, info = dptsv(diag, off, rhs, overwrite_d=1, overwrite_b=1)
     if info != 0:
-        raise SolverFault(f"tridiagonal solve failed (LAPACK gtsv info={info})")
+        raise SolverFault(f"tridiagonal solve failed (LAPACK ptsv info={info}"
+                          f"{': not positive definite' if info > 0 else ''})")
     return x
 
 
-def solve_on_nodes(
-    nodes: np.ndarray,
-    N: int,
-    weight: Callable[[np.ndarray], np.ndarray],
-    f: "_funcs.FSpec",
-    va: float,
-    vb: float,
-    config: SolveConfig,
-    initial: np.ndarray | None = None,
-) -> np.ndarray:
-    """Interior solution values of the flux-form system with Dirichlet data va, vb.
+def _interval(nodes: np.ndarray) -> str:
+    return f"[{nodes[0]:g}, {nodes[-1]:g}]"
 
-    Each level eps of config.schedule() is solved by the Newton step
-        (L + Lam) u_new = Lam u + V w f(u + eps),   Lam = V w |f'(u + eps)|,
-    from the previous level (from initial, or zero, at the first).  For a
-    convex power f the map u -> L u - V w f(u + eps) is concave and L + Lam is
-    an M-matrix, so from a discrete subsolution the iterates rise
-    monotonically; other f use slope_bound as a monotone shift.  A level stops
-    when max_i |du_i| / max(|u_i|, 1) <= STEP_TOL, or when that relative
-    increment is below STALL_TOL and fails to halve from one step to the next
-    (roundoff).  Converged levels must be pointwise nondecreasing as eps
-    decreases (checked after every level).  A stencil or a Newton step that
-    is not finite in double precision is a DomainError.
-    """
-    nodes = np.asarray(nodes, dtype=float)
-    M = len(nodes)
-    if M < 16:
+
+def _flux_system(nodes: np.ndarray, N: int, weight: Callable[[np.ndarray], np.ndarray],
+                 va: float, vb: float) -> tuple[np.ndarray, ...]:
+    """One level's flux system: V w, the off-diagonal with a 0 after the last
+    interior node, the diagonal, and the boundary terms va / c_first and
+    vb / c_last of the right-hand side."""
+    if len(nodes) < 16:
         raise DomainError("need at least 16 nodes")
     if va < 0 or vb < 0:
         raise DomainError("boundary data must be nonnegative")
     w_i = np.asarray(weight(nodes[1:-1]), dtype=float)
     if np.any(w_i < 0) or np.any(~np.isfinite(w_i)):
-        raise DomainError("weight must be finite and nonnegative at interior nodes")
-
+        raise DomainError("weight must be finite and nonnegative at interior nodes "
+                          f"of {_interval(nodes)}")
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # refused below
         c = _face_conductance(nodes, N)
         V = _cell_volumes(nodes, N)
         Vw = V * w_i
-        off = -1.0 / c[1:-1]  # the flux form is symmetric: one off-diagonal
+        off = np.append(-1.0 / c[1:-1], 0.0)  # the flux form is symmetric
         diag = 1.0 / c[:-1] + 1.0 / c[1:]
     if not (np.all(c > 0) and np.all(diag < np.inf) and np.all((V > 0) & (Vw < np.inf))):
-        raise DomainError(f"the N = {N} flux stencil over- or underflows on "
-                          f"[{nodes[0]:g}, {nodes[-1]:g}]")
+        raise DomainError(f"the N = {N} flux stencil over- or underflows on {_interval(nodes)}")
+    return Vw, off, diag, np.array([va / c[0]]), np.array([vb / c[-1]])
 
-    u = np.zeros(M - 2) if initial is None else np.asarray(initial, dtype=float).copy()
-    if initial is not None and len(u) != M - 2:
+
+def solve_on_nodes(
+    levels: Sequence[np.ndarray],
+    N: int,
+    weight: Callable[[np.ndarray], np.ndarray],
+    f: "_funcs.FSpec",
+    va: Sequence[float],
+    vb: Sequence[float],
+    config: SolveConfig,
+    initial: Sequence[np.ndarray] | None = None,
+) -> list[np.ndarray]:
+    """Interior solution values of a stack of flux-form systems: level j on
+    the nodes levels[j], with Dirichlet data va[j], vb[j].  One level is a
+    stack of one.
+
+    Each eps of config.schedule() is solved by the Newton step
+        (L + Lam) u_new = Lam u + V w f(u + eps),   Lam = V w |f'(u + eps)|,
+    from the previous eps (from initial[j], or zero, at the first).  The
+    levels form one block-diagonal tridiagonal system whose couplings
+    between blocks are exactly 0, so each Newton step is one banded solve of
+    the stack, no elimination crosses a block, and every level's iterates
+    are those of its own solve, bit for bit.  For a convex power f the map
+    u -> L u - V w f(u + eps) is concave and L + Lam is an M-matrix, so from
+    a discrete subsolution the iterates rise monotonically; other f use
+    slope_bound as a monotone shift.  A level stops, and leaves the stack,
+    when max_i |du_i| / max(|u_i|, 1) <= STEP_TOL over its nodes, or when
+    that relative increment is below STALL_TOL and fails to halve from one
+    step to the next (roundoff); all levels then move on to the next eps
+    together.  Each level's converged iterates must be pointwise
+    nondecreasing as eps decreases (checked after every eps).  A stencil or
+    a Newton step that is not finite in double precision is a DomainError,
+    a level still moving after max_picard steps a NonConvergenceError, and a
+    negative iterate or lost monotonicity a SolverFault; each message names
+    the failing level's interval [r_first, r_last].
+    """
+    levels = [np.asarray(nodes, dtype=float) for nodes in levels]
+    if not levels or len(va) != len(levels) or len(vb) != len(levels):
+        raise DomainError("need one or more levels, with boundary data for each")
+    systems = [_flux_system(nodes, N, weight, a, b) for nodes, a, b in zip(levels, va, vb)]
+    Vw, off, diag, left, right = (np.concatenate(parts) for parts in zip(*systems))
+    sizes = np.array([len(nodes) - 2 for nodes in levels])
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    if initial is None:
+        u = np.zeros(ends[-1])
+    elif len(initial) != len(levels) or any(len(u0) != m for u0, m in zip(initial, sizes)):
         raise DomainError("initial iterate must have one value per interior node")
+    else:
+        u = np.concatenate(initial, dtype=float)
 
+    last_step = np.zeros(len(levels))  # each level's final sup |du| at the current eps
     prev_level = None
     for eps in config.schedule():
-        rel = np.inf
+        # the stack of the levels still iterating at this eps
+        act, m, ua, Vwa, offa, diaga, lefta, righta = (
+            np.arange(len(levels)), sizes, u, Vw, off, diag, left, right)
+        first = starts
+        rel = np.full(len(levels), np.inf)
         for _ in range(config.max_picard):
             with np.errstate(over="ignore", invalid="ignore"):  # a NaN rel is refused below
-                ueps = u + eps
+                ueps = ua + eps
                 fvals = f(ueps)
-                lam = Vw * f.slope_bound(ueps)
-                rhs = Vw * fvals + lam * u
-                rhs[0] += va / c[0]
-                rhs[-1] += vb / c[-1]
-                unew = solve_banded(off, diag + lam, off, rhs)
-                step = np.abs(unew - u)
-                u = unew
-                prev_rel, rel = rel, float(np.max(step / np.maximum(np.abs(u), 1.0)))
-            if math.isnan(rel):  # an infinite or NaN entry of u
-                raise DomainError(f"the Newton step at eps={eps:g} is not finite: f or its "
-                                  "slope overflows")
-            if rel <= STEP_TOL or STALL_TOL > rel > 0.5 * prev_rel:
+                lam = Vwa * f.slope_bound(ueps)
+                rhs = Vwa * fvals + lam * ua
+                rhs[first] += lefta
+                rhs[first + m - 1] += righta
+                unew = solve_banded(offa[:-1], diaga + lam, rhs)
+                step = np.abs(unew - ua)
+                prev_rel, rel = rel, np.maximum.reduceat(step / np.maximum(np.abs(unew), 1.0),
+                                                         first)
+            if np.isnan(rel).any():  # an infinite or NaN entry of u
+                # a non-finite block spreads NaN through the zero couplings
+                with np.errstate(over="ignore", invalid="ignore"):
+                    finite = np.isfinite(Vwa * fvals + lam * ua) & np.isfinite(lam)
+                culprit = ~np.logical_and.reduceat(finite, first)
+                j = act[np.argmax(culprit if culprit.any() else np.isnan(rel))]
+                raise DomainError(f"the Newton step at eps={eps:g} on {_interval(levels[j])} "
+                                  "is not finite: f or its slope overflows")
+            ua = unew
+            done = (rel <= STEP_TOL) | ((STALL_TOL > rel) & (rel > 0.5 * prev_rel))
+            if not done.any():
+                continue
+            last_step[act[done]] = np.maximum.reduceat(step, first)[done]
+            for k in np.flatnonzero(done):
+                u[starts[act[k]]:ends[act[k]]] = ua[first[k]:first[k] + m[k]]
+            if done.all():
                 break
+            keep = ~done
+            on = np.repeat(keep, m)
+            ua, Vwa, offa, diaga = ua[on], Vwa[on], offa[on], diaga[on]
+            act, m, lefta, righta, rel = act[keep], m[keep], lefta[keep], righta[keep], rel[keep]
+            first = np.cumsum(m) - m
         else:
             raise NonConvergenceError(
-                f"fixed-point iteration cap at eps={eps:g}", last_increment=float(np.max(step))
+                f"fixed-point iteration cap at eps={eps:g} on {_interval(levels[act[0]])}",
+                last_increment=float(np.max(step[:m[0]])),
             )
-        if np.any(u < 0):
-            raise SolverFault("iterate went negative")
+        negative = np.minimum.reduceat(u, starts) < 0
+        lost = np.zeros_like(negative)
         if prev_level is not None:
-            slack = 1e-12 * max(1.0, float(np.max(u)))
-            worst = float(np.min(u - prev_level))
-            if worst < -max(slack, 50.0 * float(np.max(step))):
-                raise SolverFault(
-                    f"regularization levels lost monotonicity by {worst:.3e}"
-                )
+            slack = 1e-12 * np.maximum(1.0, np.maximum.reduceat(u, starts))
+            worst = np.minimum.reduceat(u - prev_level, starts)
+            lost = worst < -np.maximum(slack, 50.0 * last_step)
+        if negative.any() or lost.any():
+            j = int(np.argmax(negative | lost))
+            if negative[j]:
+                raise SolverFault(f"iterate went negative on {_interval(levels[j])}")
+            raise SolverFault(f"regularization levels lost monotonicity by {worst[j]:.3e} "
+                              f"on {_interval(levels[j])}")
         prev_level = u.copy()
-    return u
+    return np.split(u, ends[:-1])
 
 
 def solve_radial_dirichlet(
@@ -501,7 +564,7 @@ def solve_radial_dirichlet(
     grid = (RadialGrid(nodes=np.linspace(ra, rb, nodes), dimension=1) if ra == 0.0
             else RadialGrid.geometric(ra, rb, nodes, N))
     va, vb = boundary
-    interior = solve_on_nodes(grid.nodes, N, weight, f, va, vb, config)
+    [interior] = solve_on_nodes([grid.nodes], N, weight, f, [va], [vb], config)
     vals = np.concatenate(([va], interior, [vb]))
     return RadialProfile(grid=grid, values=vals)
 
@@ -527,7 +590,7 @@ def solve_H(
                               certificate=moment.certificate)
     grid = RadialGrid.two_sided_unit(t_min, nodes)
     t = grid.nodes
-    interior = solve_on_nodes(t, 1, phi, f, 0.0, 0.0, config)
+    [interior] = solve_on_nodes([t], 1, phi, f, [0.0], [0.0], config)
     vals = np.concatenate(([0.0], interior, [0.0]))
     # concavity: second differences of a concave profile are nonpositive
     h = np.diff(t)

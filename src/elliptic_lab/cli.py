@@ -535,7 +535,11 @@ def _build_reference_bound(cfg: SimpleNamespace):
     f = cfg.problem.f
     N = cfg.problem.N
     single = _problem.ProblemSpec(N=N, phi=phi, f=f, K=_problem.Origin())
-    kw = _analysis.kelvin_weight(phi, N, f.power_exponent() or 1.0)
+    p = f.power_exponent()
+    if p is None:
+        raise UnsupportedCombinationError(
+            "superposition verification requires a power nonlinearity")
+    kw = _analysis.kelvin_weight(phi, N, p)
     if kw.exact is None:
         raise ConfigError("superposition verification requires a power-type weight")
     outer = _funcs.supersolution_profile(phi, f, N, inner_lower=1.0, r_min=1.0, nodes=800)

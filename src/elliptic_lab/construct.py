@@ -83,15 +83,18 @@ def _origin_ladder(n_max: float) -> list[float]:
     return sorted(set(_doublings(n_max)).union(n for n in refinements if n >= 2.0))
 
 
-def _solve_level(problem: ProblemSpec, grid: RadialGrid, va: float, vb: float,
-                 config: SolveConfig, initial: np.ndarray | None = None) -> RadialProfile:
-    """One ladder level: data va, vb on grid, weight phi(K.delta_radial(r))."""
+def _solve_ladder(problem: ProblemSpec, grids: Sequence[RadialGrid], va: Sequence[float],
+                  vb: Sequence[float], config: SolveConfig,
+                  initial: Sequence[np.ndarray] | None = None) -> list[RadialProfile]:
+    """Every level of a ladder in one stacked solve: data va[j], vb[j] on
+    grids[j], weight phi(K.delta_radial(r))."""
     def weight(r: np.ndarray) -> np.ndarray:
         return problem.phi(problem.K.delta_radial(r))
 
-    interior = solve_on_nodes(grid.nodes, problem.N, weight, problem.f, va, vb,
-                              config, initial=initial)
-    return RadialProfile(grid=grid, values=np.concatenate(([va], interior, [vb])))
+    interiors = solve_on_nodes([grid.nodes for grid in grids], problem.N, weight, problem.f,
+                               va, vb, config, initial=initial)
+    return [RadialProfile(grid=grid, values=np.concatenate(([a], interior, [b])))
+            for grid, a, b, interior in zip(grids, va, vb, interiors)]
 
 
 def _ladder_gaps(rungs: Sequence[RadialProfile], window: tuple[float, float],
@@ -196,12 +199,15 @@ def minimal_solution(
         raise DomainError("n_max must be at least 4")
     decades_final = math.log10(float(n_max) ** 2)
 
-    levels: dict[float, RadialProfile] = {}
-    for nv in _origin_ladder(float(n_max)):
+    def grid(nv: float) -> RadialGrid:
         ra, rb = 1.0 / nv, nv
         count = max(192, int(round(nodes * math.log10(rb / ra) / decades_final)))
-        levels[nv] = _solve_level(problem, RadialGrid.geometric(ra, rb, count, problem.N),
-                                  0.0, 0.0, config)
+        return RadialGrid.geometric(ra, rb, count, problem.N)
+
+    ladder = _origin_ladder(float(n_max))
+    grids = [grid(nv) for nv in ladder]
+    zero = [0.0] * len(grids)
+    levels = dict(zip(ladder, _solve_ladder(problem, grids, zero, zero, config)))
     final_grid = RadialGrid.geometric(1.0 / n_max, float(n_max), nodes, problem.N)
     return _origin_result(levels, final_grid, config, ordered=True)
 
@@ -266,23 +272,20 @@ def family_member(
         raise DomainError(f"n_max = {n_max} is not the top level {max(xi.levels):g} "
                           "of the minimal-solution ladder")
 
-    one_level = config.final_level()
-    levels: dict[float, RadialProfile] = {}
-    low_margin = up_margin = np.inf
-    for nv, xi_prof in xi.levels.items():
-        rn = xi_prof.grid.nodes
-        lower = a * rn ** (2.0 - problem.N) + b
-        upper = lower + xi_prof.values
-        if a == 0.0 and b == 0.0:
-            prof = xi_prof
-        else:
-            start = (np.full(len(rn) - 2, initial_scale) if initial_scale > 0.0
-                     else np.maximum(lower, xi_prof.values)[1:-1])
-            prof = _solve_level(problem, xi_prof.grid, float(upper[0]),
-                                float(upper[-1]), one_level, initial=start)
-        levels[nv] = prof
-        low_margin = min(low_margin, float(np.min(prof.values - lower)))
-        up_margin = min(up_margin, float(np.min(upper - prof.values)))
+    xis = list(xi.levels.values())
+    lower = [a * x.grid.nodes ** (2.0 - problem.N) + b for x in xis]
+    upper = [lo + x.values for lo, x in zip(lower, xis)]
+    if a == 0.0 and b == 0.0:
+        profs = xis
+    else:
+        start = [np.full(len(x.values) - 2, initial_scale) if initial_scale > 0.0
+                 else np.maximum(lo, x.values)[1:-1] for lo, x in zip(lower, xis)]
+        profs = _solve_ladder(problem, [x.grid for x in xis], [float(up[0]) for up in upper],
+                              [float(up[-1]) for up in upper], config.final_level(),
+                              initial=start)
+    levels = dict(zip(xi.levels, profs))
+    low_margin = min(float(np.min(prof.values - lo)) for prof, lo in zip(profs, lower))
+    up_margin = min(float(np.min(up - prof.values)) for prof, up in zip(profs, upper))
     return _origin_result(levels, levels[max(levels)].grid, config, ordered=False,
                           sandwich_lower_margin=low_margin, sandwich_upper_margin=up_margin)
 
@@ -310,11 +313,10 @@ def exterior_ball_minimal(
         raise DomainError("n_max must be at least 2")
     _require_existence(problem)
     R = problem.K.radius
-    levels = {
-        n: _solve_level(problem, RadialGrid.boundary_layer(R, delta_min, n, nodes, problem.N),
-                        0.0, 0.0, config)
-        for n in _doublings(float(n_max))
-    }
+    ladder = _doublings(float(n_max))
+    grids = [RadialGrid.boundary_layer(R, delta_min, n, nodes, problem.N) for n in ladder]
+    zero = [0.0] * len(grids)
+    levels = dict(zip(ladder, _solve_ladder(problem, grids, zero, zero, config)))
     increments = _ladder_gaps(list(levels.values()), (R + 10.0 * delta_min, R + 0.5),
                               ordered=True)
     return LadderResult(

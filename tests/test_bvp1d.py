@@ -441,7 +441,7 @@ def test_monotone_in_regularization():
     sols = []
     for tol_sup in (1.25, 0.3125, 1e-8):  # schedules ending at eps 2^-4, 2^-6, 2^-30
         cfg = el.SolveConfig(tol_sup=tol_sup)
-        sols.append(solve_on_nodes(grid.nodes, 3, w, el.PowerF(1.0), 0.0, 0.0, cfg))
+        sols += solve_on_nodes([grid.nodes], 3, w, el.PowerF(1.0), [0.0], [0.0], cfg)
     assert np.min(sols[1] - sols[0]) >= -1e-12 * max(1.0, np.max(sols[1]))
     assert np.min(sols[2] - sols[1]) >= -1e-12 * max(1.0, np.max(sols[2]))
 
@@ -451,9 +451,10 @@ def test_uniqueness_surrogate_initial_iterates(closed_form):
     grid = el.RadialGrid.geometric(0.25, 4.0, 256, 3)
     cfg = el.SolveConfig(tol_sup=1e-10)
     w = lambda r: r ** -3.0
-    u0 = solve_on_nodes(grid.nodes, 3, w, el.PowerF(1.0), 0.0, 0.0, cfg)
+    [u0] = solve_on_nodes([grid.nodes], 3, w, el.PowerF(1.0), [0.0], [0.0], cfg)
     upper = closed_form(grid.nodes[1:-1]) * 2.0
-    u1 = solve_on_nodes(grid.nodes, 3, w, el.PowerF(1.0), 0.0, 0.0, cfg, initial=upper)
+    [u1] = solve_on_nodes([grid.nodes], 3, w, el.PowerF(1.0), [0.0], [0.0], cfg,
+                          initial=[upper])
     assert np.max(np.abs(u1 - u0)) <= 10.0 * cfg.tol_sup * max(1.0, float(np.max(u0)))
 
 
@@ -467,10 +468,11 @@ def test_one_level_solve_from_a_subsolution(N, p, alpha, a, b):
     r = grid.nodes
     w, f, cfg = (lambda s: s ** alpha), el.PowerF(p), el.SolveConfig()
     lower = a * r ** (2.0 - N) + b
-    xi = solve_on_nodes(r, N, w, f, 0.0, 0.0, cfg)
+    [xi] = solve_on_nodes([r], N, w, f, [0.0], [0.0], cfg)
     start = np.maximum(lower[1:-1], xi)
-    one = solve_on_nodes(r, N, w, f, lower[0], lower[-1], cfg.final_level(), initial=start)
-    full = solve_on_nodes(r, N, w, f, lower[0], lower[-1], cfg)
+    [one] = solve_on_nodes([r], N, w, f, [lower[0]], [lower[-1]], cfg.final_level(),
+                           initial=[start])
+    [full] = solve_on_nodes([r], N, w, f, [lower[0]], [lower[-1]], cfg)
     assert np.all(one >= start)
     assert np.max(np.abs(one - full) / full) <= 1e-9
 
@@ -485,7 +487,59 @@ def test_solver_refuses_what_overflows(r, N, p, match):
     # and (u + eps)^p for p = 1e6 leave the doubles: a refusal that names the
     # cause, not NaN iterations up to the cap
     with pytest.raises(el.DomainError, match=match):
-        solve_on_nodes(r, N, np.ones_like, el.PowerF(p), 0.0, 0.0, el.SolveConfig())
+        solve_on_nodes([r], N, np.ones_like, el.PowerF(p), [0.0], [0.0], el.SolveConfig())
+
+
+@st.composite
+def _stacks(draw):
+    """A stack of 1-5 levels of one problem: nodes, data and starts per level."""
+    N = draw(st.integers(1, 6))
+    p = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    alpha = draw(st.floats(-3.0, 0.0))
+    positive = draw(st.booleans())
+    with_initial = draw(st.booleans())
+    levels, va, vb, initial = [], [], [], []
+    for _ in range(draw(st.integers(1, 5))):
+        ra = draw(st.floats(0.05, 1.0))
+        nodes = np.geomspace(ra, ra * draw(st.floats(2.0, 64.0)), draw(st.integers(16, 400)))
+        levels.append(nodes)
+        va.append(draw(st.floats(0.1, 2.0)) if positive else 0.0)
+        vb.append(draw(st.floats(0.1, 2.0)) if positive else 0.0)
+        initial.append(np.full(len(nodes) - 2, draw(st.floats(0.0, 1.0))))
+    return N, p, alpha, levels, va, vb, initial if with_initial else None
+
+
+@settings(max_examples=40, deadline=None)
+@given(_stacks())
+def test_stacked_levels_equal_their_own_solves_bit_for_bit(case):
+    # the couplings between blocks are exactly 0, so no elimination crosses a
+    # block: each level of a stack is its own solve, bit for bit
+    N, p, alpha, levels, va, vb, initial = case
+    w, f, cfg = (lambda s: s ** alpha), el.PowerF(p), el.SolveConfig()
+    stacked = solve_on_nodes(levels, N, w, f, va, vb, cfg, initial=initial)
+    for j, nodes in enumerate(levels):
+        [own] = solve_on_nodes([nodes], N, w, f, [va[j]], [vb[j]], cfg,
+                               initial=None if initial is None else [initial[j]])
+        assert np.array_equal(stacked[j], own)
+
+
+def test_stacked_errors_name_their_level():
+    # the first level starts at its solution and stops after one step; the
+    # second, from zero, reaches the iteration cap, and the message names it
+    w, f = (lambda s: s ** -3.0), el.PowerF(1.0)
+    one = el.SolveConfig(max_picard=1).final_level()
+    first, second = np.geomspace(0.25, 4.0, 64), np.geomspace(0.5, 8.0, 96)
+    [solved] = solve_on_nodes([first], 3, w, f, [1.0], [1.0], el.SolveConfig().final_level())
+    solve_on_nodes([first], 3, w, f, [1.0], [1.0], one, initial=[solved])  # within the cap
+    with pytest.raises(el.NonConvergenceError, match=r"on \[0\.5, 8\]$") as exc:
+        solve_on_nodes([first, second], 3, w, f, [1.0, 0.0], [1.0, 0.0], one,
+                       initial=[solved, np.zeros(94)])
+    assert exc.value.last_increment > 0
+    # a Newton step that overflows names its level too
+    big = el.PowerF(1e6)
+    with pytest.raises(el.DomainError, match=r"on \[0\.5, 8\] is not finite"):
+        solve_on_nodes([first, second], 3, w, big, [1.0, 0.0], [1.0, 0.0],
+                       el.SolveConfig(), initial=[np.ones(62), np.zeros(94)])
 
 
 def test_nonconvergence_cap():

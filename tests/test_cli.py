@@ -526,6 +526,22 @@ def test_verify_superposition(tmp_path):
     assert rc == 0
 
 
+def test_verify_superposition_refuses_a_non_power_f(tmp_path, capsys):
+    # the Kelvin branch of the reference bound needs the exponent p of f
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, problem={"N": 3,
+                               "phi": {"kind": "power_split", "alpha": -3, "beta": -3},
+                               "f": {"kind": "constant", "value": 1.0},
+                               "K": {"kind": "point_set",
+                                     "centers": [[0, 0, 0], [4, 0, 0]]}},
+                 verify={"target": "superposition", "samples": 2000})
+    rc = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.splitlines() == ["config error: superposition verification requires a "
+                                "power nonlinearity"]
+
+
 def test_verify_unreadable_target(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     write_config(cfg)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import elliptic_lab as el
+from elliptic_lab import construct
 from elliptic_lab.bvp1d import AUDIT_TOL
 from elliptic_lab.construct import (_doublings, _ladder_gaps, _origin_ladder,
                                     _radial_inequality_residual, _trusted_window)
@@ -264,6 +265,22 @@ def test_family_rejects_general_f(minimal64):
 # ---------------------------------------------------------------------------
 # exterior shells
 # ---------------------------------------------------------------------------
+
+def test_each_construction_solves_its_ladder_in_one_call(monkeypatch, problem_power,
+                                                        ball_problem):
+    calls = []
+    solve = construct.solve_on_nodes
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(construct, "solve_on_nodes", counted)
+    xi = el.minimal_solution(problem_power, n_max=16, nodes=256)
+    el.family_member(problem_power, 0.5, 1.0, xi, n_max=16)
+    el.exterior_ball_minimal(ball_problem, n_max=8, nodes=128)
+    assert calls == [len(xi.levels), len(xi.levels), 3]
+
 
 def test_exterior_profile_shape(exterior32, ball_problem):
     prof = exterior32.value.profile

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elliptic_lab._extrapolate import MAX_LEVELS, aitken_limit, aitken_limit_rows
+from elliptic_lab._extrapolate import MAX_LEVELS, _aitken, aitken_limit, aitken_limit_rows
 
 
 def _aitken_row(cur: list[float]) -> list[float]:
@@ -102,6 +102,50 @@ def test_aitken_rows_equal_the_list_reference(case):
             assert _same(best, ref_limits[j]) and _same(err, ref_errors[j])
         else:
             assert np.isnan(limits[j]) and errors[j] == np.inf
+
+
+def _rows_by_unique_patterns(table, valid):
+    """Columns grouped by np.unique(valid, axis=1), a sort of the patterns."""
+    limits = np.full(table.shape[1], np.nan)
+    errors = np.full(table.shape[1], np.inf)
+    patterns, which = np.unique(valid, axis=1, return_inverse=True)
+    which = which.ravel()
+    for k, rows in enumerate(patterns.T):
+        if rows.any():
+            cols = which == k
+            limits[cols], errors[cols] = _aitken(table[rows][:, cols])
+    return limits, errors
+
+
+@st.composite
+def _shared_patterns(draw):
+    """Tables of 1-9 levels whose columns share a few validity patterns."""
+    terms = draw(st.integers(1, 9))
+    points = draw(st.integers(1, 60))
+    pool = draw(st.lists(st.lists(st.booleans(), min_size=terms, max_size=terms),
+                         min_size=1, max_size=5))
+    valid = np.array([pool[draw(st.integers(0, len(pool) - 1))] for _ in range(points)],
+                     dtype=bool).T.reshape(terms, points)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    k = np.arange(terms)[:, None]
+    table = rng.normal(size=points) + rng.normal(size=points) * rng.uniform(-1, 1, points) ** k
+    table[rng.random(table.shape) < 0.05] = np.inf
+    table[~valid] = np.nan
+    return table, valid
+
+
+@settings(max_examples=300, deadline=None)
+@given(_shared_patterns())
+def test_grouping_by_bit_code_equals_the_sorted_patterns(case):
+    table, valid = case
+    limits, errors = aitken_limit_rows(table, valid)
+    ref_limits, ref_errors = _rows_by_unique_patterns(table, valid)
+    assert _same(limits, ref_limits) and _same(errors, ref_errors)
+
+
+def test_aitken_rows_refuse_more_levels_than_code_bits():
+    with pytest.raises(ValueError, match="63 levels"):
+        aitken_limit_rows(np.zeros((64, 2)), np.ones((64, 2), dtype=bool))
 
 
 def test_aitken_removes_a_geometric_mode_exactly():

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded as scipy_solve_banded
+from scipy.linalg import solveh_banded as scipy_solveh_banded
 
 import elliptic_lab
 from elliptic_lab import bvp1d, funcs, quad
@@ -181,24 +181,25 @@ def test_package_imports_scipy_only_for_lapack_and_the_halton_sampler():
 
 
 def test_solve_banded_matches_scipy_exactly():
+    # SPD tridiagonal matrices: solveh_banded with one off-diagonal is ptsv too
     rng = np.random.default_rng(7)
-    n = 200
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -rng.uniform(0.1, 1.0, n - 1)
-    ab[2, :-1] = -rng.uniform(0.1, 1.0, n - 1)
-    ab[1] = 2.5 + rng.uniform(0.0, 1.0, n)
-    b = rng.standard_normal(n)
-    expected = scipy_solve_banded((1, 1), ab, b)
-    sub, sup = ab[2, :-1].copy(), ab[0, 1:].copy()
-    x = bvp1d.solve_banded(sub, ab[1].copy(), sup, b.copy())
-    assert np.array_equal(x, expected)
-    assert np.array_equal(sub, ab[2, :-1]) and np.array_equal(sup, ab[0, 1:])  # reusable
+    for n in (2, 17, 200, 2048):
+        ab = np.zeros((2, n))
+        ab[0, 1:] = -rng.uniform(0.1, 1.0, n - 1)
+        ab[1] = 2.5 + rng.uniform(0.0, 1.0, n)
+        b = rng.standard_normal(n)
+        expected = scipy_solveh_banded(ab, b)
+        off = ab[0, 1:].copy()
+        x = bvp1d.solve_banded(off, ab[1].copy(), b.copy())
+        assert np.array_equal(x, expected)
+        assert np.array_equal(off, ab[0, 1:])  # reusable
 
 
 def test_solve_banded_singular_system_is_a_solver_fault():
-    n = 5
-    with pytest.raises(SolverFault, match="gtsv"):
-        bvp1d.solve_banded(np.zeros(n - 1), np.zeros(n), np.zeros(n - 1), np.ones(n))
+    # a zero pivot and an indefinite matrix: ptsv stops at the first pivot <= 0
+    for diag, info in (([0.0, 2.0, 2.0, 2.0, 2.0], 1), ([2.0, -1.0, 2.0, 2.0, 2.0], 2)):
+        with pytest.raises(SolverFault, match=rf"ptsv info={info}: not positive definite"):
+            bvp1d.solve_banded(np.full(4, -0.5), np.array(diag), np.ones(5))
 
 
 def test_one_gauss_legendre_rule():
