@@ -171,6 +171,49 @@ def asymptotics(profile: RadialProfile, N: int, samples: int = 7,
 FIELD_BOX_PAD = 4.0  # residual_field samples the centers' bounding box grown by this
 
 
+def _first_primes(count: int) -> list[int]:
+    """The first ``count`` primes, by trial division."""
+    primes: list[int] = []
+    k = 2
+    while len(primes) < count:
+        if all(k % b for b in primes if b * b <= k):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+def scrambled_halton(d: int, n: int, seed: int) -> np.ndarray:
+    """The first n points of the scrambled Halton sequence in [0, 1)^d, as
+    ``scipy.stats.qmc.Halton(d, seed=seed).random(n)`` draws them, bit for bit.
+
+    Coordinate i is the van der Corput sequence in the i-th prime base b with
+    Owen's random digit permutations (Halton 1960; Owen, arXiv:1706.02808):
+    one ``np.random.default_rng(seed)`` shuffles ``ceil(54 / log2 b) - 1``
+    rows of ``arange(b)``, base after base, and point k is the left-to-right
+    sum over digit positions j of ``perm_j[digit_j(k)] * b^-(j+1)``.  Digit j
+    of 0..n-1 is ``arange(b)`` repeated ``b^j`` times and tiled, so each
+    position is one repeat of the b products ``perm_j * b^-(j+1)``; once
+    ``b^j >= n`` every digit is 0 and the term is one scalar.
+    """
+    rng = np.random.default_rng(seed)
+    sample = np.zeros((d, n))
+    for v, b in zip(sample, _first_primes(d)):
+        perms = np.repeat(np.arange(b)[None], math.ceil(54 / math.log2(b)) - 1, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        b2r = 1.0 / b
+        period = 1  # b^j
+        for perm in perms:
+            terms = perm * b2r
+            if period >= n:
+                v += terms[0]
+            else:
+                v += np.tile(np.repeat(terms, period), -(-n // (b * period)))[:n]
+            b2r /= b
+            period *= b
+    return sample.T
+
+
 @dataclass(frozen=True)
 class ResidualReport:
     """Pointwise statistics of -Lap(u) - phi(delta) f(u), normalized by the equation scale."""
@@ -255,10 +298,12 @@ def residual_field(
 ) -> ResidualReport:
     """Stencil-Laplacian audit of a superposition field at low-discrepancy points.
 
-    V is built from K's own centers.  Halton points fill their bounding box,
-    grown by FIELD_BOX_PAD, and the 2N+1-point stencil has spacing
-    min(h, delta/4), delta = K.delta(x); points closer than 2h to a center
-    are skipped and counted.  The report's table holds the kept samples.
+    V is built from K's own centers.  Scrambled Halton points, as scipy's
+    ``qmc.Halton(d=N, seed=seed)`` draws them (scrambled_halton), fill their
+    bounding box, grown by FIELD_BOX_PAD, and the 2N+1-point stencil has
+    spacing min(h, delta/4), delta = K.delta(x); points closer than 2h to a
+    center are skipped and counted, and an audit that keeps none is a
+    DomainError.  The report's table holds the kept samples.
     """
     if problem.K.solid:
         raise DomainError("field audits expect the origin or a point-set compact set")
@@ -270,13 +315,13 @@ def residual_field(
         raise DomainError("field dimension mismatch")
     lo = centers.min(axis=0) - FIELD_BOX_PAD
     hi = centers.max(axis=0) + FIELD_BOX_PAD
-    from scipy.stats import qmc
-
-    sampler = qmc.Halton(d=N, seed=seed)
-    pts = qmc.scale(sampler.random(samples), lo, hi)
+    pts = scrambled_halton(N, samples, seed) * (hi - lo) + lo
     delta = problem.K.delta(pts)
     keep = delta > 2.0 * h
     skipped = int(np.sum(~keep))
+    if skipped == samples:
+        raise DomainError(f"field audit keeps no sample: all {samples} lie within "
+                          f"2h = {2.0 * h:g} of K")
     pts = pts[keep]
     delta = delta[keep]
     hloc = np.minimum(h, delta / 4.0)

@@ -424,20 +424,21 @@ def cmd_solve(cfg: SimpleNamespace, out: Path, svg: bool, which: str | None = No
 
 
 def _load_profile_csv(path: Path, dimension: int) -> _bvp1d.RadialProfile:
+    name = repr(str(path))  # quoted and escaped, so a line break in it keeps one message line
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1)
     except OSError as exc:
-        raise ConfigError(f"unreadable target: {path}") from exc
+        raise ConfigError(f"unreadable target: {name}") from exc
     except ValueError as exc:  # a cell that is not a number, or a ragged row
-        raise ConfigError(f"target {path} is not a table of numbers: {exc}") from exc
+        raise ConfigError(f"target {name} is not a table of numbers: {exc}") from exc
     if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 16:
-        raise ConfigError(f"target {path} is not a profile table")
+        raise ConfigError(f"target {name} is not a profile table")
     if not np.all(np.isfinite(data)):
-        raise ConfigError(f"target {path} has values that are not finite")
+        raise ConfigError(f"target {name} has values that are not finite")
     if not np.all(data[:, 0] > 0):
-        raise ConfigError(f"target {path} has radii that are not positive")
+        raise ConfigError(f"target {name} has radii that are not positive")
     if not np.all(np.diff(data[:, 0]) > 0):
-        raise ConfigError(f"target {path} has radii that are not strictly increasing")
+        raise ConfigError(f"target {name} has radii that are not strictly increasing")
     grid = _bvp1d.RadialGrid(nodes=data[:, 0], dimension=dimension)
     return _bvp1d.RadialProfile(grid=grid, values=data[:, 1])
 

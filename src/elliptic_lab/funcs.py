@@ -72,7 +72,9 @@ class PowerSplitPhi(PhiSpec):
     beta: float
 
     def _formula(self, r: np.ndarray) -> np.ndarray:
-        return np.where(r <= 1.0, r ** self.alpha, r ** self.beta)
+        # the branch np.where drops may overflow; a kept inf is refused where it is used
+        with np.errstate(over="ignore"):
+            return np.where(r <= 1.0, r ** self.alpha, r ** self.beta)
 
     def near0_exponent(self) -> float:
         return self.alpha

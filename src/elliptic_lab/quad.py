@@ -417,6 +417,7 @@ def iterated_tail(
                            "quadrature", evals, rep.error_estimate, rep.windows)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite integrand is refused by _EvalCounter
 def iterated_tail_profile(
     w: Callable,
     N: int,

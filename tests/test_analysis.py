@@ -200,6 +200,33 @@ def test_residual_field_skips_near_centers(glued_split):
     assert rep.sample_count + rep.skipped == 500
 
 
+def test_residual_field_keeping_no_sample_is_a_domain_error(glued_split):
+    # every point of the box [-4, 8] x [-4, 4]^2 lies within 2h = 100 of K
+    centers = ((0.0, 0.0, 0.0), (4.0, 0.0, 0.0))
+    V = el.superposition_field(glued_split.value, centers)
+    problem = el.ProblemSpec(3, el.PowerSplitPhi(-3.0, -3.0), el.PowerF(1.0),
+                             el.PointSet(centers))
+    with pytest.raises(el.DomainError, match="keeps no sample: all 100 lie within 2h = 100"):
+        el.residual_field(V, problem, samples=100, h=50.0)
+
+
+# n where the digit of one more position starts to vary: prime powers and their neighbours
+HALTON_EDGES = sorted({b ** k + e for b in (2, 3, 5, 7, 11) for k in range(1, 12)
+                       for e in (-1, 0, 1) if b ** k <= 4096})
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 12) | st.sampled_from([169, 170, 200]),
+       n=st.integers(1, 4096) | st.sampled_from(HALTON_EDGES),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_scrambled_halton_is_scipys_halton_bit_for_bit(d, n, seed):
+    """The field audit's sampler is scipy's scrambled Halton, past its 168-prime table too."""
+    from scipy.stats import qmc
+
+    expected = qmc.Halton(d=d, seed=seed).random(n)
+    assert np.array_equal(el.analysis.scrambled_halton(d, n, seed), expected)
+
+
 # ---------------------------------------------------------------------------
 # minimum principle and the planar obstruction
 # ---------------------------------------------------------------------------

@@ -169,17 +169,27 @@ SMALL_JSON_VALUES = _json_values(st.integers(max_value=4096))
 SOLVE_BASE = {**FUZZ_BASE,
               "problem": {**FUZZ_BASE["problem"], "K": {"kind": "origin"}},
               "solve": {**FUZZ_BASE["solve"], "nodes": 128, "n_max": 64}}
-FUZZ_CASES = {"classify": (FUZZ_BASE, JSON_VALUES),
-              "certify-divergence": (FUZZ_BASE, JSON_VALUES),
-              "solve": (SOLVE_BASE, SMALL_JSON_VALUES),
-              "verify": (SOLVE_BASE, SMALL_JSON_VALUES)}
+# FUZZ_BASE audited as a superposition, with the sections that audit reads (solve
+# and certify take their defaults): the reference bound needs a power-type
+# weight, and 1000 samples keep a run short
+SUPERPOSITION_BASE = {"problem": {**FUZZ_BASE["problem"],
+                                  "phi": {"kind": "power_split", "alpha": -3, "beta": -3}},
+                      "verify": {**FUZZ_BASE["verify"], "target": "superposition",
+                                 "samples": 1000},
+                      "output_dir": FUZZ_BASE["output_dir"], "seed": FUZZ_BASE["seed"]}
+# case: (command, base config, values a field is set to)
+FUZZ_CASES = {"classify": ("classify", FUZZ_BASE, JSON_VALUES),
+              "certify-divergence": ("certify-divergence", FUZZ_BASE, JSON_VALUES),
+              "solve": ("solve", SOLVE_BASE, SMALL_JSON_VALUES),
+              "verify": ("verify", SOLVE_BASE, SMALL_JSON_VALUES),
+              "verify-superposition": ("verify", SUPERPOSITION_BASE, SMALL_JSON_VALUES)}
 
 
-@pytest.mark.parametrize("command", list(FUZZ_CASES))
+@pytest.mark.parametrize("case", list(FUZZ_CASES))
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_fuzzed_config_field_keeps_exit_contract(tmp_path, capsys, command, data):
-    base, values = FUZZ_CASES[command]
+def test_fuzzed_config_field_keeps_exit_contract(tmp_path, capsys, case, data):
+    command, base, values = FUZZ_CASES[case]
     path = data.draw(st.sampled_from(sorted(_field_paths(base))), label="path")
     value = data.draw(values, label="value")
     cfg = json.loads(json.dumps(base))
@@ -514,6 +524,10 @@ def test_verify_detects_injected_fault(tmp_path):
     assert reported == pytest.approx(r[bad_idx], rel=0.02)
 
 
+SUPERPOSITION_PROBLEM = {"N": 3, "phi": {"kind": "power_split", "alpha": -3, "beta": -3},
+                         "f": {"kind": "power", "p": 1}}
+
+
 def test_verify_superposition(tmp_path):
     cfg = tmp_path / "cfg.json"
     write_config(cfg, problem={"N": 3,
@@ -524,6 +538,56 @@ def test_verify_superposition(tmp_path):
                  verify={"target": "superposition", "samples": 2000})
     rc = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 0
+
+
+def test_verify_superposition_samples_are_scipys_halton_points(tmp_path):
+    """samples.csv holds the kept points of scipy's scrambled Halton sample, bit for bit."""
+    from scipy.stats import qmc
+
+    from elliptic_lab.analysis import FIELD_BOX_PAD
+
+    centers = np.array([[0.0, 0.0, 0.0], [4.0, 0.0, 0.0]])
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, problem={**SUPERPOSITION_PROBLEM, "K": {"kind": "point_set",
+                                                              "centers": centers.tolist()}},
+                 verify={"target": "superposition", "samples": 2000, "h": 0.25}, seed=5)
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    header, rows = read_csv(tmp_path / "o" / "samples.csv")
+    assert header == ["x1", "x2", "x3", "V", "residual"]
+    points = qmc.scale(qmc.Halton(d=3, seed=5).random(2000),
+                       centers.min(axis=0) - FIELD_BOX_PAD, centers.max(axis=0) + FIELD_BOX_PAD)
+    distance = np.min(np.linalg.norm(points[:, None, :] - centers[None], axis=2), axis=1)
+    kept = points[distance > 0.5]
+    assert len(kept) < 2000
+    assert np.array_equal(np.array([[float(x) for x in row[:3]] for row in rows]), kept)
+
+
+def test_verify_superposition_keeping_no_sample_exits_3(tmp_path, capsys):
+    # every sample lies within 2h = 100 of the two centers
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, problem={**SUPERPOSITION_PROBLEM, "K": {"kind": "point_set",
+                                                              "centers": [[0, 0, 0], [4, 0, 0]]}},
+                 verify={"target": "superposition", "samples": 100, "h": 50})
+    rc = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.splitlines() == ["solver error: field audit keeps no sample: all 100 lie "
+                                "within 2h = 100 of K"]
+
+
+@pytest.mark.parametrize("branch, exponent", [("alpha", -85), ("beta", 79)])
+def test_verify_superposition_overflowing_weight_exits_3(tmp_path, capsys, branch, exponent):
+    # r**-85 near 0, or r**79 far out, is not finite where the supersolution
+    # integrates it: one solver error, and no warning line
+    cfg = tmp_path / "cfg.json"
+    phi = {**SUPERPOSITION_PROBLEM["phi"], branch: exponent}
+    write_config(cfg, problem={**SUPERPOSITION_PROBLEM, "phi": phi,
+                               "K": {"kind": "point_set", "centers": [[0, 0, 0], [4, 0, 0]]}},
+                 verify={"target": "superposition", "samples": 100})
+    rc = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.splitlines() == ["solver error: integrand must be finite on the interior"]
 
 
 def test_verify_superposition_refuses_a_non_power_f(tmp_path, capsys):
@@ -548,6 +612,17 @@ def test_verify_unreadable_target(tmp_path, capsys):
     rc = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o"),
                "--target", str(tmp_path / "missing.csv")])
     assert rc == 1
+
+
+@pytest.mark.parametrize("target", ["a\nb.csv", "a\x1eb.csv", "a\u2028b.csv"])
+def test_verify_target_with_a_line_break_is_one_config_line(tmp_path, capsys, target):
+    # str.splitlines breaks at \x1e and \u2028 too: the message quotes the name escaped
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, verify={"target": target})
+    rc = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.splitlines() == [f"config error: unreadable target: {target!r}"]
 
 
 def _table(r, u=None):

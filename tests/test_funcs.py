@@ -28,6 +28,17 @@ def test_power_split_continuous_at_splice():
     assert phi(1.0 + 1e-12) == pytest.approx(1.0, rel=1e-10)
 
 
+@pytest.mark.parametrize("alpha, beta", [(79.0, -3.0), (-1.5, -85.0), (-3.0, -2.0)])
+def test_power_split_branch_not_taken_warns_of_no_overflow(alpha, beta):
+    # the branch not taken, r**79 at r = 1e5 or r**-85 at r = 1e-5, overflows
+    # without a RuntimeWarning; the one taken is the same double as the plain branch
+    phi = el.PowerSplitPhi(alpha, beta)
+    r = np.concatenate([np.geomspace(1e-5, 1e5, 997), [1.0, np.nextafter(1.0, 2.0)]])
+    with np.errstate(over="ignore"):
+        plain = np.where(r <= 1.0, r ** alpha, r ** beta)
+    assert np.array_equal(phi(r), plain)
+
+
 def test_power_log_eval():
     # direct evaluation of r^alpha log(1+r)^beta at r=1
     assert el.PowerLogPhi(-3.0, 1.0)(1.0) == pytest.approx(math.log(2.0), rel=1e-12)

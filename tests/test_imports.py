@@ -3,7 +3,7 @@ every function parameter is read, one module holds the Gauss-Legendre rule
 and the radial flux stencil, no layer checks the class of K, every name the
 benchmark's tracer wraps exists, construct solves through one call site,
 the window scan has no mode switches, and importing the package and the quadrature-only commands load
-numpy but no scipy module; scipy submodules are imported on first use, and solve and verify load only scipy.linalg."""
+numpy but no scipy module; scipy submodules are imported on first use, solve and verify load only scipy.linalg, and the superposition audit loads no scipy."""
 
 from __future__ import annotations
 
@@ -163,12 +163,20 @@ def test_solve_and_verify_load_scipy_only_for_lapack(tmp_path, command):
     assert scipy_subpackages(modules) == {"scipy.linalg"}
 
 
+def test_verify_superposition_loads_no_scipy(tmp_path):
+    """The field audit draws its Halton points with numpy."""
+    config = {"problem": {**SPLIT_CUBIC, "K": {"kind": "point_set",
+                                                "centers": [[0, 0, 0], [4, 0, 0]]}},
+              "verify": {"target": "superposition", "samples": 2000}}
+    assert scipy_modules_after(cli_probe(tmp_path, "verify", config)) == []
+
+
 def test_gauge_grid_loads_no_scipy():
     code = "from elliptic_lab.bvp1d import RadialGrid\nRadialGrid.two_sided_unit(1e-3, 101)"
     assert scipy_modules_after(code) == []
 
 
-def test_package_imports_scipy_only_for_lapack_and_the_halton_sampler():
+def test_package_imports_scipy_only_for_lapack():
     imported = set()
     for path in PACKAGE.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -176,8 +184,7 @@ def test_package_imports_scipy_only_for_lapack_and_the_halton_sampler():
                 imported.add(node.module)
             elif isinstance(node, ast.Import):
                 imported.update(alias.name for alias in node.names)
-    assert {m for m in imported if m.split(".")[0] == "scipy"} == {
-        "scipy.linalg.lapack", "scipy.stats"}
+    assert {m for m in imported if m.split(".")[0] == "scipy"} == {"scipy.linalg.lapack"}
 
 
 def test_solve_banded_matches_scipy_exactly():
