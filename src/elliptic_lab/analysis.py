@@ -169,6 +169,7 @@ def asymptotics(profile: RadialProfile, N: int, samples: int = 7,
 # ---------------------------------------------------------------------------
 
 FIELD_BOX_PAD = 4.0  # residual_field samples the centers' bounding box grown by this
+FIELD_MIN_H = 1e-6  # below it the stencil's second difference is roundoff, and h^2 may underflow
 
 
 def _first_primes(count: int) -> list[int]:
@@ -303,8 +304,12 @@ def residual_field(
     bounding box, grown by FIELD_BOX_PAD, and the 2N+1-point stencil has
     spacing min(h, delta/4), delta = K.delta(x); points closer than 2h to a
     center are skipped and counted, and an audit that keeps none is a
-    DomainError.  The report's table holds the kept samples.
+    DomainError, as is h below FIELD_MIN_H.  The report's table holds the
+    kept samples.
     """
+    if not h >= FIELD_MIN_H:
+        raise DomainError(f"field audit spacing h = {h:g} is below {FIELD_MIN_H:g}, where "
+                          "the stencil measures roundoff")
     if problem.K.solid:
         raise DomainError("field audits expect the origin or a point-set compact set")
     if problem.phi.is_zero:

@@ -6,16 +6,21 @@ conductances are exact integrals of s^{1-N}, so pure harmonics a + b r^{2-N}
 are reproduced nodally and the operator stays an M-matrix, which is what the
 discrete comparison arguments lean on.  The nonlinearity is regularized as
 f(. + eps_k) along a decade schedule eps_k = 1, 1/10, ... that ends at the
-largest 2^-k below tol_sup / 10; each level is solved by Newton steps (a
-monotone shifted iteration for a general f), and the converged levels are
+largest 2^-k below tol_sup / 10.  The iterates are Newton steps (a monotone
+shifted iteration for a general f); each is a discrete subsolution, and a
+subsolution at eps stays one at any smaller eps, so every eps but the last
+takes one Newton step, which provably rises, and only the final eps is
+iterated to convergence (monotone iteration, Sattinger 1972; one corrector
+step per continuation step, Allgower & Georg 1990).  The iterates are
 nondecreasing as eps decreases.  Problems with positive data need no
-regularization path: started from a discrete subsolution, one level at the
-final eps suffices (SolveConfig.final_level).
+regularization path: started from a discrete subsolution, the final eps
+alone suffices (SolveConfig.final_level).
 
 The solver takes a stack of grids, such as the levels of an exhaustion
 ladder, as one block-diagonal system whose blocks are not coupled: one
 Newton step is one symmetric positive definite banded solve (LAPACK ptsv) of
-the stack, and each grid keeps its own stopping rule and checks.
+the stack, and at the final eps each grid keeps its own stopping rule; the
+checks run on every grid after every eps.
 """
 
 from __future__ import annotations
@@ -34,7 +39,8 @@ if TYPE_CHECKING:
     from . import funcs as _funcs
 
 AUDIT_TOL = 1e-8  # slack of the order and residual audits, relative to max(1, scale)
-# a level stops at this relative Newton increment, or at a stall below STALL_TOL
+# at the final eps a level stops at this relative Newton increment, or at a
+# stall below STALL_TOL
 STEP_TOL = 1e-13
 STALL_TOL = 1e-9
 
@@ -305,8 +311,8 @@ class RadialProfile:
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Where the regularization schedule ends, and the caps on its levels and
-    on the Newton steps of each level."""
+    """Where the regularization schedule ends, the cap on its levels, and the
+    cap on the Newton steps at the final eps (the others take one step)."""
 
     tol_sup: float = 1e-8
     max_outer: int = 64
@@ -442,25 +448,31 @@ def solve_on_nodes(
     the nodes levels[j], with Dirichlet data va[j], vb[j].  One level is a
     stack of one.
 
-    Each eps of config.schedule() is solved by the Newton step
+    The iterates are Newton steps
         (L + Lam) u_new = Lam u + V w f(u + eps),   Lam = V w |f'(u + eps)|,
-    from the previous eps (from initial[j], or zero, at the first).  The
-    levels form one block-diagonal tridiagonal system whose couplings
-    between blocks are exactly 0, so each Newton step is one banded solve of
-    the stack, no elimination crosses a block, and every level's iterates
-    are those of its own solve, bit for bit.  For a convex power f the map
-    u -> L u - V w f(u + eps) is concave and L + Lam is an M-matrix, so from
-    a discrete subsolution the iterates rise monotonically; other f use
-    slope_bound as a monotone shift.  A level stops, and leaves the stack,
-    when max_i |du_i| / max(|u_i|, 1) <= STEP_TOL over its nodes, or when
-    that relative increment is below STALL_TOL and fails to halve from one
-    step to the next (roundoff); all levels then move on to the next eps
-    together.  Each level's converged iterates must be pointwise
-    nondecreasing as eps decreases (checked after every eps).  A stencil or
-    a Newton step that is not finite in double precision is a DomainError,
-    a level still moving after max_picard steps a NonConvergenceError, and a
-    negative iterate or lost monotonicity a SolverFault; each message names
-    the failing level's interval [r_first, r_last].
+    from initial[j], or zero.  The levels form one block-diagonal tridiagonal
+    system whose couplings between blocks are exactly 0, so each Newton step
+    is one banded solve of the stack, no elimination crosses a block, and
+    every level's iterates are those of its own solve, bit for bit.  For a
+    convex power f the map u -> L u - V w f(u + eps) is concave and L + Lam
+    is an M-matrix, so every Newton iterate is a discrete subsolution, and
+    from a subsolution the iterates rise monotonically; other f use
+    slope_bound as a monotone shift.  A subsolution at eps stays one at any
+    smaller eps, so each eps of config.schedule() before the last takes
+    exactly one Newton step of the whole stack, which hands the next eps a
+    subsolution.  At the final eps each level iterates until
+    max_i |du_i| / max(|u_i|, 1) <= STEP_TOL over its nodes, or until that
+    relative increment is below STALL_TOL and fails to halve from one step
+    to the next while max |du| <= STALL_TOL max u (roundoff), and then
+    leaves the stack.  Increments that grow from u near 0, where u moves by
+    a large share of itself, are no stall.  After every eps each level must
+    be nonnegative and pointwise nondecreasing in eps: within
+    1e-12 max(1, max u) after a one-step eps, within 50 times the last
+    increment at the final eps.  A stencil or a Newton step that is not
+    finite in double precision is a DomainError, a level still moving after
+    max_picard steps at the final eps a NonConvergenceError, and a negative
+    iterate or lost monotonicity a SolverFault; each message names the
+    failing level's interval [r_first, r_last].
     """
     levels = [np.asarray(nodes, dtype=float) for nodes in levels]
     if not levels or len(va) != len(levels) or len(vb) != len(levels):
@@ -477,67 +489,86 @@ def solve_on_nodes(
     else:
         u = np.concatenate(initial, dtype=float)
 
-    last_step = np.zeros(len(levels))  # each level's final sup |du| at the current eps
-    prev_level = None
-    for eps in config.schedule():
-        # the stack of the levels still iterating at this eps
-        act, m, ua, Vwa, offa, diaga, lefta, righta = (
-            np.arange(len(levels)), sizes, u, Vw, off, diag, left, right)
-        first = starts
-        rel = np.full(len(levels), np.inf)
-        for _ in range(config.max_picard):
-            with np.errstate(over="ignore", invalid="ignore"):  # a NaN rel is refused below
-                ueps = ua + eps
-                fvals = f(ueps)
-                lam = Vwa * f.slope_bound(ueps)
-                rhs = Vwa * fvals + lam * ua
-                rhs[first] += lefta
-                rhs[first + m - 1] += righta
-                unew = solve_banded(offa[:-1], diaga + lam, rhs)
-                step = np.abs(unew - ua)
-                prev_rel, rel = rel, np.maximum.reduceat(step / np.maximum(np.abs(unew), 1.0),
-                                                         first)
-            if np.isnan(rel).any():  # an infinite or NaN entry of u
-                # a non-finite block spreads NaN through the zero couplings
-                with np.errstate(over="ignore", invalid="ignore"):
-                    finite = np.isfinite(Vwa * fvals + lam * ua) & np.isfinite(lam)
-                culprit = ~np.logical_and.reduceat(finite, first)
-                j = act[np.argmax(culprit if culprit.any() else np.isnan(rel))]
-                raise DomainError(f"the Newton step at eps={eps:g} on {_interval(levels[j])} "
-                                  "is not finite: f or its slope overflows")
-            ua = unew
-            done = (rel <= STEP_TOL) | ((STALL_TOL > rel) & (rel > 0.5 * prev_rel))
-            if not done.any():
-                continue
-            last_step[act[done]] = np.maximum.reduceat(step, first)[done]
-            for k in np.flatnonzero(done):
-                u[starts[act[k]]:ends[act[k]]] = ua[first[k]:first[k] + m[k]]
-            if done.all():
-                break
-            keep = ~done
-            on = np.repeat(keep, m)
-            ua, Vwa, offa, diaga = ua[on], Vwa[on], offa[on], diaga[on]
-            act, m, lefta, righta, rel = act[keep], m[keep], lefta[keep], righta[keep], rel[keep]
-            first = np.cumsum(m) - m
-        else:
-            raise NonConvergenceError(
-                f"fixed-point iteration cap at eps={eps:g} on {_interval(levels[act[0]])}",
-                last_increment=float(np.max(step[:m[0]])),
-            )
+    def newton(eps, act, first, m, ua, Vwa, offa, diaga, lefta, righta):
+        """One Newton step of the stacked levels act: the new iterate, and each
+        level's sup |du| and relative increment."""
+        with np.errstate(over="ignore", invalid="ignore"):  # a NaN rel is refused below
+            ueps = ua + eps
+            fvals = f(ueps)
+            lam = Vwa * f.slope_bound(ueps)
+            rhs = Vwa * fvals + lam * ua
+            rhs[first] += lefta
+            rhs[first + m - 1] += righta
+            unew = solve_banded(offa[:-1], diaga + lam, rhs)
+            step = np.abs(unew - ua)
+            sup = np.maximum.reduceat(step, first)
+            rel = np.maximum.reduceat(step / np.maximum(np.abs(unew), 1.0), first)
+        if np.isnan(rel).any():  # an infinite or NaN entry of u
+            # a non-finite block spreads NaN through the zero couplings
+            with np.errstate(over="ignore", invalid="ignore"):
+                finite = np.isfinite(Vwa * fvals + lam * ua) & np.isfinite(lam)
+            culprit = ~np.logical_and.reduceat(finite, first)
+            j = act[np.argmax(culprit if culprit.any() else np.isnan(rel))]
+            raise DomainError(f"the Newton step at eps={eps:g} on {_interval(levels[j])} "
+                              "is not finite: f or its slope overflows")
+        return unew, sup, rel
+
+    def check(u, prev, tolerance):
+        """Refuse a negative level, or one that fell below prev by more than
+        tolerance or the roundoff slack."""
         negative = np.minimum.reduceat(u, starts) < 0
         lost = np.zeros_like(negative)
-        if prev_level is not None:
+        if prev is not None:
             slack = 1e-12 * np.maximum(1.0, np.maximum.reduceat(u, starts))
-            worst = np.minimum.reduceat(u - prev_level, starts)
-            lost = worst < -np.maximum(slack, 50.0 * last_step)
+            worst = np.minimum.reduceat(u - prev, starts)
+            lost = worst < -np.maximum(slack, tolerance)
         if negative.any() or lost.any():
             j = int(np.argmax(negative | lost))
             if negative[j]:
                 raise SolverFault(f"iterate went negative on {_interval(levels[j])}")
             raise SolverFault(f"regularization levels lost monotonicity by {worst[j]:.3e} "
                               f"on {_interval(levels[j])}")
-        prev_level = u.copy()
-    return np.split(u, ends[:-1])
+
+    everyone = np.arange(len(levels))
+    *passing, final = config.schedule()
+    prev = None
+    for eps in passing:
+        u = newton(eps, everyone, starts, sizes, u, Vw, off, diag, left, right)[0]
+        check(u, prev, 0.0)
+        prev = u
+
+    # the final eps: the stack of the levels still iterating
+    act, first, m, ua, Vwa, offa, diaga, lefta, righta = (
+        everyone, starts, sizes, u, Vw, off, diag, left, right)
+    out = u if prev is None else np.empty_like(u)  # prev is u after a one-step eps
+    last_step = np.zeros(len(levels))  # each level's final sup |du|
+    rel = np.full(len(levels), np.inf)
+    for _ in range(config.max_picard):
+        prev_rel = rel
+        ua, sup, rel = newton(final, act, first, m, ua, Vwa, offa, diaga, lefta, righta)
+        # a stall fails to halve while moving the level by little against its own size
+        stalled = ((STALL_TOL > rel) & (rel > 0.5 * prev_rel)
+                   & (sup <= STALL_TOL * np.maximum.reduceat(ua, first)))
+        done = (rel <= STEP_TOL) | stalled
+        if not done.any():
+            continue
+        last_step[act[done]] = sup[done]
+        for k in np.flatnonzero(done):
+            out[starts[act[k]]:ends[act[k]]] = ua[first[k]:first[k] + m[k]]
+        if done.all():
+            break
+        keep = ~done
+        on = np.repeat(keep, m)
+        ua, Vwa, offa, diaga = ua[on], Vwa[on], offa[on], diaga[on]
+        act, m, lefta, righta, rel = act[keep], m[keep], lefta[keep], righta[keep], rel[keep]
+        first = np.cumsum(m) - m
+    else:
+        raise NonConvergenceError(
+            f"fixed-point iteration cap at eps={final:g} on {_interval(levels[act[0]])}",
+            last_increment=float(sup[0]),
+        )
+    check(out, prev, 50.0 * last_step)
+    return np.split(out, ends[:-1])
 
 
 def solve_radial_dirichlet(

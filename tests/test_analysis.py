@@ -210,6 +210,17 @@ def test_residual_field_keeping_no_sample_is_a_domain_error(glued_split):
         el.residual_field(V, problem, samples=100, h=50.0)
 
 
+@pytest.mark.parametrize("h", [8.668266060241998e-194, 1e-7])
+def test_residual_field_refuses_a_spacing_below_roundoff(glued_split, h):
+    # h^2 underflowed to 0 at the first h, and the stencil divided 0 by 0
+    centers = ((0.0, 0.0, 0.0), (4.0, 0.0, 0.0))
+    V = el.superposition_field(glued_split.value, centers)
+    problem = el.ProblemSpec(3, el.PowerSplitPhi(-3.0, -3.0), el.PowerF(1.0),
+                             el.PointSet(centers))
+    with pytest.raises(el.DomainError, match="is below 1e-06"):
+        el.residual_field(V, problem, samples=100, h=h)
+
+
 # n where the digit of one more position starts to vary: prime powers and their neighbours
 HALTON_EDGES = sorted({b ** k + e for b in (2, 3, 5, 7, 11) for k in range(1, 12)
                        for e in (-1, 0, 1) if b ** k <= 4096})

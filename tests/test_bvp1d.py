@@ -13,6 +13,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 import elliptic_lab as el
+from elliptic_lab import bvp1d
 from elliptic_lab.bvp1d import MonotoneCubic, neg_laplacian, solve_on_nodes
 
 
@@ -382,10 +383,13 @@ GRIDS = st.one_of(
 
 @settings(max_examples=200, deadline=None)
 @given(GRIDS, st.integers(3, 6), st.floats(0.0, 10.0, allow_subnormal=False),
-       st.floats(0.0, 10.0, allow_subnormal=False))
+       st.just(0.0) | st.floats(1e-200, 10.0))
 def test_neg_laplacian_cancels_harmonics(grid, N, a, b):
     # the flux stencil annihilates a + b r^{2-N} up to the roundoff of its own
-    # differences: eps times the stencil applied to |u| without cancellation
+    # differences: eps times the stencil applied to |u| without cancellation.
+    # b >= 1e-200 keeps u and the stencil's terms normal on every grid drawn
+    # (r^(2-N) >= 1e-28): a subnormal result rounds with an absolute error
+    # that no relative bound covers
     kind, *args = grid
     r = getattr(el.RadialGrid, kind)(*args, N).nodes
     u = a + b * r ** (2.0 - N)
@@ -475,6 +479,73 @@ def test_one_level_solve_from_a_subsolution(N, p, alpha, a, b):
     [full] = solve_on_nodes([r], N, w, f, [lower[0]], [lower[-1]], cfg)
     assert np.all(one >= start)
     assert np.max(np.abs(one - full) / full) <= 1e-9
+
+
+def _count_solves(monkeypatch) -> list:
+    """Record each call of bvp1d.solve_banded, one stacked Newton step each."""
+    calls = []
+    solve = bvp1d.solve_banded
+
+    def counted(*args):
+        calls.append(None)
+        return solve(*args)
+
+    monkeypatch.setattr(bvp1d, "solve_banded", counted)
+    return calls
+
+
+@settings(max_examples=30, deadline=None)
+@given(N=st.sampled_from([3, 4, 5]), p=st.sampled_from([0.5, 1.0, 2.0]),
+       t=st.floats(0.05, 0.95), R=st.floats(2.0, 64.0), count=st.integers(64, 1024))
+def test_solution_is_a_fixed_point_of_the_final_newton_map(N, p, t, R, count):
+    # the intermediate eps take one Newton step each, the final eps iterates to
+    # convergence: a final-level solve started from the result stops at once
+    alpha = -(N + p * (N - 2)) * (1.0 - t) - 2.0 * t  # inside the closed form's interval
+    r = np.geomspace(1.0 / R, R, count)
+    w, f, cfg = (lambda s: s ** alpha), el.PowerF(p), el.SolveConfig()
+    [u] = solve_on_nodes([r], N, w, f, [0.0], [0.0], cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_solves(mp)
+        [again] = solve_on_nodes([r], N, w, f, [0.0], [0.0], cfg.final_level(), initial=[u])
+    assert len(calls) <= 2
+    assert np.max(np.abs(again - u) / u) <= 1e-12
+
+
+def test_minimal_solution_takes_few_newton_steps(monkeypatch):
+    # one stacked step for each eps above the final one, then the final eps
+    # to convergence: 12 stacked solves here; converging every eps takes 51
+    calls = _count_solves(monkeypatch)
+    problem = el.ProblemSpec(3, el.PowerPhi(-3.0), el.PowerF(1.0), el.Origin())
+    el.minimal_solution(problem, n_max=64, nodes=512)
+    assert len(calls) <= 20
+
+
+@pytest.mark.parametrize("N", [3, 4, 5])
+def test_final_level_from_zero_is_no_stall(N):
+    # from u = 0 at eps = 2^-30 the Newton increments grow while u << 1, with a
+    # relative increment below STALL_TOL: a stall exit there returns
+    # max u = 1.2e-9 against 3.7, so growing increments must not stop a level
+    r = np.geomspace(1.0 / 16.0, 16.0, 512)
+    w, f, cfg = (lambda s: s ** -4.0), el.PowerF(2.0), el.SolveConfig()
+    [full] = solve_on_nodes([r], N, w, f, [0.0], [0.0], cfg)
+    try:
+        [one] = solve_on_nodes([r], N, w, f, [0.0], [0.0], cfg.final_level())
+    except el.NonConvergenceError:
+        return  # the other outcome the solver may give: a refusal, not a wrong answer
+    assert np.max(np.abs(one - full) / full) <= 1e-9
+
+
+def test_final_level_minimal_solution_is_no_stall():
+    # a stall exit on growing increments leaves this ladder 100 % off the
+    # closed form
+    problem = el.ProblemSpec(5, el.PowerPhi(-8.261069406497548), el.PowerF(2.0), el.Origin())
+    full = el.minimal_solution(problem, n_max=4096)
+    try:
+        one = el.minimal_solution(problem, n_max=4096, config=el.SolveConfig().final_level())
+    except el.NonConvergenceError:
+        return
+    rel = np.abs(one.profile.values - full.profile.values)[1:-1] / full.profile.values[1:-1]
+    assert np.max(rel) <= 1e-9
 
 
 @pytest.mark.parametrize("r,N,p,match", [

@@ -152,13 +152,18 @@ def _field_paths(obj, prefix=()):
 
 
 def _json_values(integers):
-    return st.recursive(
-        st.none() | st.booleans() | integers | st.floats()
-        | st.sampled_from([1e308, -1e308, 1e400]) | st.text(max_size=8),
+    """A JSON scalar, edge values included, in most draws, else a small list or
+    object: one_of picks among the six scalar strategies and the nested one, so
+    an edge value reaches its field in most examples."""
+    scalars = (st.none() | st.booleans() | integers | st.floats()
+               | st.sampled_from([1e308, -1e308, 1e400]) | st.text(max_size=8))
+    nested = st.recursive(
+        scalars,
         lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
                                                                      max_size=3),
         max_leaves=6,
     )
+    return scalars | nested
 
 
 JSON_VALUES = _json_values(st.integers())
@@ -573,6 +578,19 @@ def test_verify_superposition_keeping_no_sample_exits_3(tmp_path, capsys):
     assert rc == 3
     assert err.splitlines() == ["solver error: field audit keeps no sample: all 100 lie "
                                 "within 2h = 100 of K"]
+
+
+def test_verify_superposition_spacing_below_roundoff_exits_3(tmp_path, capsys):
+    # found by the config fuzz: h^2 underflowed, and the stencil divided 0 by 0
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, problem={**SUPERPOSITION_PROBLEM, "K": {"kind": "point_set",
+                                                              "centers": [[0, 0, 0], [4, 0, 0]]}},
+                 verify={"target": "superposition", "samples": 100, "h": 8.668266060241998e-194})
+    rc = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.splitlines() == ["solver error: field audit spacing h = 8.66827e-194 is below "
+                                "1e-06, where the stencil measures roundoff"]
 
 
 @pytest.mark.parametrize("branch, exponent", [("alpha", -85), ("beta", 79)])
