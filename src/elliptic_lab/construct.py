@@ -48,8 +48,8 @@ def _require_existence(problem: ProblemSpec) -> None:
     prediction = _quad.classify_existence(problem)
     if prediction.exists is True:
         return
-    for rep in prediction.reports:
-        if rep.status == _quad.INFINITE and rep.certificate:
+    for rep in prediction.reports:  # name the first divergent criterion
+        if rep.status == _quad.INFINITE:
             raise NoSolutionError(
                 f"criterion {rep.criterion} diverges",
                 certificate=rep.certificate,

@@ -26,19 +26,28 @@ from . import bvp1d as _bvp1d
 # weight families
 # ---------------------------------------------------------------------------
 
+Piece = tuple[float, float, float, float, float]
+
+
 class PhiSpec:
     """Protocol of the weight families: one class per family, with its formula
     ``_formula(r)`` and its exponents ``near0_exponent()`` and ``tail_exponent()``.
 
-    ``phi(r)`` evaluates through ``phi_values``, which checks r > 0.  Exponents
-    that are declared, not exact (``exact_exponents``), cannot decide a criterion.
+    ``phi(r)`` evaluates through ``phi_values``, which checks r > 0.  A family
+    that is a power on each piece returns those pieces from ``pieces()``, and
+    its moments are then closed form (``quad.power_moment``).
     """
 
-    exact_exponents = True
     is_zero = False
 
     def __call__(self, r) -> np.ndarray:
         return phi_values(self, r)
+
+    def pieces(self) -> tuple[Piece, ...] | None:
+        """The weight as exact power pieces (lo, hi, c, s0, e), phi = c (s/s0)**e on
+        [lo, hi], in increasing order from lo = 0 to hi = inf; None for a weight
+        that is no power on pieces."""
+        return None
 
     def kelvin_image(self, shift: float) -> "PhiSpec | None":
         """The family member equal to r**shift * phi(1/r), or None if there is none."""
@@ -59,6 +68,9 @@ class PowerPhi(PhiSpec):
 
     def tail_exponent(self) -> float:
         return self.alpha
+
+    def pieces(self) -> tuple[Piece, ...]:
+        return ((0.0, math.inf, 1.0, 1.0, self.alpha),)
 
     def kelvin_image(self, shift: float) -> "PowerPhi":
         return PowerPhi(alpha=shift - self.alpha)
@@ -81,6 +93,9 @@ class PowerSplitPhi(PhiSpec):
 
     def tail_exponent(self) -> float:
         return self.beta
+
+    def pieces(self) -> tuple[Piece, ...]:
+        return ((0.0, 1.0, 1.0, 1.0, self.alpha), (1.0, math.inf, 1.0, 1.0, self.beta))
 
     def kelvin_image(self, shift: float) -> "PowerSplitPhi":
         return PowerSplitPhi(alpha=shift - self.beta, beta=shift - self.alpha)
@@ -173,8 +188,6 @@ class TabulatedPhi(PhiSpec):
     near0_exp: float
     tail_exp: float
 
-    exact_exponents = False
-
     def __post_init__(self):
         knots = np.asarray(self.knots, dtype=float)
         values = np.asarray(self.values, dtype=float)
@@ -195,12 +208,36 @@ class TabulatedPhi(PhiSpec):
         logk = np.log(self.knots)
         with np.errstate(divide="ignore"):
             logv = np.log(self.values)
-        out = np.exp(np.interp(np.log(r), logk, logv))
-        lo = r < self.knots[0]
-        hi = r > self.knots[-1]
-        out = np.where(lo, self.values[0] * (r / self.knots[0]) ** self.near0_exp, out)
-        out = np.where(hi, self.values[-1] * (r / self.knots[-1]) ** self.tail_exp, out)
-        return out
+        x = np.atleast_1d(r)
+        out = np.exp(np.interp(np.log(x), logk, logv))
+        # the declared powers beyond the knots, taken only where they hold (a
+        # steep one would overflow on the radii of the other side) and where the
+        # end value is positive: beyond a zero one the clamped interpolation is 0
+        lo = (x < self.knots[0]) & (self.values[0] > 0.0)
+        hi = (x > self.knots[-1]) & (self.values[-1] > 0.0)
+        out[lo] = self.values[0] * (x[lo] / self.knots[0]) ** self.near0_exp
+        out[hi] = self.values[-1] * (x[hi] / self.knots[-1]) ** self.tail_exp
+        return out.reshape(r.shape)
+
+    def pieces(self) -> tuple[Piece, ...]:
+        """The declared power below the first knot, one power per knot interval
+        (the exponent is the interpolation's slope in log-log, and a zero value
+        at either end makes the interval zero), the declared power beyond the
+        last knot."""
+        k = self.knots.tolist()
+        v = self.values.tolist()
+        out = [(0.0, k[0], v[0], k[0], self.near0_exp)]
+        for k0, k1, v0, v1 in zip(k, k[1:], v, v[1:]):
+            if v0 == 0.0 or v1 == 0.0:
+                out.append((k0, k1, 0.0, k0, 0.0))
+                continue
+            dk = math.log(k1) - math.log(k0)
+            # knots whose logs round equal are closer than a double resolves in
+            # log r: that interval is read as constant
+            e = (math.log(v1) - math.log(v0)) / dk if dk > 0.0 else 0.0
+            out.append((k0, k1, v0, k0, e))
+        out.append((k[-1], math.inf, v[-1], k[-1], self.tail_exp))
+        return tuple(out)
 
     def near0_exponent(self) -> float:
         return self.near0_exp

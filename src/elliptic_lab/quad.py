@@ -1,7 +1,9 @@
 """Improper-integral machinery: windowed geometric scans, finiteness verdicts with
 certificates, the existence criteria, and the simple/iterated integral equivalence.
 
-Every improper integral here is reduced to a stream of dyadic windows marching
+The existence moments of a weight that is a power on pieces (``phi.pieces()``)
+are closed form (power_moment), with no integrand evaluation.  Every other
+improper integral here is reduced to a stream of dyadic windows marching
 toward the singular endpoint (zero or infinity).  Window increments of a
 power-like integrand decay or grow geometrically, so a stable increment ratio
 rho < 1 permits an exact-on-powers tail extrapolation, while a ratio pinned at
@@ -17,6 +19,7 @@ evaluation count includes the windows of the last block past the verdict.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -44,8 +47,9 @@ BOUNDARY_SUBPANELS = 8    # equal panels per dyadic window of the boundary certi
 class ConditionReport:
     """Finiteness verdict for one integral criterion.
 
-    evaluations counts the integrand points evaluated, windows the scan windows
-    whose increments the verdict read (0 for analytic reports).
+    method is quadrature, closed-form or analytic.  evaluations counts the
+    integrand points evaluated, windows the scan windows whose increments the
+    verdict read (both 0 for closed-form and analytic reports).
     """
 
     criterion: str
@@ -451,18 +455,73 @@ def iterated_tail_profile(
 # existence classification
 # ---------------------------------------------------------------------------
 
-def _analytic_report(criterion: str, finite: bool) -> ConditionReport:
-    return ConditionReport(criterion, FINITE if finite else INFINITE, None, None, "analytic", 0)
+_EPS = sys.float_info.epsilon
+_LOG_MAX = math.log(sys.float_info.max)
 
 
-def _analytic_exists(phi, weight_shift: float) -> bool | None:
-    """Closed-form finiteness of int_0^1 r^(1+weight_shift) phi(r) dr and int_1^inf r phi(r) dr.
+def _log_ratio(x: float, y: float) -> float:
+    """log(x / y) for finite 0 < y < x, to a few ulps also where x is close to y."""
+    if x <= 2.0 * y:  # x - y is exact
+        return math.log1p((x - y) / y)
+    r = x / y
+    return math.log(r) if r < math.inf else math.log(x) - math.log(y)
 
-    None when the exponents are declared, not exact.  Both boundary cases diverge:
-    the near-zero one logarithmically, the tail one through positive log factors.
+
+def power_moment(pieces, m: float, a: float, b: float, criterion: str) -> ConditionReport:
+    """Closed-form int_a^b s^m phi(s) ds, 0 <= a < b <= inf, for a weight given by its
+    power pieces (lo, hi, c, s0, e), phi = c (s/s0)^e on [lo, hi].
+
+    On [L, H], the part of [a, b] in a piece, let q = m + e + 1 and d = log(H/L).
+    The piece adds phi(T) T^(m+1) h, taken from its larger end T (H for q > 0,
+    L for q < 0), with h = -expm1(-|q| d) / |q|, and h = d at q = 0.  Each term is
+    the exp of a sum of logs, so it neither cancels as q -> 0 nor overflows in
+    s0^(m+1) for large m.  The moment is infinite exactly when a piece with c > 0
+    reaches 0 with q <= 0 or infinity with q >= 0.  A finite moment whose terms
+    leave the double range is reported with value None.
+
+    error_estimate is a first-order roundoff bound: each log in a term's sum is
+    off by at most 2 eps of its magnitude, log(T/s0) as log T - log s0 by eps of
+    theirs, and exp, expm1, q and d add a few eps.
     """
-    if not phi.exact_exponents:
-        return None
+    def report(status, value=None, err=None):
+        return ConditionReport(criterion, status, value, None, "closed-form", 0, err)
+
+    logs = []
+    for lo, hi, c, s0, e in pieces:
+        L, H = max(lo, a), min(hi, b)
+        if c == 0.0 or not L < H:
+            continue
+        q = m + e + 1.0
+        if abs(q) < 1.0:  # near a critical line: correctly rounded
+            q = math.fsum((m, e, 1.0))
+        if (L == 0.0 and q <= 0.0) or (H == math.inf and q >= 0.0):
+            return report(INFINITE)
+        d = math.inf if L == 0.0 or H == math.inf else _log_ratio(H, L)
+        if d == 0.0:  # H / L rounds to 1: the piece is narrower than roundoff
+            continue
+        T = H if q > 0.0 else L
+        t = abs(q) * d
+        lt, ls0 = math.log(T), math.log(s0)
+        parts = (math.log(c), e * (lt - ls0), (m + 1.0) * lt) + (
+            (math.log(d),) if t == 0.0 else (math.log(-math.expm1(-t)), -math.log(abs(q))))
+        try:
+            y = math.fsum(parts)
+        except (OverflowError, ValueError):  # past the double range, or inf - inf
+            y = math.nan
+        lr_err = 0.0 if T == s0 else abs(e) * (abs(lt) + abs(ls0))
+        logs.append((y, _EPS * (8.0 + 2.0 * sum(abs(x) for x in parts) + lr_err)))
+    if not all(y <= _LOG_MAX for y, _ in logs):  # a term overflows or is undefined
+        return report(FINITE)
+    terms = [(math.exp(y), rel) for y, rel in logs]
+    value = math.fsum(term for term, _ in terms)
+    err = math.fsum(term * rel for term, rel in terms if term > 0.0) + _EPS * value
+    return report(FINITE, value, err)
+
+
+def _analytic_exists(phi, weight_shift: float) -> bool:
+    """Finiteness of int_0^1 r^(1+weight_shift) phi(r) dr and int_1^inf r phi(r) dr from
+    the exponents.  Both boundary cases diverge: the near-zero one
+    logarithmically, the tail one through positive log factors."""
     sigma = phi.near0_exponent() + 1.0 + weight_shift
     return sigma > -1.0 and phi.tail_exponent() + 1.0 < -1.0
 
@@ -473,9 +532,12 @@ def classify_existence(problem) -> ExistencePrediction:
     One moment test for every compact set: the tail first moment together with
     the near-zero moment of s^(1+shift) phi(s).  A ball (solid K) uses shift 0,
     the plain first moment; the origin or a finite point set (power
-    nonlinearity only) uses shift (1+p)(N-2).  For the exact weight families
-    the quadrature verdict is cross-checked against the closed exponent
-    inequalities; disagreement yields an inconclusive prediction.
+    nonlinearity only) uses shift (1+p)(N-2).  A weight with power pieces
+    (``phi.pieces()``) gets both moments in closed form (power_moment): two
+    reports with method closed-form, exact at any distance from a critical
+    line and for any N.  The other families are scanned by quadrature, and
+    that verdict is cross-checked against the exponent inequalities (a third,
+    analytic report); disagreement yields an inconclusive prediction.
     """
     phi = problem.phi
     if problem.N == 2:
@@ -490,30 +552,26 @@ def classify_existence(problem) -> ExistencePrediction:
             raise UnsupportedCombinationError(
                 "the origin or a point set is classified only for power nonlinearities")
         shift, name = (1.0 + p) * (problem.N - 2), "shifted-moment"
+    pieces = phi.pieces()
+    if pieces is not None:
+        near0 = power_moment(pieces, 1.0 + shift, 0.0, 1.0, f"{name}-near0")
+        tail = power_moment(pieces, 1.0, 1.0, math.inf, "first-moment-tail")
+        return ExistencePrediction(_both_finite(near0, tail), name, (near0, tail))
     near0 = integrate_singular(lambda s: s ** (1.0 + shift) * phi(s), 0.0, 1.0,
                                criterion=f"{name}-near0")
     tail = integrate_tail(lambda s: s * phi(s), 1.0, criterion="first-moment-tail")
-    reports = [near0, tail]
     quad_exists = _both_finite(near0, tail)
     analytic_exists = _analytic_exists(phi, shift)
-    if analytic_exists is not None:
-        reports.append(_analytic_report(f"{name}-analytic", analytic_exists))
-    exists = _combine(quad_exists, analytic_exists)
-    return ExistencePrediction(exists, name, tuple(reports))
+    analytic = ConditionReport(f"{name}-analytic", FINITE if analytic_exists else INFINITE,
+                               None, None, "analytic", 0)
+    exists = quad_exists if quad_exists == analytic_exists else None
+    return ExistencePrediction(exists, name, (near0, tail, analytic))
 
 
 def _both_finite(*reports: ConditionReport) -> bool | None:
     if any(r.status == INCONCLUSIVE for r in reports):
         return None
     return all(r.status == FINITE for r in reports)
-
-
-def _combine(quad_exists: bool | None, analytic_exists: bool | None) -> bool | None:
-    if analytic_exists is None:
-        return quad_exists
-    if quad_exists is None:
-        return None
-    return quad_exists if quad_exists == analytic_exists else None
 
 
 # ---------------------------------------------------------------------------

@@ -66,9 +66,26 @@ def test_classify_nonexistent_tail(tmp_path, capsys):
     assert "does-not-exist" in capsys.readouterr().out
 
 
+def test_classify_tabulated_weight_at_a_large_shift_exists(tmp_path, capsys):
+    # int_0^1 s^197 phi ds is finite (1/195); the window scans read it as divergent
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, problem={
+        "N": 100,
+        "phi": {"kind": "tabulated", "knots": [0.5, 2.0], "values": [8.0, 0.125],
+                "near0_exponent": -3.0, "tail_exponent": -3.0},
+        "f": {"kind": "power", "p": 1},
+        "K": {"kind": "origin"},
+    })
+    rc = main(["classify", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 0
+    assert capsys.readouterr().out.strip() == "verdict: exists (criterion: shifted-moment)"
+    header, rows = read_csv(tmp_path / "o" / "conditions.csv")
+    assert [row[3:] for row in rows] == [["closed-form", "0"], ["closed-form", "0"]]
+
+
 def test_classify_inconclusive_tabulated_boundaryish(tmp_path):
-    # a tabulated weight has no exact exponent family; a tail exponent inside
-    # the scan's saturation band cannot be classified either way
+    # a tabulated weight is a power on each piece: a tail exponent 2e-3 from
+    # the line is exact, with the tail moment 1/2 + 1/0.002
     cfg = tmp_path / "cfg.json"
     write_config(cfg, problem={
         "N": 3,
@@ -77,6 +94,15 @@ def test_classify_inconclusive_tabulated_boundaryish(tmp_path):
         "f": {"kind": "power", "p": 1},
         "K": {"kind": "origin"},
     })
+    rc = main(["classify", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 0
+    header, rows = read_csv(tmp_path / "o" / "conditions.csv")
+    assert [row[1] for row in rows] == ["finite", "finite"]
+    assert float(rows[1][2]) == pytest.approx(500.5, rel=1e-12)
+    # a log family inside the scan's saturation band cannot be classified either way
+    write_config(cfg, problem={
+        "N": 3, "phi": {"kind": "power_log", "alpha": -2.002, "beta": 0.7},
+        "f": {"kind": "power", "p": 1}, "K": {"kind": "origin"}})
     rc = main(["classify", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 2
 
@@ -182,8 +208,15 @@ SUPERPOSITION_BASE = {"problem": {**FUZZ_BASE["problem"],
                       "verify": {**FUZZ_BASE["verify"], "target": "superposition",
                                  "samples": 1000},
                       "output_dir": FUZZ_BASE["output_dir"], "seed": FUZZ_BASE["seed"]}
+# FUZZ_BASE with a tabulated weight, whose criteria are closed form
+TABULATED_BASE = {**FUZZ_BASE,
+                  "problem": {**FUZZ_BASE["problem"],
+                              "phi": {"kind": "tabulated", "knots": [0.5, 2.0],
+                                      "values": [8.0, 0.125], "near0_exponent": -3.0,
+                                      "tail_exponent": -3.0}}}
 # case: (command, base config, values a field is set to)
 FUZZ_CASES = {"classify": ("classify", FUZZ_BASE, JSON_VALUES),
+              "classify-tabulated": ("classify", TABULATED_BASE, JSON_VALUES),
               "certify-divergence": ("certify-divergence", FUZZ_BASE, JSON_VALUES),
               "solve": ("solve", SOLVE_BASE, SMALL_JSON_VALUES),
               "verify": ("verify", SOLVE_BASE, SMALL_JSON_VALUES),
@@ -205,10 +238,14 @@ def test_fuzzed_config_field_keeps_exit_contract(tmp_path, capsys, case, data):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps(cfg))
     rc = main([command, "--config", str(config), "--out", str(tmp_path / "o")])
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
     assert rc in (0, 1, 2, 3)
     if rc == 1:
-        assert len(err.strip().splitlines()) == 1
+        assert len(captured.err.strip().splitlines()) == 1
+    if command == "classify":  # no solver runs: a verdict line, or one config error line
+        assert rc in (0, 1, 2)
+        assert len((captured.out + captured.err).strip().splitlines()) == 1
+        assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("command, key, value, maximum", [
@@ -402,7 +439,8 @@ def test_solve_manifest_is_strict_json(tmp_path, capsys):
 def test_classify_scan_overflow_is_inconclusive(tmp_path, capsys):
     # r**alpha overflows in the near-zero scan before its ratio test settles
     cfg = tmp_path / "cfg.json"
-    write_config(cfg, problem={"N": 3, "phi": {"kind": "power", "alpha": -3.417},
+    write_config(cfg, problem={"N": 3, "phi": {"kind": "power_log", "alpha": -4.117,
+                                               "beta": 0.7},
                                "f": {"kind": "power", "p": 0.5}, "K": {"kind": "origin"}})
     rc = main(["classify", "--config", str(cfg), "--out", str(tmp_path / "o")])
     captured = capsys.readouterr()
@@ -433,6 +471,20 @@ def test_solve_refusal_exit_code(tmp_path, capsys):
     rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 3
     assert "solver error" in capsys.readouterr().err
+
+
+def test_solve_refusal_names_the_divergent_criterion(tmp_path, capsys):
+    # closed-form reports carry no certificate; the refusal still names the criterion
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, problem={"N": 3, "phi": {"kind": "power_split",
+                                               "alpha": -3, "beta": -2},
+                               "f": {"kind": "power", "p": 1},
+                               "K": {"kind": "origin"}},
+                 solve={"which": "minimal", "nodes": 512, "n_max": 8})
+    rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert capsys.readouterr().err.strip() == (
+        "solver error: criterion first-moment-tail diverges")
 
 
 K_KINDS = {"origin": {"kind": "origin"},

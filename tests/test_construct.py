@@ -30,6 +30,15 @@ def test_minimal_refuses_nonexistent():
         el.minimal_solution(bad, n_max=8, nodes=512)
 
 
+def test_refusal_names_the_first_divergent_criterion():
+    # closed-form reports carry no certificate; the refusal names the criterion anyway
+    bad = el.ProblemSpec(3, el.PowerSplitPhi(-3.0, -2.0), el.PowerF(1.0), el.Origin())
+    with pytest.raises(el.NoSolutionError,
+                       match="^criterion first-moment-tail diverges$") as info:
+        el.minimal_solution(bad, n_max=8, nodes=512)
+    assert info.value.certificate is None
+
+
 def test_minimal_vanishing_moment_at_origin(minimal64):
     # r^{N-2} u -> 0 toward the puncture: decreasing trend on the smallest
     # trusted octaves

@@ -87,6 +87,21 @@ def test_tabulated_interp_and_extrapolation():
     assert phi(8.0) == pytest.approx(0.125, rel=1e-12)
 
 
+@pytest.mark.parametrize("values,exponents", [([0.0, 1.0], (-1e3, -3.0)),
+                                               ([1.0, 0.0], (-1.0, 1e3))])
+def test_tabulated_powers_apply_only_beyond_their_knot(values, exponents):
+    # a steep declared power is not evaluated on the other side of the table,
+    # and beyond a zero end value the weight is 0, not 0 * inf
+    phi = el.TabulatedPhi(np.array([0.5, 2.0]), np.array(values), *exponents)
+    r = np.array([1e-5, 0.3, 1.0, 3.0, 1e5])
+    v = phi(r)
+    assert np.all(np.isfinite(v)) and np.all(v >= 0.0)
+    zero_side = r < 0.5 if values[0] == 0.0 else r > 2.0
+    assert np.all(v[zero_side] == 0.0)
+    simple, iterated = el.lemma_zero_check(phi, 3, "near0")
+    assert simple.status == iterated.status == el.quad.FINITE
+
+
 def test_eval_phi_domain_error():
     with pytest.raises(el.DomainError):
         el.PowerPhi(-1.0)(0.0)

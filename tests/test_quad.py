@@ -2,19 +2,21 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import IntegrationWarning, quad as scipy_quad
 
 import elliptic_lab as el
 from elliptic_lab import quad
 from elliptic_lab.quad import (FINITE, INCONCLUSIVE, INFINITE, MAX_WINDOWS, _EvalCounter,
                                _GL_NODES, _GL_WTS, _InnerCumulative, _join, _panels, _scan,
                                _windows_to_inf, _windows_to_point, iterated_near0,
-                               iterated_tail)
+                               iterated_tail, power_moment)
 
 
 # ---------------------------------------------------------------------------
@@ -86,8 +88,17 @@ def test_classify_origin_exists():
     for prediction, name in cases:
         assert prediction.exists is True
         assert prediction.criterion_used == name
+        # piecewise powers: both moments in closed form, no analytic row
         assert [rep.criterion for rep in prediction.reports] == [
-            f"{name}-near0", "first-moment-tail", f"{name}-analytic"]
+            f"{name}-near0", "first-moment-tail"]
+        assert {rep.method for rep in prediction.reports} == {"closed-form"}
+    # a log family is scanned and cross-checked against its exponents
+    log_family = el.classify_existence(
+        el.ProblemSpec(3, el.PowerLogPhi(-2.5, 0.7), el.PowerF(1.0), el.Origin()))
+    assert log_family.exists is True
+    assert [(rep.criterion, rep.method) for rep in log_family.reports] == [
+        ("shifted-moment-near0", "quadrature"), ("first-moment-tail", "quadrature"),
+        ("shifted-moment-analytic", "analytic")]
 
 
 def test_classify_origin_tail_boundary():
@@ -149,6 +160,166 @@ def test_classify_iterlog_agrees_with_quadrature():
     phi2 = el.IterLogPhi(-3.5, (0.6, 0.6))    # near-zero exponent -2.3: admissible
     pr2 = el.classify_existence(el.ProblemSpec(3, phi2, el.PowerF(1.0), el.Origin()))
     assert pr2.exists is True
+
+
+# ---------------------------------------------------------------------------
+# closed-form moments of piecewise powers
+# ---------------------------------------------------------------------------
+
+def _segment_knots(data, n):
+    """n knots with log gaps in [0.02, 0.45], inside [e^-2.5, e^2.5]."""
+    gaps = data.draw(st.lists(st.floats(0.02, 0.45), min_size=n - 1, max_size=n - 1),
+                     label="gaps")
+    logk = np.concatenate(([0.0], np.cumsum(gaps)))
+    start = data.draw(st.floats(-2.5, 2.5 - logk[-1]), label="start")
+    return np.exp(start + logk)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_power_moment_matches_a_quadrature_split_at_the_knots(data):
+    """A tabulated weight's moment over [a, b] around its knots, for m up to 197
+    (N = 100, p = 1) and one piece 1e-6 to 1 from its critical exponent, equals an
+    adaptive quadrature of the weight split at the knots."""
+    n = data.draw(st.integers(2, 12), label="n")
+    knots = _segment_knots(data, n)
+    values = 10.0 ** np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n,
+                                                 max_size=n), label="log10 values"))
+    zero_at = data.draw(st.none() | st.integers(0, n - 1), label="zero at")
+    if zero_at is not None:
+        values[zero_at] = 0.0
+    m = data.draw(st.floats(0.0, 197.0), label="m")
+    q = data.draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** data.draw(st.floats(-6.0, 0.0))
+    e0, e1 = data.draw(st.floats(-250.0, 50.0)), data.draw(st.floats(-250.0, 50.0))
+    critical = data.draw(st.sampled_from(["near0", "segment", "tail"]), label="critical")
+    if critical == "near0":
+        e0 = q - m - 1.0
+    elif critical == "tail":
+        e1 = q - m - 1.0
+    else:  # the values beyond a random knot follow the critical power
+        j = data.draw(st.integers(0, n - 2), label="segment")
+        values[j + 1:] = values[j] * (knots[j + 1:] / knots[j]) ** (q - m - 1.0)
+    phi = el.TabulatedPhi(knots, values, e0, e1)
+    a = knots[0] * np.exp(-data.draw(st.floats(0.01, 0.5)))
+    b = knots[-1] * np.exp(data.draw(st.floats(0.01, 0.5)))
+    rep = power_moment(phi.pieces(), m, a, b, "moment")
+    edges = np.concatenate(([a], knots, [b]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        ref = sum(scipy_quad(lambda s: s ** m * phi(np.array([s]))[0], lo, hi, epsabs=0.0,
+                             epsrel=1e-13, limit=200)[0]
+                  for lo, hi in zip(edges[:-1], edges[1:]))
+    assert rep.status == FINITE and rep.method == "closed-form" and rep.evaluations == 0
+    assert rep.value == pytest.approx(ref, rel=1e-12, abs=0.0)
+    assert rep.error_estimate <= 1e-12 * rep.value
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.floats(0.0, 197.0), log_q=st.floats(-6.0, 0.0), sign=st.sampled_from([-1.0, 1.0]))
+def test_power_moment_of_a_power_is_one_over_q(m, log_q, sign):
+    # int_0^1 s^m s^alpha ds = 1/q and int_1^inf = -1/q, q = m + alpha + 1
+    alpha = sign * 10.0 ** log_q - m - 1.0
+    q = math.fsum((m, alpha, 1.0))
+    zero_end, tail = (0.0, 1.0), (1.0, math.inf)
+    rep = power_moment(el.PowerPhi(alpha).pieces(), m, *(zero_end if q > 0 else tail), "q")
+    assert rep.status == FINITE
+    assert abs(rep.value - 1.0 / abs(q)) <= rep.error_estimate <= 1e-14 * rep.value
+    other = power_moment(el.PowerPhi(alpha).pieces(), m, *(tail if q > 0 else zero_end), "q")
+    assert other.status == INFINITE and other.value is None and other.certificate is None
+
+
+def _piecewise_weight(data, family, e0, e1):
+    if family == "power":
+        return el.PowerPhi(e0)
+    if family == "power_split":
+        return el.PowerSplitPhi(e0, e1)
+    n = data.draw(st.integers(2, 6), label="n")
+    values = 10.0 ** np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n,
+                                                 max_size=n), label="log10 values"))
+    return el.TabulatedPhi(_segment_knots(data, n), values, e0, e1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), family=st.sampled_from(["power", "power_split", "tabulated"]),
+       K=st.sampled_from(["origin", "ball", "points"]), N=st.integers(3, 100),
+       p=st.floats(0.1, 4.0), line=st.sampled_from(["near0", "tail"]),
+       side=st.sampled_from([-1e-3, 1e-3]))
+def test_classification_next_to_each_critical_line_is_the_exponent_inequality(
+        data, family, K, N, p, line, side):
+    compact = {"origin": el.Origin(), "ball": el.Ball(1.0),
+               "points": el.PointSet(((0.0,) * N, (4.0,) + (0.0,) * (N - 1)))}[K]
+    near0_line = -2.0 if K == "ball" else -2.0 - (1.0 + p) * (N - 2)
+    other = data.draw(st.floats(-300.0, 5.0), label="other exponent")
+    if family == "power":  # one exponent for both ends
+        e0 = e1 = (near0_line if line == "near0" else -2.0) + side
+    elif line == "near0":
+        e0, e1 = near0_line + side, other
+    else:
+        e0, e1 = other, -2.0 + side
+    phi = _piecewise_weight(data, family, e0, e1)
+    pred = el.classify_existence(el.ProblemSpec(N, phi, el.PowerF(p), compact))
+    assert pred.exists == (e0 > near0_line and e1 < -2.0)
+    assert [rep.method for rep in pred.reports] == ["closed-form", "closed-form"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), zero_ends=st.sampled_from([(True, False), (False, True), (True, True)]),
+       exponents=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+       m=st.floats(0.0, 197.0))
+def test_zero_table_values_give_finite_moments(data, zero_ends, exponents, m):
+    """A zero value at an end makes the declared power there zero, so that end's
+    moment is finite whatever its exponent; zeros inside make intervals zero."""
+    n = data.draw(st.integers(2, 8), label="n")
+    values = 10.0 ** np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n,
+                                                 max_size=n), label="log10 values"))
+    values[data.draw(st.integers(0, n - 1), label="inner zero")] = 0.0
+    values[[0, -1]] = np.where(zero_ends, 0.0, values[[0, -1]])
+    phi = el.TabulatedPhi(_segment_knots(data, n), values, *exponents)
+    pieces = phi.pieces()
+    ends = [power_moment(pieces, m, 0.0, 1.0, "near0"),
+            power_moment(pieces, m, 1.0, math.inf, "tail")]
+    for zero, rep in zip(zero_ends, ends):
+        if zero:  # the other pieces may still leave the double range (value None)
+            assert rep.status == FINITE and (rep.value is None or math.isfinite(rep.value))
+    if all(zero_ends):
+        assert el.classify_existence(el.ProblemSpec(3, phi, el.PowerF(1.0), el.Origin())).exists
+
+
+@pytest.mark.parametrize("N", [3, 100])
+@pytest.mark.parametrize("K", [el.Origin(), el.Ball(1.0)], ids=["origin", "ball"])
+@pytest.mark.parametrize("e0,e1", [(-1e3, -1e3), (-1e3, 1e3), (1e3, -1e3), (1e3, 1e3)])
+@pytest.mark.parametrize("family", ["power", "power_split", "tabulated"])
+def test_extreme_exponents_classify_without_a_warning(family, e0, e1, K, N):
+    phi = {"power": el.PowerPhi(e0), "power_split": el.PowerSplitPhi(e0, e1),
+           "tabulated": el.TabulatedPhi(np.array([0.5, 2.0]), np.array([8.0, 0.125]), e0, e1)
+           }[family]
+    if family == "power":
+        e1 = e0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pred = el.classify_existence(el.ProblemSpec(N, phi, el.PowerF(1.0), K))
+    near0_line = -2.0 if K.solid else -2.0 - 2.0 * (N - 2)
+    assert pred.exists == (e0 > near0_line and e1 < -2.0)
+
+
+@pytest.mark.parametrize("N,p,alpha", [(43, 2.0, -3.0), (44, 2.0, -3.0), (100, 2.0, -3.0),
+                                       (3, 0.5, -3.417)])
+def test_power_weights_far_from_their_lines_exist_at_any_shift(N, p, alpha):
+    # the window scans read these as infinite from N = 44 on (the increments of
+    # s^(1 + shift) toward s = 1 grow) or overflowed (-3.417): the closed form is exact
+    pred = el.classify_existence(el.ProblemSpec(N, el.PowerPhi(alpha), el.PowerF(p),
+                                                el.Origin()))
+    assert pred.exists is True
+    q = 2.0 + (1.0 + p) * (N - 2) + alpha
+    assert pred.reports[0].value == pytest.approx(1.0 / q, rel=1e-15)
+
+
+def test_tabulated_weight_at_a_large_shift_exists():
+    # int_0^1 s^197 phi ds with phi = 8 (s/0.5)^-3 below 2: finite, 1/195
+    phi = el.TabulatedPhi(np.array([0.5, 2.0]), np.array([8.0, 0.125]), -3.0, -3.0)
+    pred = el.classify_existence(el.ProblemSpec(100, phi, el.PowerF(1.0), el.Origin()))
+    assert pred.exists is True
+    assert pred.reports[0].value == pytest.approx(1.0 / 195.0, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -269,22 +440,32 @@ def test_scan_reports_the_windows_it_read():
     joined = _join("both", reports[0], reports[1])
     assert joined.windows == reports[0].windows + reports[1].windows
     analytic = el.classify_existence(
-        el.ProblemSpec(3, el.PowerPhi(-3.0), el.PowerF(1.0), el.Ball(1.0))).reports[-1]
+        el.ProblemSpec(3, el.PowerLogPhi(-3.0, 0.7), el.PowerF(1.0), el.Ball(1.0))).reports[-1]
     assert analytic.method == "analytic" and analytic.windows == 0
+    closed = el.classify_existence(
+        el.ProblemSpec(3, el.PowerPhi(-3.0), el.PowerF(1.0), el.Ball(1.0))).reports
+    assert all(rep.method == "closed-form" and rep.windows == 0 and rep.evaluations == 0
+               for rep in closed)
+
+
+# r**-4.117 log(1+r)**0.7 overflows deep in the near-zero scan (window 328)
+# before its ratio test settles
+OVERFLOWING = el.ProblemSpec(3, el.PowerLogPhi(-4.117, 0.7), el.PowerF(0.5), el.Origin())
 
 
 def test_classify_overflow_is_inconclusive():
-    problem = el.ProblemSpec(3, el.PowerPhi(-3.417), el.PowerF(0.5), el.Origin())
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        pred = el.classify_existence(problem)
+        pred = el.classify_existence(OVERFLOWING)
     assert pred.exists is None
     assert pred.reports[0].status == INCONCLUSIVE
+    # the pure power this once stood for has a closed-form moment
+    power = el.ProblemSpec(3, el.PowerPhi(-3.417), el.PowerF(0.5), el.Origin())
+    assert el.classify_existence(power).exists is True
 
 
 def test_classify_overflow_report_keeps_its_certificate():
-    problem = el.ProblemSpec(3, el.PowerPhi(-3.417), el.PowerF(0.5), el.Origin())
-    near0 = el.classify_existence(problem).reports[0]
+    near0 = el.classify_existence(OVERFLOWING).reports[0]
     assert near0.criterion == "shifted-moment-near0" and near0.status == INCONCLUSIVE
     assert near0.certificate is not None and np.all(np.diff(near0.certificate) > 0)
 
