@@ -33,7 +33,6 @@ from .funcs import (
     PowerPhi,
     PowerSplitPhi,
     TabulatedPhi,
-    double_integral_profile,
     supersolution_profile,
     xi_closed_form,
 )

@@ -448,30 +448,8 @@ def xi_closed_form(N: int, p: float, alpha: float) -> ClosedFormPower:
 
 
 # ---------------------------------------------------------------------------
-# double-integral profiles and implicit supersolutions
+# implicit supersolutions
 # ---------------------------------------------------------------------------
-
-def double_integral_profile(
-    phi: PhiSpec,
-    N: int,
-    inner_lower: float,
-    r: float,
-) -> float:
-    """Value of int_r^inf t**(1-N) int_{inner_lower}^t s**(N-1) phi(s) ds dt.
-
-    Raises DivergenceError (with a certificate) when either the inner integrand
-    is non-integrable at zero or the outer tail diverges.
-    """
-    if N < 3:
-        raise DomainError("profile requires N >= 3")
-    if inner_lower < 0:
-        raise DomainError("inner_lower must be >= 0")
-    if inner_lower > 0 and r < inner_lower * (1.0 - 1e-12):
-        raise DomainError("evaluation radius must not precede inner_lower")
-    if phi.is_zero:
-        return 0.0
-    return _quad.iterated_tail_profile(phi, N, inner_lower, np.array([r]))[0]
-
 
 def supersolution_profile(
     phi: PhiSpec,
@@ -484,15 +462,14 @@ def supersolution_profile(
     """v(r) = G^{-1}(A(r)) sampled on the geometric grid from r_min to
     4096 max(r_min, 1, inner_lower).
 
-    A is the double-integral profile; the chain rule together with f
-    nonincreasing makes v satisfy -Lap(v) >= phi * f(v).  The tail value is
-    computed once and extended inward by a backward cumulative pass, so all
-    additions are of positive quantities.
+    A(r) = int_r^inf t^(1-N) int_{inner_lower}^t s^(N-1) phi ds dt is the
+    double-integral profile; the chain rule together with f nonincreasing makes
+    v satisfy -Lap(v) >= phi * f(v).  quad.iterated_tail_profile computes A as
+    the Tonelli sum of two cumulative single moments, with positive additions
+    only, and checks inner_lower against the grid.
     """
     if r_min <= 0:
         raise DomainError("r_min must be positive")
-    if inner_lower > 0 and r_min < inner_lower * (1.0 - 1e-12):
-        raise DomainError("grid must start at or after inner_lower")
     r = np.geomspace(r_min, 4096.0 * max(r_min, 1.0, inner_lower), nodes)
     A = _quad.iterated_tail_profile(phi, N, inner_lower, r)
     _, Ginv = f.G_and_inverse()

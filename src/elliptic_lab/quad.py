@@ -399,16 +399,14 @@ def iterated_tail(
     w: Callable[[np.ndarray], np.ndarray],
     N: int,
     t_lo: float = 1.0,
-    inner_lower: float | None = None,
     inner_base: float = 0.0,
 ) -> ConditionReport:
-    """int_{t_lo}^inf t^{1-N} (inner_base + int_{inner_lower}^t s^{N-1} w ds) dt."""
+    """int_{t_lo}^inf t^{1-N} (inner_base + int_{t_lo}^t s^{N-1} w ds) dt, the outer
+    scan over a nested inner cumulative (the witness of lemma_zero_check)."""
     if N < 3:
         raise DomainError("iterated integrals require N >= 3")
-    if inner_lower is None:
-        inner_lower = t_lo
     counter = _EvalCounter(w)
-    J = _InnerCumulative(N, inner_lower, 2.0 * t_lo, counter, base=inner_base)
+    J = _InnerCumulative(N, t_lo, 2.0 * t_lo, counter, base=inner_base)
 
     def outer_fn(t: np.ndarray) -> np.ndarray:
         J.extend_to(float(np.max(t)))
@@ -428,27 +426,45 @@ def iterated_tail_profile(
     inner_lower: float,
     radii: np.ndarray,
 ) -> np.ndarray:
-    """Double-integral profile on a whole increasing radius grid.
+    """A(r) = int_r^inf t^(1-N) int_L^t s^(N-1) w ds dt on an increasing radius grid,
+    L = inner_lower, as the Tonelli sum of two single moments:
 
-    The tail beyond the last radius is evaluated once; interior values follow by
-    a backward cumulative pass with positive per-segment additions.  Raises
-    DivergenceError (with a certificate when divergent) when the inner
-    integrand is not integrable at zero or the tail is not finite.
+        A(r) = (r^(2-N) C(r) + T(r)) / (N - 2),
+        C(r) = int_L^r s^(N-1) w ds,   T(r) = int_r^inf s w ds.
+
+    C runs forward from its value at radii[0] (0 when L = radii[0]; for L = 0 the
+    stub of _inner_base), T backward from one tail scan beyond radii[-1], and
+    each grid segment adds one positive panel to each.  Raises DomainError for
+    L < 0 or a grid that starts before L, and DivergenceError (with a
+    certificate when divergent) when the inner integrand is not integrable at
+    zero or the tail moment is not finite.
     """
+    if N < 3:
+        raise DomainError("profile requires N >= 3")
+    if inner_lower < 0:
+        raise DomainError("inner_lower must be >= 0")
     radii = np.asarray(radii, dtype=float)
     if np.any(np.diff(radii) <= 0):
         raise DomainError("radii must be strictly increasing")
-    r_last = float(radii[-1])
-    lower, base, kappa = _inner_base(w, N, inner_lower, max(r_last, 1.0))
-    rep = iterated_tail(w, N, t_lo=r_last, inner_lower=lower, inner_base=base)
-    if rep.status == INFINITE:
-        raise DivergenceError("double-integral profile diverges", rep.certificate)
-    if rep.status == INCONCLUSIVE:
-        raise DivergenceError("double-integral profile could not be classified", None)
-    J = _InnerCumulative(N, min(lower, float(radii[0])), r_last, _EvalCounter(w),
-                         base=base, base_kappa=kappa)
-    seg = _panels(lambda x: J(x) * x ** (1 - N), radii[:-1], radii[1:])
-    return np.cumsum(np.concatenate(([rep.value], seg[::-1])))[::-1]
+    if radii[0] < inner_lower * (1.0 - 1e-12):
+        raise DomainError("radius grid must not start before inner_lower")
+    r0, r_last = float(radii[0]), float(radii[-1])
+    c0 = 0.0
+    if inner_lower < r0:
+        lower, base, kappa = _inner_base(w, N, inner_lower, max(r_last, 1.0))
+        J = _InnerCumulative(N, lower, max(r0, 2.0 * lower), _EvalCounter(w),
+                             base=base, base_kappa=kappa)
+        c0 = float(J(r0)[0])
+    tail = integrate_tail(lambda s: s * w(s), r_last, "profile-tail")
+    if tail.status != FINITE:
+        raise DivergenceError(
+            f"profile tail moment int_{r_last:g}^inf s phi(s) ds is {tail.status}",
+            tail.certificate if tail.status == INFINITE else None)
+    inner = _panels(_EvalCounter(lambda s: s ** (N - 1) * w(s)), radii[:-1], radii[1:])
+    outer = _panels(_EvalCounter(lambda s: s * w(s)), radii[:-1], radii[1:])
+    C = np.cumsum(np.concatenate(([c0], inner)))
+    T = np.cumsum(np.concatenate(([tail.value], outer[::-1])))[::-1]
+    return (radii ** (2 - N) * C + T) / (N - 2)
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +621,7 @@ def lemma_zero_check(
     it0, inner0 = _iterated_near0(phi, N, 1.0)
     it1 = None
     if it0.status == FINITE:  # then the inner scan toward zero is finite too
-        it1 = iterated_tail(phi, N, 1.0, inner_lower=1.0, inner_base=inner0.value)
+        it1 = iterated_tail(phi, N, 1.0, inner_base=inner0.value)
     return _join("simple-full", s0, s1), _join("iterated-full", it0, it1)
 
 

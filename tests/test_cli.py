@@ -647,8 +647,8 @@ def test_verify_superposition_spacing_below_roundoff_exits_3(tmp_path, capsys):
 
 @pytest.mark.parametrize("branch, exponent", [("alpha", -85), ("beta", 79)])
 def test_verify_superposition_overflowing_weight_exits_3(tmp_path, capsys, branch, exponent):
-    # r**-85 near 0, or r**79 far out, is not finite where the supersolution
-    # integrates it: one solver error, and no warning line
+    # r**-85 near 0, or r**79 far out, overflows in the scan of the profile's
+    # tail moment beyond r = 4096: one solver error, and no warning line
     cfg = tmp_path / "cfg.json"
     phi = {**SUPERPOSITION_PROBLEM["phi"], branch: exponent}
     write_config(cfg, problem={**SUPERPOSITION_PROBLEM, "phi": phi,
@@ -657,7 +657,8 @@ def test_verify_superposition_overflowing_weight_exits_3(tmp_path, capsys, branc
     rc = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert rc == 3
-    assert err.splitlines() == ["solver error: integrand must be finite on the interior"]
+    assert err.splitlines() == ["solver error: profile tail moment int_4096^inf s phi(s) ds "
+                                "is inconclusive"]
 
 
 def test_verify_superposition_refuses_a_non_power_f(tmp_path, capsys):

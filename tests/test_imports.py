@@ -288,9 +288,10 @@ def test_one_window_scan_and_one_double_integral_path():
     assert "supersolution_profile" in elliptic_lab.__dict__
     for gone in ("_merge_reports", "iterated_tail_value", "_tail_value"):
         assert not hasattr(quad, gone)
-    for gone in ("supersolution_values", "SupersolutionData"):
+    for gone in ("supersolution_values", "SupersolutionData", "double_integral_profile"):
         assert not hasattr(funcs, gone) and not hasattr(elliptic_lab, gone)
     assert "r_max" not in inspect.signature(funcs.supersolution_profile).parameters
+    assert "inner_lower" not in inspect.signature(quad.iterated_tail).parameters
 
 
 def test_construct_solves_at_one_call_site():

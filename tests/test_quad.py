@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad as scipy_quad
 
@@ -393,7 +393,8 @@ def test_inner_zero_profile_matches_closed_form(r):
     # growing toward zero on (1, r), which must not read as divergence at zero
     phi = el.PowerSplitPhi(-2.5, -3.4)
     exact = 4.5 / r - (2.5 / 1.4) * r ** -1.4
-    assert el.double_integral_profile(phi, 3, 0.0, r) == pytest.approx(exact, rel=1e-12)
+    assert el.quad.iterated_tail_profile(phi, 3, 0.0, np.array([r]))[0] == pytest.approx(
+        exact, rel=1e-12)
 
 
 def test_inner_zero_supersolution_matches_closed_form():
@@ -405,6 +406,110 @@ def test_inner_zero_supersolution_matches_closed_form():
     a1 = 4.5 - 2.5 / 1.4
     exact = np.where(r >= 1.0, 4.5 / r - (2.5 / 1.4) * r ** -1.4, 4.0 * (r ** -0.5 - 1.0) + a1)
     np.testing.assert_allclose(A, exact, rtol=1e-10)
+
+
+def _profile_closed_form(phi, N, L, radii):
+    """(r^(2-N) int_L^r s^(N-1) phi ds + int_r^inf s phi ds) / (N-2) from power_moment."""
+    pieces = phi.pieces()
+    inner = [power_moment(pieces, N - 1.0, L, r, "inner").value if r > L else 0.0
+             for r in radii]
+    tail = [power_moment(pieces, 1.0, r, math.inf, "tail").value for r in radii]
+    return (radii ** (2.0 - N) * np.array(inner) + np.array(tail)) / (N - 2)
+
+
+def _grid_with_one(r0, span, per_octave):
+    """Geometric grid from r0 to max(r0 span, 2) with per_octave segments per
+    doubling (one 24-point panel each), and a node at the splice r = 1.
+
+    The grid ends at 2 or beyond, where the tail moment of the weights drawn
+    here is below one: _scan reads a partial sum above BLOWUP as divergent.
+    """
+    end = max(r0 * span, 2.0)
+    radii = np.geomspace(r0, end, 1 + math.ceil(per_octave * math.log2(end / r0)))
+    return np.union1d(radii, [1.0]) if radii[0] < 1.0 else radii
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=st.integers(3, 6), split=st.booleans(), from_zero=st.booleans(),
+       u=st.floats(0.0, 1.0), v=st.floats(0.0, 1.0), below=st.booleans(),
+       r0=st.floats(0.05, 20.0), span=st.floats(1.5, 1e4), per_octave=st.integers(1, 8))
+def test_profile_matches_the_closed_form_of_power_weights(N, split, from_zero, u, v, below,
+                                                          r0, span, per_octave):
+    # exponents at least 0.5 from each critical line: the tail needs beta < -2,
+    # an inner integral from zero alpha > -N; alpha = -N is kept clear also above zero
+    beta = -2.5 - 5.0 * v
+    if split:
+        alpha = -N + 0.5 + 5.0 * u if from_zero or not below else -N - 0.5 - 5.0 * u
+        phi = el.PowerSplitPhi(alpha, beta)
+    else:
+        alpha = -2.5 - (N - 3) * u if from_zero else beta
+        assume(abs(alpha + N) >= 0.5)
+        phi = el.PowerPhi(alpha)
+    radii = _grid_with_one(r0, span, per_octave)
+    L = 0.0 if from_zero else float(radii[0])
+    A = quad.iterated_tail_profile(phi, N, L, radii)
+    np.testing.assert_allclose(A, _profile_closed_form(phi, N, L, radii), rtol=1e-12, atol=0)
+
+
+@settings(max_examples=15, deadline=None)
+@given(N=st.integers(3, 6), r0=st.floats(0.1, 10.0),
+       cuts=st.lists(st.floats(0.01, 0.99), min_size=2, max_size=8, unique=True),
+       slopes=st.lists(st.floats(-4.0, 2.0), min_size=9, max_size=9),
+       v0=st.floats(0.1, 10.0), e0=st.floats(-6.0, 2.0), e1=st.floats(-5.0, -2.5))
+def test_profile_of_a_tabulated_weight_with_knots_inside_the_grid(N, r0, cuts, slopes, v0,
+                                                                  e0, e1):
+    # the supersolution grid from inner_lower = r0, as lab verify builds it; the
+    # panels that straddle a knot cost the accuracy.  The values are scaled to
+    # s^2 phi(s) = v0 at the last radius, so the tail moment stays far below
+    # BLOWUP, which _scan reads as divergence
+    radii = np.geomspace(r0, 4096.0 * r0, 800)
+    knots = r0 * 4096.0 ** np.sort(cuts)
+    log_values = np.concatenate(([0.0], np.cumsum(
+        np.array(slopes[:len(knots) - 1]) * np.diff(np.log(knots)))))
+    log_end = log_values[-1] + e1 * math.log(radii[-1] / knots[-1]) + 2.0 * math.log(radii[-1])
+    phi = el.TabulatedPhi(knots, v0 * np.exp(log_values - log_end), e0, e1)
+    A = quad.iterated_tail_profile(phi, N, r0, radii)
+    np.testing.assert_allclose(A, _profile_closed_form(phi, N, r0, radii), rtol=1e-4, atol=0)
+
+
+@pytest.mark.parametrize("phi, N", [(el.PowerSplitPhi(-0.371, -2.104), 6),
+                                    (el.PowerSplitPhi(-1.0, -3.5), 60),
+                                    (el.PowerSplitPhi(-1.0, -3.5), 80)], ids=repr)
+def test_profile_of_a_weight_the_nested_tail_scan_could_not_classify(phi, N):
+    # the tail moment int s phi ds is finite and one ordinary scan settles it,
+    # where the nested scan of t^(1-N) J(t) ended inconclusive
+    radii = np.geomspace(1.0, 4096.0, 800)
+    A = quad.iterated_tail_profile(phi, N, 1.0, radii)
+    np.testing.assert_allclose(A, _profile_closed_form(phi, N, 1.0, radii), rtol=1e-12, atol=0)
+
+
+def test_profile_refuses_an_inner_moment_that_overflows():
+    # s^99 phi(s) passes the largest double below r = 4096: one DomainError, no nan
+    with pytest.raises(el.DomainError, match="finite"):
+        quad.iterated_tail_profile(el.PowerPhi(-3.0), 100, 1.0, np.geomspace(1.0, 4096.0, 800))
+
+
+@pytest.mark.parametrize("N", [3, 4, 5])
+@pytest.mark.parametrize("phi", [el.PowerPhi(-3.5), el.PowerSplitPhi(-1.0, -3.2),
+                                 el.PowerLogPhi(-3.5, 0.7), el.IterLogPhi(-3.5, (0.6, 1.0))],
+                         ids=repr)
+def test_profile_agrees_with_the_nested_tail_scan(phi, N):
+    # A(1) as the Tonelli sum and as the outer scan over the inner cumulative
+    nested = iterated_tail(phi, N, 1.0)
+    assert nested.status == FINITE
+    A = quad.iterated_tail_profile(phi, N, 1.0, np.geomspace(1.0, 4096.0, 800))
+    assert A[0] == pytest.approx(nested.value, rel=1e-9)
+
+
+def test_profile_checks_inner_lower_against_its_grid():
+    with pytest.raises(el.DomainError, match="inner_lower"):
+        el.supersolution_profile(el.PowerPhi(-2.5), el.PowerF(1), 3, inner_lower=-1.0,
+                                 r_min=1.0)
+    with pytest.raises(el.DomainError, match="inner_lower"):
+        quad.iterated_tail_profile(el.PowerPhi(-2.5), 3, 2.0, np.geomspace(1.0, 10.0, 5))
+    # a grid start within roundoff below inner_lower is the start itself
+    A = quad.iterated_tail_profile(el.PowerPhi(-3.0), 3, 1.0 + 1e-13, np.array([1.0, 2.0]))
+    assert A[0] == pytest.approx(1.0, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -627,8 +732,7 @@ def test_full_lemma_scans_toward_zero_once(phi, monkeypatch):
     s0 = el.integrate_singular(lambda s: s * phi(s), 0.0, 1.0, criterion="simple-full")
     s1 = el.integrate_tail(lambda s: s * phi(s), 1.0, criterion="simple-full")
     it0 = iterated_near0(phi, 3, 1.0)
-    it1 = (iterated_tail(phi, 3, 1.0, inner_lower=1.0,
-                         inner_base=quad._inner_near0(phi, 3, 1.0).value)
+    it1 = (iterated_tail(phi, 3, 1.0, inner_base=quad._inner_near0(phi, 3, 1.0).value)
            if it0.status == FINITE else None)
     expected = (_join("simple-full", s0, s1), _join("iterated-full", it0, it1))
     his = []
