@@ -410,6 +410,19 @@ def _interval(nodes: np.ndarray) -> str:
     return f"[{nodes[0]:g}, {nodes[-1]:g}]"
 
 
+def flux_stencil(nodes: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Face conductances c, cell volumes V and the diagonal 1/c_- + 1/c_+ of the
+    N-dimensional flux stencil on nodes; DomainError when any of them over- or
+    underflows (c or V not positive, the diagonal or V not finite)."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # refused below
+        c = _face_conductance(nodes, N)
+        V = _cell_volumes(nodes, N)
+        diag = 1.0 / c[:-1] + 1.0 / c[1:]
+    if not (np.all(c > 0) and np.all(diag < np.inf) and np.all((V > 0) & (V < np.inf))):
+        raise DomainError(f"the N = {N} flux stencil over- or underflows on {_interval(nodes)}")
+    return c, V, diag
+
+
 def _flux_system(nodes: np.ndarray, N: int, weight: Callable[[np.ndarray], np.ndarray],
                  va: float, vb: float) -> tuple[np.ndarray, ...]:
     """One level's flux system: V w, the off-diagonal with a 0 after the last
@@ -423,14 +436,12 @@ def _flux_system(nodes: np.ndarray, N: int, weight: Callable[[np.ndarray], np.nd
     if np.any(w_i < 0) or np.any(~np.isfinite(w_i)):
         raise DomainError("weight must be finite and nonnegative at interior nodes "
                           f"of {_interval(nodes)}")
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # refused below
-        c = _face_conductance(nodes, N)
-        V = _cell_volumes(nodes, N)
+    c, V, diag = flux_stencil(nodes, N)
+    with np.errstate(over="ignore"):  # refused below
         Vw = V * w_i
-        off = np.append(-1.0 / c[1:-1], 0.0)  # the flux form is symmetric
-        diag = 1.0 / c[:-1] + 1.0 / c[1:]
-    if not (np.all(c > 0) and np.all(diag < np.inf) and np.all((V > 0) & (Vw < np.inf))):
+    if not np.all(Vw < np.inf):
         raise DomainError(f"the N = {N} flux stencil over- or underflows on {_interval(nodes)}")
+    off = np.append(-1.0 / c[1:-1], 0.0)  # the flux form is symmetric
     return Vw, off, diag, np.array([va / c[0]]), np.array([vb / c[-1]])
 
 

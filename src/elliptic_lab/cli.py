@@ -320,6 +320,26 @@ def _power_fit(profile) -> tuple[float, float]:
     return float(np.exp(coef[0])), float(coef[1])
 
 
+def _check_stencil(cfg: SimpleNamespace, which: str) -> None:
+    """Cross-key check of problem.N against solve.n_max: the flux stencil must be
+    finite on every ladder grid of the construction (the outer radius n_max
+    enters it as about n_max^N)."""
+    problem, solve = cfg.problem, cfg.solve
+    if which == "exterior-ball":
+        if not problem.K.solid:
+            return  # the construction refuses this K
+        grids = _construct.shell_grids(problem.N, problem.K.radius, solve.n_max,
+                                       solve.nodes, solve.delta_min)
+    else:
+        grids = _construct.origin_grids(problem.N, solve.n_max, solve.nodes)
+    for grid in grids.values():
+        try:
+            _bvp1d.flux_stencil(grid.nodes, problem.N)
+        except DomainError as exc:
+            raise ConfigError(f"problem.N = {problem.N} is too large for solve.n_max = "
+                              f"{solve.n_max}: {exc}") from exc
+
+
 def _build_construction(cfg: SimpleNamespace, which: str):
     """Run one of CONSTRUCTIONS.
 
@@ -327,6 +347,7 @@ def _build_construction(cfg: SimpleNamespace, which: str):
     inside its trusted window.
     """
     solve = cfg.solve
+    _check_stencil(cfg, which)
     if which == "exterior-ball":
         return _construct.exterior_ball_minimal(cfg.problem, n_max=solve.n_max,
                                                 config=solve.config, nodes=solve.nodes,

@@ -178,6 +178,28 @@ def _origin_result(levels: dict[float, RadialProfile], grid: RadialGrid,
     )
 
 
+def origin_grids(N: int, n_max: int, nodes: int) -> dict[float, RadialGrid]:
+    """The grids [1/n, n] of minimal_solution's ladder by level n, with node
+    counts in proportion to their decades (192 at least; nodes at n_max)."""
+    if n_max < 4:
+        raise DomainError("n_max must be at least 4")
+    decades_final = math.log10(float(n_max) ** 2)
+
+    def grid(nv: float) -> RadialGrid:
+        ra, rb = 1.0 / nv, nv
+        count = max(192, int(round(nodes * math.log10(rb / ra) / decades_final)))
+        return RadialGrid.geometric(ra, rb, count, N)
+
+    return {nv: grid(nv) for nv in _origin_ladder(float(n_max))}
+
+
+def shell_grids(N: int, R: float, n_max: int, nodes: int,
+                delta_min: float) -> dict[float, RadialGrid]:
+    """The grids R + (delta_min .. n] of exterior_ball_minimal's ladder by doubling n."""
+    return {n: RadialGrid.boundary_layer(R, delta_min, n, nodes, N)
+            for n in _doublings(float(n_max))}
+
+
 def minimal_solution(
     problem: ProblemSpec,
     n_max: int = 64,
@@ -195,19 +217,9 @@ def minimal_solution(
     if problem.K != Origin():
         raise UnsupportedCombinationError("minimal_solution expects the origin as compact set")
     _require_existence(problem)
-    if n_max < 4:
-        raise DomainError("n_max must be at least 4")
-    decades_final = math.log10(float(n_max) ** 2)
-
-    def grid(nv: float) -> RadialGrid:
-        ra, rb = 1.0 / nv, nv
-        count = max(192, int(round(nodes * math.log10(rb / ra) / decades_final)))
-        return RadialGrid.geometric(ra, rb, count, problem.N)
-
-    ladder = _origin_ladder(float(n_max))
-    grids = [grid(nv) for nv in ladder]
+    grids = origin_grids(problem.N, n_max, nodes)
     zero = [0.0] * len(grids)
-    levels = dict(zip(ladder, _solve_ladder(problem, grids, zero, zero, config)))
+    levels = dict(zip(grids, _solve_ladder(problem, list(grids.values()), zero, zero, config)))
     final_grid = RadialGrid.geometric(1.0 / n_max, float(n_max), nodes, problem.N)
     return _origin_result(levels, final_grid, config, ordered=True)
 
@@ -313,10 +325,9 @@ def exterior_ball_minimal(
         raise DomainError("n_max must be at least 2")
     _require_existence(problem)
     R = problem.K.radius
-    ladder = _doublings(float(n_max))
-    grids = [RadialGrid.boundary_layer(R, delta_min, n, nodes, problem.N) for n in ladder]
+    grids = shell_grids(problem.N, R, n_max, nodes, delta_min)
     zero = [0.0] * len(grids)
-    levels = dict(zip(ladder, _solve_ladder(problem, grids, zero, zero, config)))
+    levels = dict(zip(grids, _solve_ladder(problem, list(grids.values()), zero, zero, config)))
     increments = _ladder_gaps(list(levels.values()), (R + 10.0 * delta_min, R + 0.5),
                               ordered=True)
     return LadderResult(

@@ -14,6 +14,12 @@ Each window's integral is the same double whichever block computes it (the
 panel sum is row by row, and inner anchors follow one fixed dyadic chain), so
 verdicts, values and certificates do not depend on the block size; only the
 evaluation count includes the windows of the last block past the verdict.
+
+The inner cumulative of an iterated integral keeps, besides its anchor values,
+its value at every Gauss node of the anchor intervals, from a cumulative Gauss
+rule (_GL_CUMUL) on the weight values the anchor panels already evaluated.  The
+outer windows are those intervals, so the outer scan reads the inner integral
+from that table and evaluates the weight once per node.
 """
 
 from __future__ import annotations
@@ -38,6 +44,24 @@ MAX_WINDOWS = 420
 REL_TOL = 1e-9            # a finite verdict needs remainder + error below this share
 
 _GL_NODES, _GL_WTS = np.polynomial.legendre.leggauss(24)
+
+
+def _gauss_cumulative_matrix() -> np.ndarray:
+    """S[k, j] = int_{-1}^{x_k} l_j(x) dx for the Lagrange basis l_j at the Gauss nodes.
+
+    Row k integrates the degree-23 interpolant of node values from -1 to node
+    k (Greengard's spectral integration matrix).  The Gauss projection
+    l_j = w_j sum_m (m + 1/2) P_m(x_j) P_m is exact, and int_{-1}^x P_m is
+    (P_{m+1} - P_{m-1}) / (2m + 1), or x + 1 for m = 0, so every term carries
+    the factor 1/2.  einsum, not a matrix product, so that importing the
+    module starts no BLAS kernel.
+    """
+    P = np.polynomial.legendre.legvander(_GL_NODES, 24)
+    antiderivatives = np.column_stack([P[:, 1] + P[:, 0], P[:, 2:] - P[:, :-2]])
+    return 0.5 * np.einsum("km,jm->kj", antiderivatives, P[:, :24]) * _GL_WTS
+
+
+_GL_CUMUL = _gauss_cumulative_matrix()
 _PANEL_BLOCK = 1024       # panels per call of the integrand in _panels
 _WINDOW_BLOCK = 16        # scan windows per call of _panels in _scan
 BOUNDARY_SUBPANELS = 8    # equal panels per dyadic window of the boundary certificate
@@ -100,6 +124,12 @@ class _EvalCounter:
         return v
 
 
+def _panel_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Half-widths of the panels [lo_k, hi_k] and their Gauss nodes, one row per panel."""
+    half = 0.5 * (hi - lo)
+    return half, half[:, None] * _GL_NODES + (lo + half)[:, None]
+
+
 def _panels(g: Callable, lo, hi) -> np.ndarray:
     """24-point Gauss-Legendre integrals of g over the panels [lo_k, hi_k].
 
@@ -111,13 +141,11 @@ def _panels(g: Callable, lo, hi) -> np.ndarray:
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    half = 0.5 * (hi - lo)
-    mid = lo + half
-    out = np.empty_like(half)
-    for b in range(0, len(half), _PANEL_BLOCK):
+    out = np.empty_like(lo)
+    for b in range(0, len(lo), _PANEL_BLOCK):
         blk = slice(b, b + _PANEL_BLOCK)
-        x = half[blk, None] * _GL_NODES + mid[blk, None]
-        out[blk] = half[blk] * np.einsum("ij,j->i", g(x.ravel()).reshape(x.shape), _GL_WTS)
+        half, x = _panel_nodes(lo[blk], hi[blk])
+        out[blk] = half * np.einsum("ij,j->i", g(x.ravel()).reshape(x.shape), _GL_WTS)
     return out
 
 
@@ -273,28 +301,40 @@ def integrate_tail(
 # ---------------------------------------------------------------------------
 
 def _dyadic_anchors_up(g: Callable, lo: float, hi: float, start: float = 0.0):
-    """Anchors lo 2^j up to the first one >= hi, and J(t) = start + int_lo^t g(s) ds there.
+    """Anchors lo 2^j up to the first one >= hi, J(t) = start + int_lo^t g(s) ds there,
+    and the Gauss nodes of every anchor interval with J at each of them.
 
     All additions are of positive segment integrals, so no cancellation occurs,
-    and the partial sums are one left-to-right cumsum from start.  A knot is
-    forced at s = 1 to respect spliced weights.
+    and the anchor values are one left-to-right cumsum from start.  Each anchor
+    interval is one panel, and its node values of g also give J at its nodes,
+    J(lo_i) + half_i (_GL_CUMUL g)_k, with no further evaluation; the
+    contraction is einsum's, row by row, so a node's value does not depend on
+    how many intervals one call covers.  A knot is forced at s = 1 to respect
+    spliced weights.
     """
     t = lo * 2.0 ** np.arange(np.ceil(np.log2(hi / lo)) + 2)
     edges = t[:np.argmax(t >= hi) + 1]
     if lo < 1.0 < edges[-1] and not np.any(np.isclose(edges, 1.0)):
         edges = np.union1d(edges, [1.0])
-    return edges, np.cumsum(np.concatenate(([start], _panels(g, edges[:-1], edges[1:]))))
+    half, nodes = _panel_nodes(edges[:-1], edges[1:])
+    gx = g(nodes.ravel()).reshape(nodes.shape)
+    J = np.cumsum(np.concatenate(([start], half * np.einsum("ij,j->i", gx, _GL_WTS))))
+    at_nodes = J[:-1, None] + half[:, None] * np.einsum("ij,kj->ik", gx, _GL_CUMUL)
+    return edges, J, nodes.ravel(), at_nodes.ravel()
 
 
 class _InnerCumulative:
     """J(t) for t in [lo, hi] from precomputed ascending anchors plus a local panel.
 
     The anchors are the dyadic chain lo 2^j (with a knot at 1), and extend_to
-    continues that chain and its cumsum, so anchors and their values do not
-    depend on how far, or in how many steps, J was extended.  Below the first
-    anchor, J is continued by the power law J ~ base (t/lo)^kappa (when a
-    positive base and exponent are supplied), matching the local growth of the
-    cumulative of a power-like integrand.
+    continues that chain and its cumsum, so anchors, their values and the
+    node table do not depend on how far, or in how many steps, J was
+    extended.  At a Gauss node of an anchor interval (an exact match; the
+    outer windows of iterated_near0 and iterated_tail are those intervals), J
+    is read from the node table; any other t gets its own panel from the
+    anchor below.  Below the first anchor, J is continued by the power law
+    J ~ base (t/lo)^kappa (when a positive base and exponent are supplied),
+    matching the local growth of the cumulative of a power-like integrand.
     """
 
     def __init__(self, N: int, lo: float, hi: float, counter: _EvalCounter,
@@ -302,22 +342,26 @@ class _InnerCumulative:
         self.g = lambda s: counter(s) * s ** (N - 1)
         self.base = base
         self.base_kappa = base_kappa
-        self.edges, self.J = _dyadic_anchors_up(self.g, lo, hi)
+        self.edges, self.J, self.nodes, self.at_nodes = _dyadic_anchors_up(self.g, lo, hi)
 
     def extend_to(self, hi: float):
         if hi <= self.edges[-1]:
             return
-        edges, J = _dyadic_anchors_up(self.g, self.edges[-1], hi, self.J[-1])
+        edges, J, nodes, at_nodes = _dyadic_anchors_up(self.g, self.edges[-1], hi, self.J[-1])
         self.edges = np.concatenate([self.edges, edges[1:]])
         self.J = np.concatenate([self.J, J[1:]])
+        self.nodes = np.concatenate([self.nodes, nodes])
+        self.at_nodes = np.concatenate([self.at_nodes, at_nodes])
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
         t = np.atleast_1d(np.asarray(t, dtype=float))
+        k = np.minimum(np.searchsorted(self.nodes, t), len(self.nodes) - 1)
+        on_node = self.nodes[k] == t
         i = np.clip(np.searchsorted(self.edges, t, side="right") - 1, 0, len(self.edges) - 2)
         lo = self.edges[i]
-        out = self.J[i]
-        inside = t > lo
-        out[inside] += _panels(self.g, lo[inside], t[inside])
+        out = np.where(on_node, self.at_nodes[k], self.J[i])
+        panel = (t > lo) & ~on_node
+        out[panel] += _panels(self.g, lo[panel], t[panel])
         out += self.base
         below = t < self.edges[0]
         if self.base > 0.0 and self.base_kappa is not None:
@@ -340,8 +384,10 @@ def _inner_base(w, N: int, inner_lower: float, hi: float) -> tuple[float, float,
     radius that can influence the results at double precision.  The base is
     then the stub int_0^floor, and J ~ base (t/floor)^kappa continues the
     cumulative below the floor: the stub decays like floor^(sigma+1), which is
-    not negligible for barely integrable inner singularities.  The stub's own
-    scan is the integrability check at zero; DivergenceError when it fails.
+    not negligible for barely integrable inner singularities.  kappa is the
+    log2 growth of the stub over one more panel, [floor, 2 floor] (N when that
+    panel adds nothing finite and positive).  The stub's own scan is the
+    integrability check at zero; DivergenceError when it fails.
     """
     if inner_lower > 0.0:
         return inner_lower, 0.0, None
@@ -353,9 +399,10 @@ def _inner_base(w, N: int, inner_lower: float, hi: float) -> tuple[float, float,
         raise DivergenceError("inner integrand could not be classified at zero", None)
     kappa = float(N)
     if rep.value > 0.0:
-        rep2 = _inner_near0(w, N, 2.0 * floor)
-        if rep2.status == FINITE and rep2.value > rep.value:
-            kappa = float(np.log2(rep2.value / rep.value))
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            step = float(_panels(lambda s: w(s) * s ** (N - 1), floor, 2.0 * floor)[0])
+        if 0.0 < step < np.inf:
+            kappa = float(np.log2((rep.value + step) / rep.value))
     return floor, rep.value, kappa
 
 

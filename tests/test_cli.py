@@ -417,6 +417,36 @@ def test_solve_n_max_4_exits_on_the_asymptotics_window(tmp_path, capsys, which):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("N,code", [(170, 0), (171, 1), (172, 1), (300, 1), (373965, 1)])
+def test_dimension_too_large_for_n_max_is_a_config_error(tmp_path, capsys, command, N, code):
+    # the flux stencil on [1/64, 64] holds about 64^N: N = 171 already overflows
+    # it, so the cross-key check refuses it before any solve
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, problem={"N": N}, solve={"n_max": 64})
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith(f"config error: problem.N = {N} is too large for "
+                              "solve.n_max = 64")
+        assert len(err.splitlines()) == 1
+    else:
+        assert err == ""
+
+
+@pytest.mark.parametrize("N,code", [(203, 0), (204, 1)])
+def test_dimension_bound_of_the_exterior_ball_shells(tmp_path, capsys, N, code):
+    # the shells reach R + n_max = 33: their last cell volume, about 33^N / N,
+    # overflows from N = 204 on
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, problem={"N": N, "phi": {"kind": "power_split", "alpha": -1, "beta": -3},
+                               "K": {"kind": "ball", "radius": 1.0}},
+                 solve={"which": "exterior-ball", "n_max": 32})
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("config error: problem.N = 204") if code else err == ""
+
+
 def test_solve_manifest_is_strict_json(tmp_path, capsys):
     # the increment window (R + 10 delta_min, R + 0.5) holds no node here, so
     # the window increments are not finite; they are written as null

@@ -668,6 +668,14 @@ def test_panels_are_independent_of_their_block(n, alpha, seed):
     np.testing.assert_array_equal(block, alone)
 
 
+def test_gauss_cumulative_matrix_integrates_polynomials_exactly():
+    # row k of the matrix integrates the node values' interpolant from -1 to node k
+    x = _GL_NODES
+    for degree in range(24):
+        exact = (x ** (degree + 1) - (-1.0) ** (degree + 1)) / (degree + 1)
+        np.testing.assert_allclose(quad._GL_CUMUL @ x ** degree, exact, rtol=0.0, atol=1e-14)
+
+
 def _old_windows_to_point(a, width, count):
     return [(a + width * 2.0 ** -(k + 1), a + width * 2.0 ** -k) for k in range(count)]
 
@@ -707,8 +715,9 @@ def _verdicts(phi):
     """Every report field but the evaluation count, for classify and all regimes."""
     reports = list(el.classify_existence(
         el.ProblemSpec(3, phi, el.PowerF(0.5), el.Origin())).reports)
-    for regime in ("near0", "tail", "full"):
-        reports.extend(el.lemma_zero_check(phi, 3, regime))
+    for N in (3, 5):
+        for regime in ("near0", "tail", "full"):
+            reports.extend(el.lemma_zero_check(phi, N, regime))
     return [(r.criterion, r.status, r.value, r.certificate, r.error_estimate, r.windows)
             for r in reports]
 
@@ -762,6 +771,33 @@ def test_inner_cumulative_is_independent_of_its_extensions(lo, span, cuts):
     steps.extend_to(T)
     np.testing.assert_array_equal(steps.edges, once.edges)
     np.testing.assert_array_equal(steps.J, once.J)
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha=st.floats(-2.5, 1.0), lo=st.floats(1e-3, 1.0), span=st.floats(1.5, 1e3),
+       N=st.integers(3, 6), base=st.floats(0.0, 1.0), extension=st.floats(1.0, 1e3),
+       cuts=st.lists(st.floats(0.0, 1.0), max_size=4))
+def test_inner_cumulative_node_table(alpha, lo, span, N, base, extension, cuts):
+    # at the Gauss nodes of its anchor intervals J reads the cumulative rule's
+    # table, which agrees with one panel per node and evaluates nothing
+    w = lambda s: s ** alpha  # noqa: E731
+    counter = _EvalCounter(w)
+    J = _InnerCumulative(N, lo, lo * span, counter, base=base)
+    T = J.edges[-1] * extension
+    J.extend_to(T)
+    steps = _InnerCumulative(N, lo, lo * span, _EvalCounter(w), base=base)
+    for c in sorted(cuts):
+        steps.extend_to(lo * span + c * (T - lo * span))
+    steps.extend_to(T)
+    np.testing.assert_array_equal(steps.nodes, J.nodes)
+    np.testing.assert_array_equal(steps.at_nodes, J.at_nodes)
+    assert len(J.nodes) == 24 * (len(J.edges) - 1) and np.all(np.diff(J.nodes) > 0)
+
+    before = counter.count
+    got = J(J.nodes)
+    assert counter.count == before
+    ref = _cumulative_reference(J, lambda s: s ** alpha * s ** (N - 1), J.nodes)
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
 
 
 FRACTIONS = st.lists(st.floats(0.001, 0.999), max_size=6)
