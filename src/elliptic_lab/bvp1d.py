@@ -20,7 +20,9 @@ The solver takes a stack of grids, such as the levels of an exhaustion
 ladder, as one block-diagonal system whose blocks are not coupled: one
 Newton step is one symmetric positive definite banded solve (LAPACK ptsv) of
 the stack, and at the final eps each grid keeps its own stopping rule; the
-checks run on every grid after every eps.
+checks run on every grid after every eps.  The stack is assembled once
+(flux_stack: nodes, weight and stencil) and read by every solve on it, so
+solves that differ only in their Dirichlet data or start share it.
 """
 
 from __future__ import annotations
@@ -374,7 +376,7 @@ def _cell_volumes(nodes: np.ndarray, N: int) -> np.ndarray:
 
 
 def neg_laplacian(nodes: np.ndarray, u: np.ndarray, N: int) -> np.ndarray:
-    """-Lap(u) at the interior nodes by the flux stencil that solve_on_nodes assembles.
+    """-Lap(u) at the interior nodes by the flux stencil that flux_stack assembles.
 
     Pure radial harmonics a + b r^{2-N} are annihilated up to roundoff, smooth
     profiles carry second-order truncation.  The stencil runs along axis 0, so
@@ -423,15 +425,12 @@ def flux_stencil(nodes: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray, np.
     return c, V, diag
 
 
-def _flux_system(nodes: np.ndarray, N: int, weight: Callable[[np.ndarray], np.ndarray],
-                 va: float, vb: float) -> tuple[np.ndarray, ...]:
+def _flux_system(nodes: np.ndarray, N: int,
+                 weight: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, ...]:
     """One level's flux system: V w, the off-diagonal with a 0 after the last
-    interior node, the diagonal, and the boundary terms va / c_first and
-    vb / c_last of the right-hand side."""
+    interior node, the diagonal, and the end conductances c_first and c_last."""
     if len(nodes) < 16:
         raise DomainError("need at least 16 nodes")
-    if va < 0 or vb < 0:
-        raise DomainError("boundary data must be nonnegative")
     w_i = np.asarray(weight(nodes[1:-1]), dtype=float)
     if np.any(w_i < 0) or np.any(~np.isfinite(w_i)):
         raise DomainError("weight must be finite and nonnegative at interior nodes "
@@ -442,13 +441,52 @@ def _flux_system(nodes: np.ndarray, N: int, weight: Callable[[np.ndarray], np.nd
     if not np.all(Vw < np.inf):
         raise DomainError(f"the N = {N} flux stencil over- or underflows on {_interval(nodes)}")
     off = np.append(-1.0 / c[1:-1], 0.0)  # the flux form is symmetric
-    return Vw, off, diag, np.array([va / c[0]]), np.array([vb / c[-1]])
+    return Vw, off, diag, c[:1], c[-1:]
+
+
+@dataclass(frozen=True, eq=False)
+class FluxStack:
+    """The assembled flux systems of a stack of levels, built by flux_stack.
+
+    levels are the levels' nodes, N and weight the inputs they were assembled
+    from; Vw, off and diag stack every level's V w, off-diagonal (0 after each
+    level's last interior node, so no block couples to the next) and
+    diagonal, and c_first, c_last hold each level's two end conductances,
+    which turn Dirichlet data into boundary terms.  Every array is read-only,
+    so one stack serves any number of solves with different data.
+    """
+
+    levels: tuple[np.ndarray, ...]
+    N: int
+    weight: Callable[[np.ndarray], np.ndarray]
+    Vw: np.ndarray
+    off: np.ndarray
+    diag: np.ndarray
+    c_first: np.ndarray
+    c_last: np.ndarray
+
+
+def flux_stack(levels: Sequence[np.ndarray], N: int,
+               weight: Callable[[np.ndarray], np.ndarray]) -> FluxStack:
+    """The flux systems of the N-dimensional problem with the weight on each of
+    levels (node arrays), stacked for solve_on_nodes.
+
+    A level with fewer than 16 nodes, a weight that is negative or not finite
+    at an interior node, and a stencil or V w that over- or underflows are a
+    DomainError; each message but the first names the level's interval.
+    """
+    nodes = tuple(np.asarray(level, dtype=float).view() for level in levels)
+    if not nodes:
+        raise DomainError("need one or more levels")
+    systems = [_flux_system(level, N, weight) for level in nodes]
+    arrays = [np.concatenate(parts) for parts in zip(*systems)]
+    for array in (*nodes, *arrays):
+        array.flags.writeable = False  # the views only: the callers' nodes stay as they are
+    return FluxStack(nodes, N, weight, *arrays)
 
 
 def solve_on_nodes(
-    levels: Sequence[np.ndarray],
-    N: int,
-    weight: Callable[[np.ndarray], np.ndarray],
+    stack: FluxStack,
     f: "_funcs.FSpec",
     va: Sequence[float],
     vb: Sequence[float],
@@ -456,9 +494,12 @@ def solve_on_nodes(
     initial: Sequence[np.ndarray] | None = None,
 ) -> list[np.ndarray]:
     """Interior solution values of a stack of flux-form systems: level j on
-    the nodes levels[j], with Dirichlet data va[j], vb[j].  One level is a
-    stack of one.
+    the nodes stack.levels[j], with Dirichlet data va[j], vb[j].  One level is
+    a stack of one.
 
+    The stack is assembled once (flux_stack) and only read here, so callers
+    solve one stack for many data; the boundary terms va[j] / c_first and
+    vb[j] / c_last come from each call's own data, which must be nonnegative.
     The iterates are Newton steps
         (L + Lam) u_new = Lam u + V w f(u + eps),   Lam = V w |f'(u + eps)|,
     from initial[j], or zero.  The levels form one block-diagonal tridiagonal
@@ -479,17 +520,20 @@ def solve_on_nodes(
     a large share of itself, are no stall.  After every eps each level must
     be nonnegative and pointwise nondecreasing in eps: within
     1e-12 max(1, max u) after a one-step eps, within 50 times the last
-    increment at the final eps.  A stencil or a Newton step that is not
-    finite in double precision is a DomainError, a level still moving after
-    max_picard steps at the final eps a NonConvergenceError, and a negative
-    iterate or lost monotonicity a SolverFault; each message names the
-    failing level's interval [r_first, r_last].
+    increment at the final eps.  A Newton step that is not finite in double
+    precision is a DomainError, a level still moving after max_picard steps
+    at the final eps a NonConvergenceError, and a negative iterate or lost
+    monotonicity a SolverFault; each message names the failing level's
+    interval [r_first, r_last].
     """
-    levels = [np.asarray(nodes, dtype=float) for nodes in levels]
-    if not levels or len(va) != len(levels) or len(vb) != len(levels):
-        raise DomainError("need one or more levels, with boundary data for each")
-    systems = [_flux_system(nodes, N, weight, a, b) for nodes, a, b in zip(levels, va, vb)]
-    Vw, off, diag, left, right = (np.concatenate(parts) for parts in zip(*systems))
+    levels = stack.levels
+    if len(va) != len(levels) or len(vb) != len(levels):
+        raise DomainError("need boundary data for each level")
+    va, vb = np.asarray(va, dtype=float), np.asarray(vb, dtype=float)
+    if np.any(va < 0) or np.any(vb < 0):
+        raise DomainError("boundary data must be nonnegative")
+    Vw, off, diag = stack.Vw, stack.off, stack.diag
+    left, right = va / stack.c_first, vb / stack.c_last
     sizes = np.array([len(nodes) - 2 for nodes in levels])
     ends = np.cumsum(sizes)
     starts = ends - sizes
@@ -606,7 +650,8 @@ def solve_radial_dirichlet(
     grid = (RadialGrid(nodes=np.linspace(ra, rb, nodes), dimension=1) if ra == 0.0
             else RadialGrid.geometric(ra, rb, nodes, N))
     va, vb = boundary
-    [interior] = solve_on_nodes([grid.nodes], N, weight, f, [va], [vb], config)
+    [interior] = solve_on_nodes(flux_stack([grid.nodes], N, weight), f, [va], [vb],
+                                config=config)
     vals = np.concatenate(([va], interior, [vb]))
     return RadialProfile(grid=grid, values=vals)
 
@@ -632,7 +677,7 @@ def solve_H(
                               certificate=moment.certificate)
     grid = RadialGrid.two_sided_unit(t_min, nodes)
     t = grid.nodes
-    [interior] = solve_on_nodes([t], 1, phi, f, [0.0], [0.0], config)
+    [interior] = solve_on_nodes(flux_stack([t], 1, phi), f, [0.0], [0.0], config=config)
     vals = np.concatenate(([0.0], interior, [0.0]))
     # concavity: second differences of a concave profile are nonpositive
     h = np.diff(t)

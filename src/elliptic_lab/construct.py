@@ -26,8 +26,9 @@ from .errors import (
     UnsupportedCombinationError,
 )
 from ._extrapolate import aitken_limit_rows
-from .bvp1d import RadialGrid, RadialProfile, SolveConfig, neg_laplacian, solve_on_nodes
-from .problem import Origin, ProblemSpec, center_distance, check_centers
+from .bvp1d import (FluxStack, RadialGrid, RadialProfile, SolveConfig, flux_stack,
+                    neg_laplacian, solve_on_nodes)
+from .problem import CompactSet, Origin, ProblemSpec, center_distance, check_centers
 from . import quad as _quad
 
 # extrapolation ladder refinement: steps of 2^(1/3) below the final annulus
@@ -83,16 +84,30 @@ def _origin_ladder(n_max: float) -> list[float]:
     return sorted(set(_doublings(n_max)).union(n for n in refinements if n >= 2.0))
 
 
-def _solve_ladder(problem: ProblemSpec, grids: Sequence[RadialGrid], va: Sequence[float],
+@dataclass(frozen=True)
+class _LadderWeight:
+    """The weight phi(K.delta_radial(r)) of a ladder's levels; equal for
+    equal phi and K, so a stack names the problem it was assembled for."""
+
+    phi: object
+    K: CompactSet
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        return self.phi(self.K.delta_radial(r))
+
+
+def _ladder_stack(problem: ProblemSpec, grids: Sequence[RadialGrid]) -> FluxStack:
+    """The flux systems of problem on every grid of a ladder, assembled once."""
+    return flux_stack([grid.nodes for grid in grids], problem.N,
+                      _LadderWeight(problem.phi, problem.K))
+
+
+def _solve_ladder(stack: FluxStack, grids: Sequence[RadialGrid], f, va: Sequence[float],
                   vb: Sequence[float], config: SolveConfig,
                   initial: Sequence[np.ndarray] | None = None) -> list[RadialProfile]:
     """Every level of a ladder in one stacked solve: data va[j], vb[j] on
-    grids[j], weight phi(K.delta_radial(r))."""
-    def weight(r: np.ndarray) -> np.ndarray:
-        return problem.phi(problem.K.delta_radial(r))
-
-    interiors = solve_on_nodes([grid.nodes for grid in grids], problem.N, weight, problem.f,
-                               va, vb, config, initial=initial)
+    grids[j], whose flux systems stack holds."""
+    interiors = solve_on_nodes(stack, f, va, vb, config=config, initial=initial)
     return [RadialProfile(grid=grid, values=np.concatenate(([a], interior, [b])))
             for grid, a, b, interior in zip(grids, va, vb, interiors)]
 
@@ -132,13 +147,17 @@ class LadderResult:
     doublings n_max 2^-k >= 2 are raw_levels, and around the origin the
     refinements n_max 2^(-j/3) lie between them.  window_increments are the
     sup changes between consecutive doublings over the construction's
-    increment window.  Construction-specific fields: truncation (per-node
-    extrapolation error estimate, around the origin), the sandwich margins
-    (family members) and layer_window (exterior ball).
+    increment window.  stack holds the ladder's assembled flux systems, one
+    level per entry of levels in the same order, and their inputs (N and the
+    weight phi(K.delta_radial(r))); family members of a minimal ladder solve
+    on it, and it lives as long as the result.  Construction-specific fields:
+    truncation (per-node extrapolation error estimate, around the origin),
+    the sandwich margins (family members) and layer_window (exterior ball).
     """
 
     profile: RadialProfile
     levels: dict[float, RadialProfile] = field(repr=False)
+    stack: FluxStack = field(repr=False)
     window_increments: list[float]
     converged: bool
     trusted_window: tuple[float, float]
@@ -161,7 +180,7 @@ class LadderResult:
         return self.profile(r)
 
 
-def _origin_result(levels: dict[float, RadialProfile], grid: RadialGrid,
+def _origin_result(levels: dict[float, RadialProfile], stack: FluxStack, grid: RadialGrid,
                    config: SolveConfig, ordered: bool, **fields) -> LadderResult:
     """The result of an origin ladder: its gaps, and its extrapolation on grid."""
     top = max(levels)
@@ -170,6 +189,7 @@ def _origin_result(levels: dict[float, RadialProfile], grid: RadialGrid,
     return LadderResult(
         profile=RadialProfile(grid=grid, values=accel),
         levels=levels,
+        stack=stack,
         window_increments=increments,
         converged=bool(increments and increments[-1] < config.tol_sup),
         trusted_window=_trusted_window(top),
@@ -218,10 +238,12 @@ def minimal_solution(
         raise UnsupportedCombinationError("minimal_solution expects the origin as compact set")
     _require_existence(problem)
     grids = origin_grids(problem.N, n_max, nodes)
+    stack = _ladder_stack(problem, grids.values())
     zero = [0.0] * len(grids)
-    levels = dict(zip(grids, _solve_ladder(problem, list(grids.values()), zero, zero, config)))
+    levels = dict(zip(grids, _solve_ladder(stack, grids.values(), problem.f, zero, zero,
+                                           config)))
     final_grid = RadialGrid.geometric(1.0 / n_max, float(n_max), nodes, problem.N)
-    return _origin_result(levels, final_grid, config, ordered=True)
+    return _origin_result(levels, stack, final_grid, config, ordered=True)
 
 
 def _extrapolate_ladder(levels: dict[float, RadialProfile],
@@ -262,16 +284,19 @@ def family_member(
     The data uses the level-matched raw minimal iterate xi_n (same grid), which
     makes a r^{2-N} + b a discrete subsolution and a r^{2-N} + b + xi_n a
     discrete supersolution of the same tridiagonal system; the sandwich then
-    holds at solver tolerance independent of discretization error.  The data
-    are positive, so each level is one Newton solve at the schedule's final
-    eps (config.final_level()), started from max(a r^{2-N} + b, xi_n): the
-    flux stencil annihilates the harmonic, xi_n solves the zero-data system,
-    and the maximum of two subsolutions is one, so the iterates rise
-    monotonically.  A positive initial_scale starts from that constant
-    instead.  The member (0, 0) is xi's own ladder and solves nothing.  The
-    member is solved on xi's whole ladder, so n_max must be its top level
-    (DomainError otherwise).  The grids come from xi, so nodes is not read;
-    it is kept for callers that pass it.
+    holds at solver tolerance independent of discretization error.  The
+    member solves on xi's own assembled flux stack (xi.stack) with its own
+    data, so it evaluates no weight and builds no stencil; a problem whose N,
+    phi or K differ from the ones that stack was assembled for is a
+    DomainError.  The data are positive, so each level is one Newton solve
+    at the schedule's final eps (config.final_level()), started from
+    max(a r^{2-N} + b, xi_n): the flux stencil annihilates the harmonic, xi_n
+    solves the zero-data system, and the maximum of two subsolutions is one,
+    so the iterates rise monotonically.  A positive initial_scale starts from
+    that constant instead.  The member (0, 0) is xi's own ladder and solves
+    nothing.  The member is solved on xi's whole ladder, so n_max must be its
+    top level (DomainError otherwise).  The grids come from xi, so nodes is
+    not read; it is kept for callers that pass it.
     """
     config = config or SolveConfig()
     if a < 0 or b < 0:
@@ -283,6 +308,9 @@ def family_member(
     if float(n_max) != max(xi.levels):
         raise DomainError(f"n_max = {n_max} is not the top level {max(xi.levels):g} "
                           "of the minimal-solution ladder")
+    stack = xi.stack
+    if stack.N != problem.N or stack.weight != _LadderWeight(problem.phi, problem.K):
+        raise DomainError("xi was built for another problem: its N, phi or K differ")
 
     xis = list(xi.levels.values())
     lower = [a * x.grid.nodes ** (2.0 - problem.N) + b for x in xis]
@@ -292,13 +320,13 @@ def family_member(
     else:
         start = [np.full(len(x.values) - 2, initial_scale) if initial_scale > 0.0
                  else np.maximum(lo, x.values)[1:-1] for lo, x in zip(lower, xis)]
-        profs = _solve_ladder(problem, [x.grid for x in xis], [float(up[0]) for up in upper],
-                              [float(up[-1]) for up in upper], config.final_level(),
-                              initial=start)
+        profs = _solve_ladder(stack, [x.grid for x in xis], problem.f,
+                              [float(up[0]) for up in upper], [float(up[-1]) for up in upper],
+                              config.final_level(), initial=start)
     levels = dict(zip(xi.levels, profs))
     low_margin = min(float(np.min(prof.values - lo)) for prof, lo in zip(profs, lower))
     up_margin = min(float(np.min(up - prof.values)) for prof, up in zip(profs, upper))
-    return _origin_result(levels, levels[max(levels)].grid, config, ordered=False,
+    return _origin_result(levels, stack, levels[max(levels)].grid, config, ordered=False,
                           sandwich_lower_margin=low_margin, sandwich_upper_margin=up_margin)
 
 
@@ -326,13 +354,16 @@ def exterior_ball_minimal(
     _require_existence(problem)
     R = problem.K.radius
     grids = shell_grids(problem.N, R, n_max, nodes, delta_min)
+    stack = _ladder_stack(problem, grids.values())
     zero = [0.0] * len(grids)
-    levels = dict(zip(grids, _solve_ladder(problem, list(grids.values()), zero, zero, config)))
+    levels = dict(zip(grids, _solve_ladder(stack, grids.values(), problem.f, zero, zero,
+                                           config)))
     increments = _ladder_gaps(list(levels.values()), (R + 10.0 * delta_min, R + 0.5),
                               ordered=True)
     return LadderResult(
         profile=levels[max(levels)],
         levels=levels,
+        stack=stack,
         window_increments=increments,
         converged=bool(increments and increments[-1] < max(config.tol_sup, 1e-6)),
         trusted_window=(R + 1e-2, R + n_max / 4.0),

@@ -8,13 +8,13 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 import elliptic_lab as el
 from elliptic_lab import bvp1d
-from elliptic_lab.bvp1d import MonotoneCubic, neg_laplacian, solve_on_nodes
+from elliptic_lab.bvp1d import MonotoneCubic, flux_stack, neg_laplacian, solve_on_nodes
 
 
 ONES = el.GeneralDecreasingF(lambda t: np.ones_like(np.asarray(t, dtype=float)))
@@ -95,16 +95,22 @@ def _queries(x: np.ndarray, fractions) -> np.ndarray:
 
 @settings(max_examples=60, deadline=None)
 @given(knot_data(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+@example(("signed",  # one ulp below the third knot scipy is 13 ulps off, we are 1 ulp off
+          np.array([250.65042944430854, 251.65042944430854, 256.0447955005762,
+                    257.0447955005762]),
+          np.array([0.0, 850.9936011194527, -869.2019813712335, 0.0])), [0.5])
 def test_monotone_cubic_matches_scipy_pchip(data, fractions):
     kind, x, y = data
     q = _queries(x, fractions)
     ours = MonotoneCubic(x, y)(q)
     with np.errstate(over="ignore"):  # scipy's slopes at flat knots
         ref = PchipInterpolator(x, y)(q)
-    # a few ulps of the segment's data, which bound the cubic's terms, or less
-    # than the smallest normal double (the data may be subnormal)
+    # a few ulps of the cubic's terms, or less than the smallest normal double
+    # (the data may be subnormal).  The knot slopes are at most 3 times the
+    # secant, so the Hermite terms reach 3 |y[k+1] - y[k]|, which exceeds the
+    # data where the segment changes sign
     k = np.clip(np.searchsorted(x, q, side="right") - 1, 0, len(x) - 2)
-    scale = np.maximum(np.abs(y[k]), np.abs(y[k + 1]))
+    scale = np.maximum.reduce([np.abs(y[k]), np.abs(y[k + 1]), 3.0 * np.abs(y[k + 1] - y[k])])
     assert np.all(np.abs(ours - ref) <= 8 * EPS * scale + TINY)
     assert np.array_equal(MonotoneCubic(x, y)(x), y)  # the knots are reproduced exactly
     if kind == "monotone":
@@ -445,7 +451,8 @@ def test_monotone_in_regularization():
     sols = []
     for tol_sup in (1.25, 0.3125, 1e-8):  # schedules ending at eps 2^-4, 2^-6, 2^-30
         cfg = el.SolveConfig(tol_sup=tol_sup)
-        sols += solve_on_nodes([grid.nodes], 3, w, el.PowerF(1.0), [0.0], [0.0], cfg)
+        sols += solve_on_nodes(flux_stack([grid.nodes], 3, w), el.PowerF(1.0), [0.0], [0.0],
+                               config=cfg)
     assert np.min(sols[1] - sols[0]) >= -1e-12 * max(1.0, np.max(sols[1]))
     assert np.min(sols[2] - sols[1]) >= -1e-12 * max(1.0, np.max(sols[2]))
 
@@ -455,10 +462,10 @@ def test_uniqueness_surrogate_initial_iterates(closed_form):
     grid = el.RadialGrid.geometric(0.25, 4.0, 256, 3)
     cfg = el.SolveConfig(tol_sup=1e-10)
     w = lambda r: r ** -3.0
-    [u0] = solve_on_nodes([grid.nodes], 3, w, el.PowerF(1.0), [0.0], [0.0], cfg)
+    stack = flux_stack([grid.nodes], 3, w)
+    [u0] = solve_on_nodes(stack, el.PowerF(1.0), [0.0], [0.0], config=cfg)
     upper = closed_form(grid.nodes[1:-1]) * 2.0
-    [u1] = solve_on_nodes([grid.nodes], 3, w, el.PowerF(1.0), [0.0], [0.0], cfg,
-                          initial=[upper])
+    [u1] = solve_on_nodes(stack, el.PowerF(1.0), [0.0], [0.0], config=cfg, initial=[upper])
     assert np.max(np.abs(u1 - u0)) <= 10.0 * cfg.tol_sup * max(1.0, float(np.max(u0)))
 
 
@@ -472,11 +479,12 @@ def test_one_level_solve_from_a_subsolution(N, p, alpha, a, b):
     r = grid.nodes
     w, f, cfg = (lambda s: s ** alpha), el.PowerF(p), el.SolveConfig()
     lower = a * r ** (2.0 - N) + b
-    [xi] = solve_on_nodes([r], N, w, f, [0.0], [0.0], cfg)
+    stack = flux_stack([r], N, w)
+    [xi] = solve_on_nodes(stack, f, [0.0], [0.0], config=cfg)
     start = np.maximum(lower[1:-1], xi)
-    [one] = solve_on_nodes([r], N, w, f, [lower[0]], [lower[-1]], cfg.final_level(),
+    [one] = solve_on_nodes(stack, f, [lower[0]], [lower[-1]], config=cfg.final_level(),
                            initial=[start])
-    [full] = solve_on_nodes([r], N, w, f, [lower[0]], [lower[-1]], cfg)
+    [full] = solve_on_nodes(stack, f, [lower[0]], [lower[-1]], config=cfg)
     assert np.all(one >= start)
     assert np.max(np.abs(one - full) / full) <= 1e-9
 
@@ -503,10 +511,12 @@ def test_solution_is_a_fixed_point_of_the_final_newton_map(N, p, t, R, count):
     alpha = -(N + p * (N - 2)) * (1.0 - t) - 2.0 * t  # inside the closed form's interval
     r = np.geomspace(1.0 / R, R, count)
     w, f, cfg = (lambda s: s ** alpha), el.PowerF(p), el.SolveConfig()
-    [u] = solve_on_nodes([r], N, w, f, [0.0], [0.0], cfg)
+    stack = flux_stack([r], N, w)
+    [u] = solve_on_nodes(stack, f, [0.0], [0.0], config=cfg)
     with pytest.MonkeyPatch.context() as mp:
         calls = _count_solves(mp)
-        [again] = solve_on_nodes([r], N, w, f, [0.0], [0.0], cfg.final_level(), initial=[u])
+        [again] = solve_on_nodes(stack, f, [0.0], [0.0], config=cfg.final_level(),
+                                 initial=[u])
     assert len(calls) <= 2
     assert np.max(np.abs(again - u) / u) <= 1e-12
 
@@ -527,9 +537,10 @@ def test_final_level_from_zero_is_no_stall(N):
     # max u = 1.2e-9 against 3.7, so growing increments must not stop a level
     r = np.geomspace(1.0 / 16.0, 16.0, 512)
     w, f, cfg = (lambda s: s ** -4.0), el.PowerF(2.0), el.SolveConfig()
-    [full] = solve_on_nodes([r], N, w, f, [0.0], [0.0], cfg)
+    stack = flux_stack([r], N, w)
+    [full] = solve_on_nodes(stack, f, [0.0], [0.0], config=cfg)
     try:
-        [one] = solve_on_nodes([r], N, w, f, [0.0], [0.0], cfg.final_level())
+        [one] = solve_on_nodes(stack, f, [0.0], [0.0], config=cfg.final_level())
     except el.NonConvergenceError:
         return  # the other outcome the solver may give: a refusal, not a wrong answer
     assert np.max(np.abs(one - full) / full) <= 1e-9
@@ -558,7 +569,38 @@ def test_solver_refuses_what_overflows(r, N, p, match):
     # and (u + eps)^p for p = 1e6 leave the doubles: a refusal that names the
     # cause, not NaN iterations up to the cap
     with pytest.raises(el.DomainError, match=match):
-        solve_on_nodes([r], N, np.ones_like, el.PowerF(p), [0.0], [0.0], el.SolveConfig())
+        solve_on_nodes(flux_stack([r], N, np.ones_like), el.PowerF(p), [0.0], [0.0],
+                       config=el.SolveConfig())
+
+
+@pytest.mark.parametrize("level,N,w,match", [
+    (np.geomspace(0.5, 2.0, 15), 3, np.ones_like, "^need at least 16 nodes$"),
+    (np.geomspace(0.5, 2.0, 64), 3, lambda r: 1.0 - r,
+     r"^weight must be finite and nonnegative at interior nodes of \[0\.5, 2\]$"),
+    (np.geomspace(0.5, 2.0, 64), 3, lambda r: np.where(r > 1.0, np.nan, 1.0),
+     r"^weight must be finite and nonnegative at interior nodes of \[0\.5, 2\]$"),
+    (np.geomspace(0.5, 2.0, 64), 2000, np.ones_like,
+     r"^the N = 2000 flux stencil over- or underflows on \[0\.5, 2\]$"),
+    (np.geomspace(2.0, 8.0, 64), 3, lambda r: np.where(r > 1.0, 1e308, 1.0),
+     r"^the N = 3 flux stencil over- or underflows on \[2, 8\]$"),
+])
+def test_flux_stack_refusals_name_their_cause(level, N, w, match):
+    # the second level is the one refused; the first, inside (0.8, 0.95), assembles
+    first = np.geomspace(0.8, 0.95, 64)
+    flux_stack([first], N, w)
+    with pytest.raises(el.DomainError, match=match):
+        flux_stack([first, level], N, w)
+
+
+def test_solve_refuses_negative_boundary_data():
+    stack = flux_stack([np.geomspace(0.25, 4.0, 64)] * 2, 3, np.ones_like)
+    for va, vb in (([0.0, -1e-300], [0.0, 0.0]), ([0.0, 0.0], [-1.0, 0.0])):
+        with pytest.raises(el.DomainError, match="^boundary data must be nonnegative$"):
+            solve_on_nodes(stack, el.PowerF(1.0), va, vb, config=el.SolveConfig())
+    with pytest.raises(el.DomainError, match="^need boundary data for each level$"):
+        solve_on_nodes(stack, el.PowerF(1.0), [0.0], [0.0], config=el.SolveConfig())
+    with pytest.raises(el.DomainError, match="^need one or more levels$"):
+        flux_stack([], 3, np.ones_like)
 
 
 @st.composite
@@ -587,9 +629,9 @@ def test_stacked_levels_equal_their_own_solves_bit_for_bit(case):
     # block: each level of a stack is its own solve, bit for bit
     N, p, alpha, levels, va, vb, initial = case
     w, f, cfg = (lambda s: s ** alpha), el.PowerF(p), el.SolveConfig()
-    stacked = solve_on_nodes(levels, N, w, f, va, vb, cfg, initial=initial)
+    stacked = solve_on_nodes(flux_stack(levels, N, w), f, va, vb, config=cfg, initial=initial)
     for j, nodes in enumerate(levels):
-        [own] = solve_on_nodes([nodes], N, w, f, [va[j]], [vb[j]], cfg,
+        [own] = solve_on_nodes(flux_stack([nodes], N, w), f, [va[j]], [vb[j]], config=cfg,
                                initial=None if initial is None else [initial[j]])
         assert np.array_equal(stacked[j], own)
 
@@ -600,17 +642,18 @@ def test_stacked_errors_name_their_level():
     w, f = (lambda s: s ** -3.0), el.PowerF(1.0)
     one = el.SolveConfig(max_picard=1).final_level()
     first, second = np.geomspace(0.25, 4.0, 64), np.geomspace(0.5, 8.0, 96)
-    [solved] = solve_on_nodes([first], 3, w, f, [1.0], [1.0], el.SolveConfig().final_level())
-    solve_on_nodes([first], 3, w, f, [1.0], [1.0], one, initial=[solved])  # within the cap
+    alone, both = flux_stack([first], 3, w), flux_stack([first, second], 3, w)
+    [solved] = solve_on_nodes(alone, f, [1.0], [1.0], config=el.SolveConfig().final_level())
+    solve_on_nodes(alone, f, [1.0], [1.0], config=one, initial=[solved])  # within the cap
     with pytest.raises(el.NonConvergenceError, match=r"on \[0\.5, 8\]$") as exc:
-        solve_on_nodes([first, second], 3, w, f, [1.0, 0.0], [1.0, 0.0], one,
+        solve_on_nodes(both, f, [1.0, 0.0], [1.0, 0.0], config=one,
                        initial=[solved, np.zeros(94)])
     assert exc.value.last_increment > 0
     # a Newton step that overflows names its level too
     big = el.PowerF(1e6)
     with pytest.raises(el.DomainError, match=r"on \[0\.5, 8\] is not finite"):
-        solve_on_nodes([first, second], 3, w, big, [1.0, 0.0], [1.0, 0.0],
-                       el.SolveConfig(), initial=[np.ones(62), np.zeros(94)])
+        solve_on_nodes(both, big, [1.0, 0.0], [1.0, 0.0], config=el.SolveConfig(),
+                       initial=[np.ones(62), np.zeros(94)])
 
 
 def test_nonconvergence_cap():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import elliptic_lab as el
-from elliptic_lab import construct
+from elliptic_lab import bvp1d, construct, funcs
 from elliptic_lab.bvp1d import AUDIT_TOL
 from elliptic_lab.construct import (_doublings, _ladder_gaps, _origin_ladder,
                                     _radial_inequality_residual, _trusted_window)
@@ -271,6 +271,74 @@ def test_family_rejects_general_f(minimal64):
         el.family_member(problem, 1.0, 0.0, minimal64.value, n_max=8)
 
 
+@pytest.mark.parametrize("problem", [
+    el.ProblemSpec(3, el.PowerPhi(-3.2), el.PowerF(1.0), el.Origin()),
+    el.ProblemSpec(4, el.PowerPhi(-3.0), el.PowerF(1.0), el.Origin()),
+])
+def test_family_refuses_a_foreign_ladder(problem, minimal64):
+    # xi's stack was assembled for N = 3 and phi = r^-3: another phi or N
+    # would solve a meaningless sandwich on it
+    with pytest.raises(el.DomainError, match="another problem"):
+        el.family_member(problem, 1.0, 0.5, minimal64.value, n_max=64)
+
+
+def test_family_refuses_a_ladder_around_another_compact_set(problem_power, exterior32):
+    with pytest.raises(el.DomainError, match="another problem"):
+        el.family_member(problem_power, 1.0, 0.5, exterior32.value, n_max=32)
+
+
+def _member_data(problem, a, b, xi):
+    """A member's data and start on each level of xi, as family_member forms them."""
+    xis = list(xi.levels.values())
+    lower = [a * x.grid.nodes ** (2.0 - problem.N) + b for x in xis]
+    upper = [lo + x.values for lo, x in zip(lower, xis)]
+    start = [np.maximum(lo, x.values)[1:-1] for lo, x in zip(lower, xis)]
+    return [up[0] for up in upper], [up[-1] for up in upper], start
+
+
+def test_family_member_assembles_nothing(monkeypatch, problem_power, minimal64):
+    # a member solves on xi's stack: no weight evaluation and no stencil
+    xi = minimal64.value
+    calls = []
+    for module, name in ((funcs, "phi_values"), (bvp1d, "flux_stencil")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, _name=name, _f=original: calls.append(_name)
+                            or _f(*args))
+    fm = el.family_member(problem_power, 1.0, 0.5, xi, n_max=64)
+    assert calls == []
+    # the same solve on a stack freshly assembled on xi's grids, bit for bit
+    monkeypatch.undo()
+    stack = bvp1d.flux_stack([prof.grid.nodes for prof in xi.levels.values()], 3,
+                             problem_power.phi)
+    assert len(stack.levels) == len(xi.levels)
+    va, vb, start = _member_data(problem_power, 1.0, 0.5, xi)
+    fresh = bvp1d.solve_on_nodes(stack, problem_power.f, va, vb,
+                                 config=el.SolveConfig().final_level(), initial=start)
+    for prof, interior in zip(fm.levels.values(), fresh):
+        assert np.array_equal(prof.values[1:-1], interior)
+
+
+def test_family_members_leave_xi_and_its_stack_as_they_were(problem_power):
+    xi = el.minimal_solution(problem_power, n_max=32, nodes=256)
+    stack = xi.stack
+    arrays = (*stack.levels, stack.Vw, stack.off, stack.diag, stack.c_first, stack.c_last)
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    assert all(prof.grid.nodes.flags.writeable for prof in xi.levels.values())
+    before = [array.tobytes() for array in arrays]
+    levels = [(prof.grid.nodes.tobytes(), prof.values.tobytes())
+              for prof in xi.levels.values()]
+    for a, b in ((1.0, 0.5), (0.0, 2.0), (0.5, 0.0)):
+        fm = el.family_member(problem_power, a, b, xi, n_max=32)
+        assert fm.stack is stack
+    assert [array.tobytes() for array in arrays] == before
+    assert [(prof.grid.nodes.tobytes(), prof.values.tobytes())
+            for prof in xi.levels.values()] == levels
+
+
 # ---------------------------------------------------------------------------
 # exterior shells
 # ---------------------------------------------------------------------------
@@ -281,7 +349,7 @@ def test_each_construction_solves_its_ladder_in_one_call(monkeypatch, problem_po
     solve = construct.solve_on_nodes
 
     def counted(*args, **kwargs):
-        calls.append(len(args[0]))
+        calls.append(len(args[0].levels))
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(construct, "solve_on_nodes", counted)

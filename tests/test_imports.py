@@ -302,3 +302,30 @@ def test_construct_solves_at_one_call_site():
              and isinstance(node.func, ast.Name) and node.func.id == "solve_on_nodes"]
     assert len(calls) == 1
     assert len(calls[0].args) >= 7 or any(k.arg == "config" for k in calls[0].keywords)
+
+
+def _calls(name: str) -> list[tuple[str, ast.Call]]:
+    """The calls of a bare name in the package's modules, with each call's module."""
+    return [(path.stem, node) for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == name]
+
+
+def test_every_solve_passes_config_by_keyword():
+    """config is solve_on_nodes' 5th parameter, and the tracer reads it as the
+    7th positional argument or as config=, so every call names it."""
+    calls = _calls("solve_on_nodes")
+    assert {module for module, _ in calls} == {"bvp1d", "construct"}
+    for _, call in calls:
+        assert len(call.args) <= 4 and any(k.arg == "config" for k in call.keywords)
+
+
+def test_flux_systems_are_assembled_in_one_place():
+    """One assembly path: flux_stack is the only caller of _flux_system."""
+    tree = ast.parse((PACKAGE / "bvp1d.py").read_text())
+    callers = [fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+               and any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                       and n.func.id == "_flux_system" for n in ast.walk(fn))]
+    assert callers == ["flux_stack"]
+    assert [module for module, _ in _calls("_flux_system")] == ["bvp1d"]
