@@ -53,9 +53,7 @@ from .bvp1d import (
     RadialGrid,
     RadialProfile,
     SolveConfig,
-    comparison_check,
     solve_H,
-    solve_radial_dirichlet,
 )
 from .construct import (
     GluedField,
@@ -75,8 +73,6 @@ from .analysis import (
     kelvin_transform,
     kelvin_weight,
     min_principle_check,
-    ratio_bracket,
     residual_field,
     residual_radial,
-    sphere_potential_average,
 )

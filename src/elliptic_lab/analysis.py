@@ -1,6 +1,6 @@
-"""Transforms and verifiers: inversion (Kelvin) transform, sphere potential
-averages, asymptotics extraction, residual audits, minimum-principle and
-two-dimensional obstruction demonstrations."""
+"""Transforms and verifiers: inversion (Kelvin) transform, asymptotics
+extraction, residual audits, minimum-principle and two-dimensional obstruction
+demonstrations."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .quad import _panels
 from ._extrapolate import MAX_LEVELS, aitken_limit
 from .bvp1d import AUDIT_TOL, RadialGrid, RadialProfile, neg_laplacian
 from .problem import ProblemSpec
@@ -61,34 +60,6 @@ def kelvin_weight(phi, N: int, p: float) -> KelvinWeight:
         raise DomainError("requires N >= 3")
     shift = -2.0 - N - p * (N - 2.0)
     return KelvinWeight(base=phi, N=N, p=p, exact=phi.kelvin_image(shift))
-
-
-# ---------------------------------------------------------------------------
-# sphere potential average
-# ---------------------------------------------------------------------------
-
-def sphere_potential_average(N: int, r: float, x_norm: float) -> float:
-    """Average of |x - y|^{2-N} over the sphere |y| = r, by polar quadrature.
-
-    Equals max(|x|, r)^{2-N}; the configuration |x| = r is singular and refused.
-    """
-    if N < 3:
-        raise DomainError("requires N >= 3")
-    if r <= 0 or x_norm <= 0:
-        raise DomainError("radii must be positive")
-    if x_norm == r:
-        raise DomainError("singular configuration |x| = r")
-    edges = np.linspace(0.0, math.pi, 25)
-
-    def sin_pow(theta):
-        return np.sin(theta) ** (N - 2)
-
-    def weighted_potential(theta):
-        dist2 = x_norm ** 2 + r ** 2 - 2.0 * x_norm * r * np.cos(theta)
-        return sin_pow(theta) * dist2 ** ((2.0 - N) / 2.0)
-
-    num, den = (np.sum(_panels(g, edges[:-1], edges[1:])) for g in (weighted_potential, sin_pow))
-    return float(num / den)
 
 
 # ---------------------------------------------------------------------------
@@ -421,18 +392,3 @@ def dim2_ground_state_obstruction(
         m=m, x_norm=float(x_norm), minorants=tuple(minorants),
         sup_minorant=float(sup_v), gap=float(m - sup_v), pointwise_ok=pointwise,
     )
-
-
-def ratio_bracket(
-    u: RadialProfile,
-    gauge: RadialProfile,
-    offset: float,
-    window: tuple[float, float],
-) -> tuple[float, float, np.ndarray]:
-    """Empirical bracket of u(offset + delta) / gauge(delta) at 64 geometric deltas."""
-    lo, hi = window
-    if not (0 < lo < hi):
-        raise DomainError("window must satisfy 0 < lo < hi")
-    delta = np.geomspace(lo, hi, 64)
-    ratios = np.asarray(u(offset + delta)) / np.asarray(gauge(delta))
-    return float(np.min(ratios)), float(np.max(ratios)), ratios

@@ -626,36 +626,6 @@ def solve_on_nodes(
     return np.split(out, ends[:-1])
 
 
-def solve_radial_dirichlet(
-    N: int,
-    weight: Callable[[np.ndarray], np.ndarray] | "_funcs.PhiSpec",
-    f: "_funcs.FSpec",
-    interval: tuple[float, float],
-    boundary: tuple[float, float],
-    config: SolveConfig | None = None,
-    nodes: int = 1024,
-) -> RadialProfile:
-    """Radial Dirichlet problem -(r^{N-1} u')' = r^{N-1} w(r) f(u) on (ra, rb).
-
-    The flat surrogate N=1 drops the geometric factor entirely and admits
-    ra = 0 (a uniform grid is used there).
-    """
-    config = config or SolveConfig()
-    ra, rb = interval
-    if N == 1:
-        if not (0 <= ra < rb):
-            raise DomainError("interval must satisfy 0 <= ra < rb")
-    elif not (0 < ra < rb):
-        raise DomainError("interval must satisfy 0 < ra < rb")
-    grid = (RadialGrid(nodes=np.linspace(ra, rb, nodes), dimension=1) if ra == 0.0
-            else RadialGrid.geometric(ra, rb, nodes, N))
-    va, vb = boundary
-    [interior] = solve_on_nodes(flux_stack([grid.nodes], N, weight), f, [va], [vb],
-                                config=config)
-    vals = np.concatenate(([va], interior, [vb]))
-    return RadialProfile(grid=grid, values=vals)
-
-
 def solve_H(
     phi: "_funcs.PhiSpec",
     f: "_funcs.FSpec",
@@ -670,8 +640,7 @@ def solve_H(
     difference.
     """
     config = config or SolveConfig()
-    moment = _quad.integrate_singular(lambda s: s * phi(s), 0.0, 1.0,
-                                      criterion="gauge-moment")
+    moment = _quad.integrate_singular(lambda s: s * phi(s), 1.0, criterion="gauge-moment")
     if moment.status == _quad.INFINITE:
         raise NoSolutionError("near-zero first moment of the weight diverges",
                               certificate=moment.certificate)
@@ -685,18 +654,3 @@ def solve_H(
     if np.any(sec > 1e-9 * max(1.0, float(np.max(vals)))):
         raise SolverFault("gauge profile lost concavity")
     return RadialProfile(grid=grid, values=vals)
-
-
-def comparison_check(u_super: RadialProfile, v_sub: RadialProfile) -> bool:
-    """Nodewise ordering u >= v on a shared grid, within AUDIT_TOL * scale slack.
-
-    The caller is responsible for the defect signs (u on the supersolution
-    side, v on the subsolution side, ordered boundary data); this check is the
-    conclusion of the comparison argument, used as a test oracle.
-    """
-    if u_super.grid.nodes.shape != v_sub.grid.nodes.shape or not np.allclose(
-        u_super.grid.nodes, v_sub.grid.nodes, rtol=1e-14, atol=0.0
-    ):
-        raise DomainError("comparison requires a shared grid")
-    scale = max(1.0, float(np.max(np.abs(v_sub.values))))
-    return bool(np.all(u_super.values >= v_sub.values - AUDIT_TOL * scale))

@@ -591,7 +591,7 @@ def cmd_certify_divergence(cfg: SimpleNamespace, out: Path) -> int:
         if regime == "tail":
             rep = _quad.integrate_tail(lambda s: s * phi(s), r0, criterion="first-moment-tail")
         else:
-            rep = _quad.integrate_singular(lambda s: s * phi(s), 0.0, r0,
+            rep = _quad.integrate_singular(lambda s: s * phi(s), r0,
                                            criterion="first-moment-near0")
         if not monotone_ok:
             verdict = "inconclusive"

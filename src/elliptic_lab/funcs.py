@@ -459,19 +459,20 @@ def supersolution_profile(
     r_min: float,
     nodes: int = 1024,
 ) -> "_bvp1d.RadialProfile":
-    """v(r) = G^{-1}(A(r)) sampled on the geometric grid from r_min to
-    4096 max(r_min, 1, inner_lower).
+    """v(r) = G^{-1}(A(r)) sampled on the geometric grid from r_min to 4096 max(r_min, 1).
 
-    A(r) = int_r^inf t^(1-N) int_{inner_lower}^t s^(N-1) phi ds dt is the
+    A(r) = int_r^inf t^(1-N) int_{r_min}^t s^(N-1) phi ds dt is the
     double-integral profile; the chain rule together with f nonincreasing makes
     v satisfy -Lap(v) >= phi * f(v).  quad.iterated_tail_profile computes A as
     the Tonelli sum of two cumulative single moments, with positive additions
-    only, and checks inner_lower against the grid.
+    only.  The inner integral starts at the grid: inner_lower must equal r_min.
     """
     if r_min <= 0:
         raise DomainError("r_min must be positive")
-    r = np.geomspace(r_min, 4096.0 * max(r_min, 1.0, inner_lower), nodes)
-    A = _quad.iterated_tail_profile(phi, N, inner_lower, r)
+    if inner_lower != r_min:
+        raise DomainError(f"inner_lower = {inner_lower:g} must equal r_min = {r_min:g}")
+    r = np.geomspace(r_min, 4096.0 * max(r_min, 1.0), nodes)
+    A = _quad.iterated_tail_profile(phi, N, r)
     _, Ginv = f.G_and_inverse()
     v = np.asarray(Ginv(A), dtype=float)
     if np.any(v <= 0):

@@ -3,8 +3,8 @@ certificates, the existence criteria, and the simple/iterated integral equivalen
 
 The existence moments of a weight that is a power on pieces (``phi.pieces()``)
 are closed form (power_moment), with no integrand evaluation.  Every other
-improper integral here is reduced to a stream of dyadic windows marching
-toward the singular endpoint (zero or infinity).  Window increments of a
+improper integral here is singular at one end only, and is reduced to one
+stream of dyadic windows marching toward that end (zero or infinity).  Window increments of a
 power-like integrand decay or grow geometrically, so a stable increment ratio
 rho < 1 permits an exact-on-powers tail extrapolation, while a ratio pinned at
 or above 1 - DIV_FLOOR for several consecutive windows certifies divergence.
@@ -19,7 +19,7 @@ The inner cumulative of an iterated integral keeps, besides its anchor values,
 its value at every Gauss node of the anchor intervals, from a cumulative Gauss
 rule (_GL_CUMUL) on the weight values the anchor panels already evaluated.  The
 outer windows are those intervals, so the outer scan reads the inner integral
-from that table and evaluates the weight once per node.
+from that table alone and evaluates the weight once per node.
 """
 
 from __future__ import annotations
@@ -235,24 +235,14 @@ def _windows_to_inf(a: float):
 
 def integrate_singular(
     g: Callable[[np.ndarray], np.ndarray],
-    a: float,
     b: float,
     criterion: str = "integral",
 ) -> ConditionReport:
-    """Improper integral on (a, b) with possible power singularities at both ends.
-
-    The interval is split at sqrt(a b) (the midpoint when a = 0) and each half
-    is a windowed scan toward its endpoint; _join joins the two reports.
-    """
-    if not (a < b):
-        raise DomainError("integrate_singular requires a < b")
-    mid = float(np.sqrt(a * b)) if a > 0 else 0.5 * (a + b)
-    left = _scan(_EvalCounter(g), _windows_to_point(a, mid - a), criterion)
-    right = None
-    if left.status != INFINITE:
-        right = _scan(_EvalCounter(lambda y: g(b - y)), _windows_to_point(0.0, b - mid),
-                      criterion)
-    return _join(criterion, left, right)
+    """Improper integral on (0, b], with a possible power singularity at 0 only:
+    one scan of the dyadic windows [b 2^-(k+1), b 2^-k] toward 0."""
+    if not b > 0:
+        raise DomainError("integrate_singular requires b > 0")
+    return _scan(_EvalCounter(g), _windows_to_point(0.0, b), criterion)
 
 
 def _join(criterion: str, first: ConditionReport,
@@ -309,13 +299,10 @@ def _dyadic_anchors_up(g: Callable, lo: float, hi: float, start: float = 0.0):
     interval is one panel, and its node values of g also give J at its nodes,
     J(lo_i) + half_i (_GL_CUMUL g)_k, with no further evaluation; the
     contraction is einsum's, row by row, so a node's value does not depend on
-    how many intervals one call covers.  A knot is forced at s = 1 to respect
-    spliced weights.
+    how many intervals one call covers.
     """
     t = lo * 2.0 ** np.arange(np.ceil(np.log2(hi / lo)) + 2)
     edges = t[:np.argmax(t >= hi) + 1]
-    if lo < 1.0 < edges[-1] and not np.any(np.isclose(edges, 1.0)):
-        edges = np.union1d(edges, [1.0])
     half, nodes = _panel_nodes(edges[:-1], edges[1:])
     gx = g(nodes.ravel()).reshape(nodes.shape)
     J = np.cumsum(np.concatenate(([start], half * np.einsum("ij,j->i", gx, _GL_WTS))))
@@ -324,21 +311,20 @@ def _dyadic_anchors_up(g: Callable, lo: float, hi: float, start: float = 0.0):
 
 
 class _InnerCumulative:
-    """J(t) for t in [lo, hi] from precomputed ascending anchors plus a local panel.
+    """J(t) = base + int_lo^t s^(N-1) w(s) ds at the Gauss nodes of its anchor intervals.
 
-    The anchors are the dyadic chain lo 2^j (with a knot at 1), and extend_to
-    continues that chain and its cumsum, so anchors, their values and the
-    node table do not depend on how far, or in how many steps, J was
-    extended.  At a Gauss node of an anchor interval (an exact match; the
-    outer windows of iterated_near0 and iterated_tail are those intervals), J
-    is read from the node table; any other t gets its own panel from the
-    anchor below.  Below the first anchor, J is continued by the power law
-    J ~ base (t/lo)^kappa (when a positive base and exponent are supplied),
-    matching the local growth of the cumulative of a power-like integrand.
+    The anchors are the dyadic chain lo 2^j, and extend_to continues that chain
+    and its cumsum, so anchors, their values and the node table do not depend
+    on how far, or in how many steps, J was extended.  The outer windows of
+    iterated_near0 and iterated_tail are the anchor intervals, so every query
+    is a node of the table (an exact match) or lies below the first anchor,
+    where J is continued by the power law base (t/lo)^base_kappa, matching the
+    local growth of the cumulative of a power-like integrand.  Any other query
+    raises DomainError.
     """
 
     def __init__(self, N: int, lo: float, hi: float, counter: _EvalCounter,
-                 base: float = 0.0, base_kappa: float | None = None):
+                 base: float = 0.0, base_kappa: float = 0.0):
         self.g = lambda s: counter(s) * s ** (N - 1)
         self.base = base
         self.base_kappa = base_kappa
@@ -356,18 +342,11 @@ class _InnerCumulative:
     def __call__(self, t: np.ndarray) -> np.ndarray:
         t = np.atleast_1d(np.asarray(t, dtype=float))
         k = np.minimum(np.searchsorted(self.nodes, t), len(self.nodes) - 1)
-        on_node = self.nodes[k] == t
-        i = np.clip(np.searchsorted(self.edges, t, side="right") - 1, 0, len(self.edges) - 2)
-        lo = self.edges[i]
-        out = np.where(on_node, self.at_nodes[k], self.J[i])
-        panel = (t > lo) & ~on_node
-        out[panel] += _panels(self.g, lo[panel], t[panel])
-        out += self.base
         below = t < self.edges[0]
-        if self.base > 0.0 and self.base_kappa is not None:
-            out[below] = self.base * (t[below] / self.edges[0]) ** self.base_kappa
-        else:
-            out[below] = self.base
+        if not np.all((self.nodes[k] == t) | below):
+            raise DomainError("inner cumulative queried off its node table")
+        out = self.at_nodes[k] + self.base
+        out[below] = self.base * (t[below] / self.edges[0]) ** self.base_kappa
         return out
 
 
@@ -377,20 +356,18 @@ def _inner_near0(w, N: int, hi: float) -> ConditionReport:
                  _windows_to_point(0.0, hi), "inner-near0")
 
 
-def _inner_base(w, N: int, inner_lower: float, hi: float) -> tuple[float, float, float | None]:
-    """(lower, base, kappa) of the inner cumulative int_inner_lower^t s^(N-1) w(s) ds.
+def _inner_base(w, N: int, hi: float) -> tuple[float, float, float]:
+    """(floor, base, kappa) of the inner cumulative int_0^t s^(N-1) w(s) ds.
 
-    For inner_lower = 0 the anchors start at the floor hi 2^-64, far below any
-    radius that can influence the results at double precision.  The base is
-    then the stub int_0^floor, and J ~ base (t/floor)^kappa continues the
-    cumulative below the floor: the stub decays like floor^(sigma+1), which is
-    not negligible for barely integrable inner singularities.  kappa is the
-    log2 growth of the stub over one more panel, [floor, 2 floor] (N when that
-    panel adds nothing finite and positive).  The stub's own scan is the
-    integrability check at zero; DivergenceError when it fails.
+    The anchors start at the floor hi 2^-64, far below any radius that can
+    influence the results at double precision.  The base is the stub
+    int_0^floor, and J ~ base (t/floor)^kappa continues the cumulative below
+    the floor: the stub decays like floor^(sigma+1), which is not negligible
+    for barely integrable inner singularities.  kappa is the log2 growth of the
+    stub over one more panel, [floor, 2 floor] (N when that panel adds nothing
+    finite and positive).  The stub's own scan is the integrability check at
+    zero; DivergenceError when it fails.
     """
-    if inner_lower > 0.0:
-        return inner_lower, 0.0, None
     floor = hi * 2.0 ** -64
     rep = _inner_near0(w, N, floor)
     if rep.status == INFINITE:
@@ -431,7 +408,7 @@ def _iterated_near0(w, N: int, t_hi: float) -> tuple[ConditionReport, ConditionR
     if inner_report.status == INCONCLUSIVE:
         return inconclusive, inner_report
     try:
-        floor, stub, kappa = _inner_base(w, N, 0.0, t_hi)
+        floor, stub, kappa = _inner_base(w, N, t_hi)
     except DivergenceError:  # the stub's scan, below the floor, can still overflow
         return inconclusive, inner_report
     J = _InnerCumulative(N, floor, t_hi, counter, base=stub, base_kappa=kappa)
@@ -470,38 +447,25 @@ def iterated_tail(
 def iterated_tail_profile(
     w: Callable,
     N: int,
-    inner_lower: float,
     radii: np.ndarray,
 ) -> np.ndarray:
-    """A(r) = int_r^inf t^(1-N) int_L^t s^(N-1) w ds dt on an increasing radius grid,
-    L = inner_lower, as the Tonelli sum of two single moments:
+    """A(r) = int_r^inf t^(1-N) int_{r0}^t s^(N-1) w ds dt on an increasing radius grid
+    from r0 = radii[0], as the Tonelli sum of two single moments:
 
         A(r) = (r^(2-N) C(r) + T(r)) / (N - 2),
-        C(r) = int_L^r s^(N-1) w ds,   T(r) = int_r^inf s w ds.
+        C(r) = int_{r0}^r s^(N-1) w ds,   T(r) = int_r^inf s w ds.
 
-    C runs forward from its value at radii[0] (0 when L = radii[0]; for L = 0 the
-    stub of _inner_base), T backward from one tail scan beyond radii[-1], and
-    each grid segment adds one positive panel to each.  Raises DomainError for
-    L < 0 or a grid that starts before L, and DivergenceError (with a
-    certificate when divergent) when the inner integrand is not integrable at
-    zero or the tail moment is not finite.
+    C runs forward from 0 at radii[0], T backward from one tail scan beyond
+    radii[-1], and each grid segment adds one positive panel to each.  Raises
+    DomainError for a grid that is not increasing, and DivergenceError (with a
+    certificate when divergent) when the tail moment is not finite.
     """
     if N < 3:
         raise DomainError("profile requires N >= 3")
-    if inner_lower < 0:
-        raise DomainError("inner_lower must be >= 0")
     radii = np.asarray(radii, dtype=float)
     if np.any(np.diff(radii) <= 0):
         raise DomainError("radii must be strictly increasing")
-    if radii[0] < inner_lower * (1.0 - 1e-12):
-        raise DomainError("radius grid must not start before inner_lower")
-    r0, r_last = float(radii[0]), float(radii[-1])
-    c0 = 0.0
-    if inner_lower < r0:
-        lower, base, kappa = _inner_base(w, N, inner_lower, max(r_last, 1.0))
-        J = _InnerCumulative(N, lower, max(r0, 2.0 * lower), _EvalCounter(w),
-                             base=base, base_kappa=kappa)
-        c0 = float(J(r0)[0])
+    r_last = float(radii[-1])
     tail = integrate_tail(lambda s: s * w(s), r_last, "profile-tail")
     if tail.status != FINITE:
         raise DivergenceError(
@@ -509,7 +473,7 @@ def iterated_tail_profile(
             tail.certificate if tail.status == INFINITE else None)
     inner = _panels(_EvalCounter(lambda s: s ** (N - 1) * w(s)), radii[:-1], radii[1:])
     outer = _panels(_EvalCounter(lambda s: s * w(s)), radii[:-1], radii[1:])
-    C = np.cumsum(np.concatenate(([c0], inner)))
+    C = np.cumsum(np.concatenate(([0.0], inner)))
     T = np.cumsum(np.concatenate(([tail.value], outer[::-1])))[::-1]
     return (radii ** (2 - N) * C + T) / (N - 2)
 
@@ -620,7 +584,7 @@ def classify_existence(problem) -> ExistencePrediction:
         near0 = power_moment(pieces, 1.0 + shift, 0.0, 1.0, f"{name}-near0")
         tail = power_moment(pieces, 1.0, 1.0, math.inf, "first-moment-tail")
         return ExistencePrediction(_both_finite(near0, tail), name, (near0, tail))
-    near0 = integrate_singular(lambda s: s ** (1.0 + shift) * phi(s), 0.0, 1.0,
+    near0 = integrate_singular(lambda s: s ** (1.0 + shift) * phi(s), 1.0,
                                criterion=f"{name}-near0")
     tail = integrate_tail(lambda s: s * phi(s), 1.0, criterion="first-moment-tail")
     quad_exists = _both_finite(near0, tail)
@@ -656,14 +620,14 @@ def lemma_zero_check(
     if regime not in ("near0", "tail", "full"):
         raise DomainError("regime must be near0 | tail | full")
     if regime == "near0":
-        simple = integrate_singular(lambda s: s * phi(s), 0.0, 1.0, criterion="simple-near0")
+        simple = integrate_singular(lambda s: s * phi(s), 1.0, criterion="simple-near0")
         iterated = iterated_near0(phi, N, 1.0)
         return simple, iterated
     if regime == "tail":
         simple = integrate_tail(lambda s: s * phi(s), 1.0, criterion="simple-tail")
         iterated = iterated_tail(phi, N, 1.0)
         return simple, iterated
-    s0 = integrate_singular(lambda s: s * phi(s), 0.0, 1.0, criterion="simple-full")
+    s0 = integrate_singular(lambda s: s * phi(s), 1.0, criterion="simple-full")
     s1 = integrate_tail(lambda s: s * phi(s), 1.0, criterion="simple-full")
     it0, inner0 = _iterated_near0(phi, N, 1.0)
     it1 = None

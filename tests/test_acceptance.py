@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import elliptic_lab as el
+from oracles import ratio_bracket, sphere_potential_average
 from test_bvp1d import ONES, shooting_oracle_inverse_f
 
 
@@ -134,7 +135,7 @@ def test_criterion_6_boundary_layer_ratio(ball_problem):
     ratios = {}
     for nodes in (1536, 3072):
         ext = el.exterior_ball_minimal(ball_problem, n_max=32, nodes=nodes)
-        _, _, vals = el.ratio_bracket(ext.profile, H, 1.0, (1e-3, 0.1))
+        _, _, vals = ratio_bracket(ext.profile, H, 1.0, (1e-3, 0.1))
         ratios[nodes] = vals
     spread = float(np.max(ratios[3072]) / np.min(ratios[3072]))
     drift = float(np.max(np.abs(ratios[3072] - ratios[1536]) / ratios[3072]))
@@ -153,9 +154,9 @@ def test_criterion_7_inversion_checks(closed_form):
     kw = el.kelvin_weight(el.PowerPhi(-3.0), 3, 1.0)
     exponent_exact = (kw.exact.alpha == -(-3.0) - 2.0 - 3.0 - (3.0 - 2.0))
     sphere_err = max(
-        abs(el.sphere_potential_average(3, 1.0, 2.0) - 0.5),
-        abs(el.sphere_potential_average(3, 1.0, 0.5) - 1.0),
-        abs(el.sphere_potential_average(4, 2.0, 1.0) - 0.25),
+        abs(sphere_potential_average(3, 1.0, 2.0) - 0.5),
+        abs(sphere_potential_average(3, 1.0, 0.5) - 1.0),
+        abs(sphere_potential_average(4, 2.0, 1.0) - 0.25),
     )
     ok = inv_rel <= 1e-8 and exponent_exact and sphere_err <= 1e-8
     report(7, ok, f"involution {inv_rel:.2e} (<= 1e-8); exponent identity exact: "

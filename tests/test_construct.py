@@ -12,6 +12,7 @@ from elliptic_lab.bvp1d import AUDIT_TOL
 from elliptic_lab.construct import (_doublings, _ladder_gaps, _origin_ladder,
                                     _radial_inequality_residual, _trusted_window)
 from elliptic_lab.problem import center_distance
+from oracles import comparison_check, ratio_bracket
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +199,7 @@ def test_family_asymptotics(family_grid):
 def test_family_minimality(problem_power, minimal64):
     # the zero-parameter member dominates the minimal iterate on the same grid
     fm = el.family_member(problem_power, 1.0, 0.5, minimal64.value, n_max=64)
-    assert el.comparison_check(fm.raw_last, minimal64.value.raw_last)
+    assert comparison_check(fm.raw_last, minimal64.value.raw_last)
 
 
 def test_family_zero_parameters_consistent(problem_power, minimal64):
@@ -209,7 +210,7 @@ def test_family_zero_parameters_consistent(problem_power, minimal64):
     rel = np.max(np.abs(fm.profile(rw) - minimal64.value.profile(rw))
                  / minimal64.value.profile(rw))
     assert rel <= 0.01
-    assert el.comparison_check(fm.raw_last, minimal64.value.raw_last)
+    assert comparison_check(fm.raw_last, minimal64.value.raw_last)
 
 
 def test_family_zero_member_is_the_minimal_ladder(problem_power, minimal64):
@@ -411,7 +412,7 @@ def test_exterior_refuses_delta_min_at_layer_window_bound(delta_min):
 
 def test_exterior_ratio_bracket(exterior32, ball_problem):
     H = el.solve_H(ball_problem.phi, ball_problem.f, nodes=4096)
-    lo, hi, _ = el.ratio_bracket(exterior32.value.profile, H, 1.0, (1e-3, 0.1))
+    lo, hi, _ = ratio_bracket(exterior32.value.profile, H, 1.0, (1e-3, 0.1))
     assert hi / lo <= 10.0
 
 

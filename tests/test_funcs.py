@@ -227,43 +227,44 @@ def test_xi_no_solution_at_critical_exponent():
 # double-integral profile
 # ---------------------------------------------------------------------------
 
-def test_profile_inner_divergence_detected():
-    # inner integrand s^(N-1) phi = s^(-1) is non-integrable at zero
-    with pytest.raises(el.DivergenceError):
-        el.quad.iterated_tail_profile(el.PowerPhi(-3.0), 3, 0.0, np.array([1.0]))[0]
+def test_profile_tail_divergence_detected():
+    # tail integrand s phi = s^(-1) is not integrable at infinity
+    with pytest.raises(el.DivergenceError, match="profile tail moment"):
+        el.quad.iterated_tail_profile(el.PowerPhi(-2.0), 3, np.array([1.0]))
 
 
 def test_profile_log_case_value():
     # oracle: inner log t, outer antiderivative -(ln t + 1)/t gives exactly 1 at r=1
-    v = el.quad.iterated_tail_profile(el.PowerPhi(-3.0), 3, 1.0, np.array([1.0]))[0]
+    v = el.quad.iterated_tail_profile(el.PowerPhi(-3.0), 3, np.array([1.0]))[0]
     assert v == pytest.approx(1.0, rel=1e-9)
 
 
 def test_profile_beta_minus4_value():
     # oracle: inner (1 - 1/t), outer elementary antiderivatives give 1/2 at r=1
-    v = el.quad.iterated_tail_profile(el.PowerPhi(-4.0), 3, 1.0, np.array([1.0]))[0]
+    v = el.quad.iterated_tail_profile(el.PowerPhi(-4.0), 3, np.array([1.0]))[0]
     assert v == pytest.approx(0.5, rel=1e-9)
 
 
 def test_profile_zero_weight():
     phi = el.TabulatedPhi(knots=np.array([0.5, 2.0]), values=np.array([0.0, 0.0]),
                           near0_exp=0.0, tail_exp=-3.0)
-    assert el.quad.iterated_tail_profile(phi, 3, 0.0, np.array([1.0]))[0] == 0.0
+    assert np.all(el.quad.iterated_tail_profile(phi, 3, np.array([0.5, 1.0, 4.0])) == 0.0)
 
 
 @pytest.mark.parametrize("beta", [-2.5, -2.8])
 def test_profile_pure_power_closed_form(beta):
-    # from-zero inner integral needs N+beta > 0; value r^(2+beta) / ((N+beta) |2+beta|)
-    N = 3
-    for r in (0.5, 1.0, 4.0):
-        got = el.quad.iterated_tail_profile(el.PowerPhi(beta), N, 0.0, np.array([r]))[0]
-        want = r ** (2.0 + beta) / ((N + beta) * (-2.0 - beta))
-        assert got == pytest.approx(want, rel=1e-8)
+    # inner integral from r0 = 0.5: A(r) = (r^(2+beta) - r^(2-N) r0^(N+beta)) / (N+beta)
+    # + r^(2+beta) / (N-2) / |2+beta|, for N = 3
+    N, r0 = 3, 0.5
+    r = np.array([r0, 1.0, 4.0])
+    got = el.quad.iterated_tail_profile(el.PowerPhi(beta), N, r)
+    want = ((r ** (2.0 + beta) - r ** (2.0 - N) * r0 ** (N + beta)) / (N + beta)
+            + r ** (2.0 + beta) / (-2.0 - beta)) / (N - 2)
+    np.testing.assert_allclose(got, want, rtol=1e-8)
 
 
 def test_profile_monotone_nonincreasing_in_r():
-    vals = [el.quad.iterated_tail_profile(el.PowerPhi(-2.5), 3, 0.0, np.array([r]))[0]
-            for r in np.geomspace(0.2, 20.0, 9)]
+    vals = el.quad.iterated_tail_profile(el.PowerPhi(-2.5), 3, np.geomspace(0.2, 20.0, 9))
     assert np.all(np.diff(vals) <= 0)
 
 

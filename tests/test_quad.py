@@ -24,13 +24,13 @@ from elliptic_lab.quad import (FINITE, INCONCLUSIVE, INFINITE, MAX_WINDOWS, _Eva
 # ---------------------------------------------------------------------------
 
 def test_constant_integrand():
-    rep = el.integrate_singular(lambda r: r * r ** -1.0, 0.0, 1.0)
+    rep = el.integrate_singular(lambda r: r * r ** -1.0, 1.0)
     assert rep.status == FINITE
     assert rep.value == pytest.approx(1.0, rel=1e-9)
 
 
 def test_log_divergence_with_certificate():
-    rep = el.integrate_singular(lambda r: r * r ** -2.0, 0.0, 1.0)
+    rep = el.integrate_singular(lambda r: r * r ** -2.0, 1.0)
     assert rep.status == INFINITE
     assert rep.certificate is not None
     cert = np.asarray(rep.certificate)
@@ -41,7 +41,7 @@ def test_log_divergence_with_certificate():
 
 
 def test_power_integrand_alpha_minus_one():
-    rep = el.integrate_singular(lambda r: np.ones_like(r), 0.0, 1.0)
+    rep = el.integrate_singular(lambda r: np.ones_like(r), 1.0)
     assert rep.status == FINITE
     assert rep.value == pytest.approx(1.0, rel=1e-9)
 
@@ -59,13 +59,13 @@ def test_tail_values():
 
 def test_negative_integrand_rejected():
     with pytest.raises(el.DomainError):
-        el.integrate_singular(lambda r: r - 0.5, 0.0, 1.0)
+        el.integrate_singular(lambda r: r - 0.5, 1.0)
 
 
 def test_interval_monotonicity():
     # enlarging the interval never decreases the value of a positive integral
     g = lambda r: r ** -0.5
-    vals = [el.integrate_singular(g, 0.0, b).value for b in (0.5, 1.0, 2.0, 4.0)]
+    vals = [el.integrate_singular(g, b).value for b in (0.5, 1.0, 2.0, 4.0)]
     assert np.all(np.diff(vals) > 0)
 
 
@@ -322,6 +322,29 @@ def test_tabulated_weight_at_a_large_shift_exists():
     assert pred.reports[0].value == pytest.approx(1.0 / 195.0, rel=1e-14)
 
 
+@pytest.mark.parametrize("N", [43, 44, 100])
+def test_log_weight_at_a_large_shift_exists(N):
+    # int_0^1 s^(1 + 3(N-2)) s^-3 log(1+s)^0.5 ds is finite; the one scan toward 0
+    # sees its increments fall from the first window on
+    pred = el.classify_existence(el.ProblemSpec(N, el.PowerLogPhi(-3.0, 0.5), el.PowerF(2.0),
+                                                el.Origin()))
+    assert pred.exists is True
+    assert [rep.status for rep in pred.reports] == [FINITE, FINITE, FINITE]
+
+
+@settings(max_examples=100, deadline=None)
+@given(split=st.booleans(), alpha=st.floats(-5.5, -0.5), N=st.integers(3, 100),
+       p=st.sampled_from([0.5, 1.0, 2.0]), shifted=st.booleans())
+def test_near_zero_scan_verdict_is_the_closed_forms(split, alpha, N, p, shifted):
+    # the near-zero moment of every compact set, at least 0.25 from its line
+    shift = (1.0 + p) * (N - 2) if shifted else 0.0
+    assume(abs(alpha + 2.0 + shift) >= 0.25)
+    phi = el.PowerSplitPhi(alpha, -3.0) if split else el.PowerPhi(alpha)
+    m = 1.0 + shift
+    scan = el.integrate_singular(lambda s: s ** m * phi(s), 1.0)
+    assert scan.status == power_moment(phi.pieces(), m, 0.0, 1.0, "near0").status
+
+
 # ---------------------------------------------------------------------------
 # simple vs iterated equivalence
 # ---------------------------------------------------------------------------
@@ -387,31 +410,11 @@ def test_iterated_helpers_match_direct():
     assert rep2.value == pytest.approx(0.5, rel=1e-8)
 
 
-@pytest.mark.parametrize("r", [32.0, 100.0, 1000.0])
-def test_inner_zero_profile_matches_closed_form(r):
-    # s^2 phi(s) = s^-0.5 on (0, 1) and s^-1.4 beyond: integrable at zero, but
-    # growing toward zero on (1, r), which must not read as divergence at zero
-    phi = el.PowerSplitPhi(-2.5, -3.4)
-    exact = 4.5 / r - (2.5 / 1.4) * r ** -1.4
-    assert el.quad.iterated_tail_profile(phi, 3, 0.0, np.array([r]))[0] == pytest.approx(
-        exact, rel=1e-12)
-
-
-def test_inner_zero_supersolution_matches_closed_form():
-    # A(r) = 4.5/r - (2.5/1.4) r^-1.4 for r >= 1 and 4(r^-1/2 - 1) + A(1) below
-    phi = el.PowerSplitPhi(-2.5, -3.4)
-    prof = el.supersolution_profile(phi, el.PowerF(1), 3, 0.0, 0.5, nodes=300)
-    r = prof.r
-    A = el.quad.iterated_tail_profile(phi, 3, 0.0, r)
-    a1 = 4.5 - 2.5 / 1.4
-    exact = np.where(r >= 1.0, 4.5 / r - (2.5 / 1.4) * r ** -1.4, 4.0 * (r ** -0.5 - 1.0) + a1)
-    np.testing.assert_allclose(A, exact, rtol=1e-10)
-
-
-def _profile_closed_form(phi, N, L, radii):
-    """(r^(2-N) int_L^r s^(N-1) phi ds + int_r^inf s phi ds) / (N-2) from power_moment."""
+def _profile_closed_form(phi, N, radii):
+    """(r^(2-N) int_r0^r s^(N-1) phi ds + int_r^inf s phi ds) / (N-2), r0 = radii[0],
+    from power_moment."""
     pieces = phi.pieces()
-    inner = [power_moment(pieces, N - 1.0, L, r, "inner").value if r > L else 0.0
+    inner = [power_moment(pieces, N - 1.0, radii[0], r, "inner").value if r > radii[0] else 0.0
              for r in radii]
     tail = [power_moment(pieces, 1.0, r, math.inf, "tail").value for r in radii]
     return (radii ** (2.0 - N) * np.array(inner) + np.array(tail)) / (N - 2)
@@ -430,25 +433,23 @@ def _grid_with_one(r0, span, per_octave):
 
 
 @settings(max_examples=60, deadline=None)
-@given(N=st.integers(3, 6), split=st.booleans(), from_zero=st.booleans(),
-       u=st.floats(0.0, 1.0), v=st.floats(0.0, 1.0), below=st.booleans(),
-       r0=st.floats(0.05, 20.0), span=st.floats(1.5, 1e4), per_octave=st.integers(1, 8))
-def test_profile_matches_the_closed_form_of_power_weights(N, split, from_zero, u, v, below,
-                                                          r0, span, per_octave):
+@given(N=st.integers(3, 6), split=st.booleans(), u=st.floats(0.0, 1.0), v=st.floats(0.0, 1.0),
+       below=st.booleans(), r0=st.floats(0.05, 20.0), span=st.floats(1.5, 1e4),
+       per_octave=st.integers(1, 8))
+def test_profile_matches_the_closed_form_of_power_weights(N, split, u, v, below, r0, span,
+                                                          per_octave):
     # exponents at least 0.5 from each critical line: the tail needs beta < -2,
-    # an inner integral from zero alpha > -N; alpha = -N is kept clear also above zero
+    # and alpha = -N is kept clear
     beta = -2.5 - 5.0 * v
     if split:
-        alpha = -N + 0.5 + 5.0 * u if from_zero or not below else -N - 0.5 - 5.0 * u
+        alpha = -N + 0.5 + 5.0 * u if not below else -N - 0.5 - 5.0 * u
         phi = el.PowerSplitPhi(alpha, beta)
     else:
-        alpha = -2.5 - (N - 3) * u if from_zero else beta
-        assume(abs(alpha + N) >= 0.5)
-        phi = el.PowerPhi(alpha)
+        assume(abs(beta + N) >= 0.5)
+        phi = el.PowerPhi(beta)
     radii = _grid_with_one(r0, span, per_octave)
-    L = 0.0 if from_zero else float(radii[0])
-    A = quad.iterated_tail_profile(phi, N, L, radii)
-    np.testing.assert_allclose(A, _profile_closed_form(phi, N, L, radii), rtol=1e-12, atol=0)
+    A = quad.iterated_tail_profile(phi, N, radii)
+    np.testing.assert_allclose(A, _profile_closed_form(phi, N, radii), rtol=1e-12, atol=0)
 
 
 @settings(max_examples=15, deadline=None)
@@ -468,8 +469,8 @@ def test_profile_of_a_tabulated_weight_with_knots_inside_the_grid(N, r0, cuts, s
         np.array(slopes[:len(knots) - 1]) * np.diff(np.log(knots)))))
     log_end = log_values[-1] + e1 * math.log(radii[-1] / knots[-1]) + 2.0 * math.log(radii[-1])
     phi = el.TabulatedPhi(knots, v0 * np.exp(log_values - log_end), e0, e1)
-    A = quad.iterated_tail_profile(phi, N, r0, radii)
-    np.testing.assert_allclose(A, _profile_closed_form(phi, N, r0, radii), rtol=1e-4, atol=0)
+    A = quad.iterated_tail_profile(phi, N, radii)
+    np.testing.assert_allclose(A, _profile_closed_form(phi, N, radii), rtol=1e-4, atol=0)
 
 
 @pytest.mark.parametrize("phi, N", [(el.PowerSplitPhi(-0.371, -2.104), 6),
@@ -479,14 +480,14 @@ def test_profile_of_a_weight_the_nested_tail_scan_could_not_classify(phi, N):
     # the tail moment int s phi ds is finite and one ordinary scan settles it,
     # where the nested scan of t^(1-N) J(t) ended inconclusive
     radii = np.geomspace(1.0, 4096.0, 800)
-    A = quad.iterated_tail_profile(phi, N, 1.0, radii)
-    np.testing.assert_allclose(A, _profile_closed_form(phi, N, 1.0, radii), rtol=1e-12, atol=0)
+    A = quad.iterated_tail_profile(phi, N, radii)
+    np.testing.assert_allclose(A, _profile_closed_form(phi, N, radii), rtol=1e-12, atol=0)
 
 
 def test_profile_refuses_an_inner_moment_that_overflows():
     # s^99 phi(s) passes the largest double below r = 4096: one DomainError, no nan
     with pytest.raises(el.DomainError, match="finite"):
-        quad.iterated_tail_profile(el.PowerPhi(-3.0), 100, 1.0, np.geomspace(1.0, 4096.0, 800))
+        quad.iterated_tail_profile(el.PowerPhi(-3.0), 100, np.geomspace(1.0, 4096.0, 800))
 
 
 @pytest.mark.parametrize("N", [3, 4, 5])
@@ -497,19 +498,16 @@ def test_profile_agrees_with_the_nested_tail_scan(phi, N):
     # A(1) as the Tonelli sum and as the outer scan over the inner cumulative
     nested = iterated_tail(phi, N, 1.0)
     assert nested.status == FINITE
-    A = quad.iterated_tail_profile(phi, N, 1.0, np.geomspace(1.0, 4096.0, 800))
+    A = quad.iterated_tail_profile(phi, N, np.geomspace(1.0, 4096.0, 800))
     assert A[0] == pytest.approx(nested.value, rel=1e-9)
 
 
 def test_profile_checks_inner_lower_against_its_grid():
-    with pytest.raises(el.DomainError, match="inner_lower"):
-        el.supersolution_profile(el.PowerPhi(-2.5), el.PowerF(1), 3, inner_lower=-1.0,
-                                 r_min=1.0)
-    with pytest.raises(el.DomainError, match="inner_lower"):
-        quad.iterated_tail_profile(el.PowerPhi(-2.5), 3, 2.0, np.geomspace(1.0, 10.0, 5))
-    # a grid start within roundoff below inner_lower is the start itself
-    A = quad.iterated_tail_profile(el.PowerPhi(-3.0), 3, 1.0 + 1e-13, np.array([1.0, 2.0]))
-    assert A[0] == pytest.approx(1.0, rel=1e-9)
+    # the inner integral starts at the grid: inner_lower must be r_min itself
+    for inner_lower, r_min in ((-1.0, 1.0), (2.0, 1.0), (0.0, 0.5), (1.0 + 1e-13, 1.0)):
+        with pytest.raises(el.DomainError, match="inner_lower"):
+            el.supersolution_profile(el.PowerPhi(-2.5), el.PowerF(1), 3,
+                                     inner_lower=inner_lower, r_min=r_min)
 
 
 # ---------------------------------------------------------------------------
@@ -584,12 +582,16 @@ def test_full_simple_certificate_is_lifted_by_the_finite_near_zero_value():
     assert cert[0] > 2.0 and np.all(np.diff(cert) > 0)
 
 
-def test_inconclusive_right_half_certificate_is_lifted_by_the_left_value():
-    # the left half (0, 1/2) is finite with value 1/2; the right half overflows
-    # within 1e-3 of b = 1 after the windows [1/2, 3/4], [3/4, 7/8], ...
-    rep = el.integrate_singular(lambda s: np.where(s > 1.0 - 1e-3, np.inf, 1.0), 0.0, 1.0)
+def test_inconclusive_second_piece_certificate_is_lifted_by_the_first_value():
+    # int_0^1 1 ds = 1 is finite; the tail scan of s^-2 overflows past s = 8 after
+    # the windows [1, 2], [2, 4], [4, 8], so the join is inconclusive, with the
+    # tail's partial sums lifted by 1
+    first = el.integrate_singular(lambda s: np.ones_like(s), 1.0)
+    second = el.integrate_tail(lambda s: np.where(s > 8.0, np.inf, s ** -2.0), 1.0)
+    assert first.status == FINITE and second.status == INCONCLUSIVE
+    rep = _join("both", first, second)
     assert rep.status == INCONCLUSIVE
-    assert rep.certificate[:3] == pytest.approx([0.75, 0.875, 0.9375], rel=1e-12)
+    assert rep.certificate == pytest.approx([1.5, 1.75, 1.875], rel=1e-12)
 
 
 def test_lemma_near0_overflow_is_inconclusive():
@@ -614,16 +616,13 @@ def _panels_reference(g, lo, hi):
 
 def _cumulative_reference(J, g, t):
     """J(t) point by point: the power-law continuation below the first anchor,
-    the anchor value on an anchor, else the anchor value plus one panel."""
+    else the anchor value below t plus one panel."""
     e = J.edges
     out = []
     for tj in t:
         i = min(max(int(np.searchsorted(e, tj, side="right")) - 1, 0), len(e) - 2)
         if tj < e[0]:
-            scaled = J.base > 0.0 and J.base_kappa is not None
-            out.append(J.base * (tj / e[0]) ** J.base_kappa if scaled else J.base)
-        elif tj <= e[i]:
-            out.append(J.J[i] + J.base)
+            out.append(J.base * (tj / e[0]) ** J.base_kappa)
         else:
             out.append(J.J[i] + _panels_reference(g, [e[i]], [tj])[0] + J.base)
     return np.asarray(out)
@@ -738,7 +737,7 @@ def test_reports_are_independent_of_the_window_block(phi, monkeypatch):
 def test_full_lemma_scans_toward_zero_once(phi, monkeypatch):
     # the reports equal the composition of the public pieces, evaluations
     # included, while the inner scan over [0, 1] runs once
-    s0 = el.integrate_singular(lambda s: s * phi(s), 0.0, 1.0, criterion="simple-full")
+    s0 = el.integrate_singular(lambda s: s * phi(s), 1.0, criterion="simple-full")
     s1 = el.integrate_tail(lambda s: s * phi(s), 1.0, criterion="simple-full")
     it0 = iterated_near0(phi, 3, 1.0)
     it1 = (iterated_tail(phi, 3, 1.0, inner_base=quad._inner_near0(phi, 3, 1.0).value)
@@ -805,28 +804,38 @@ FRACTIONS = st.lists(st.floats(0.001, 0.999), max_size=6)
 
 @settings(max_examples=40, deadline=None)
 @given(alpha=st.floats(-2.5, 1.0), lo=st.floats(1e-3, 1.0), span=st.floats(1.5, 1e3),
-       base=st.floats(0.0, 1.0), kappa=st.none() | st.floats(0.5, 4.0), data=st.data())
+       base=st.floats(0.0, 1.0), kappa=st.floats(0.0, 4.0), data=st.data())
 def test_inner_cumulative_matches_reference(alpha, lo, span, base, kappa, data):
+    # node and below-anchor queries in any order read the table and the power
+    # law, evaluating nothing (test_inner_cumulative_node_table checks the table)
     N = 3
     counter = _EvalCounter(lambda s: s ** alpha)
     J = _InnerCumulative(N, lo, lo * span, counter, base=base, base_kappa=kappa)
-    e = J.edges
-    below = e[0] * np.array(data.draw(FRACTIONS))
-    anchors = np.array(data.draw(st.lists(st.sampled_from(list(e[:-1])), max_size=6)))
-    seg = np.array(data.draw(st.lists(st.integers(0, len(e) - 2), max_size=6)), dtype=int)
-    inside = e[seg] + np.resize(data.draw(FRACTIONS), len(seg)) * (e[seg + 1] - e[seg])
-    inside = inside[(inside > e[seg]) & (inside < e[seg + 1])]
-    beyond = e[-1] * (1.0 + np.array(data.draw(FRACTIONS)))
-    t = np.concatenate([below, anchors, inside, beyond])
+    below = J.edges[0] * np.array(data.draw(FRACTIONS))
+    k = np.array(data.draw(st.lists(st.integers(0, len(J.nodes) - 1), max_size=12)), dtype=int)
+    t = np.concatenate([below, J.nodes[k]])
     order = np.array(data.draw(st.permutations(range(len(t)))), dtype=int)
 
     before = counter.count
     got = J(t[order])[np.argsort(order)]
-    assert counter.count - before == 24 * (len(inside) + len(beyond))
-    ref = _cumulative_reference(J, lambda s: s ** alpha * s ** (N - 1), t)
-    on_anchor = np.isin(t, anchors)
-    np.testing.assert_array_equal(got[on_anchor], ref[on_anchor])
-    np.testing.assert_allclose(got, ref, rtol=2e-15, atol=0.0)
+    assert counter.count == before
+    ref = _cumulative_reference(J, lambda s: s ** alpha * s ** (N - 1), below)
+    np.testing.assert_allclose(got[:len(below)], ref, rtol=2e-15, atol=0.0)
+    np.testing.assert_array_equal(got[len(below):], J.at_nodes[k] + base)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lo=st.floats(1e-3, 1.0), span=st.floats(1.5, 1e3), data=st.data())
+def test_inner_cumulative_refuses_off_table_queries(lo, span, data):
+    # an anchor, a point between nodes and a point beyond the last anchor are
+    # off the table: one DomainError, whatever else the query holds
+    J = _InnerCumulative(3, lo, lo * span, _EvalCounter(lambda s: 1.0 / (1.0 + s * s)))
+    e = J.edges
+    i = data.draw(st.integers(0, len(J.nodes) - 2))
+    off = data.draw(st.sampled_from([e[i // 24], 0.5 * (J.nodes[i] + J.nodes[i + 1]),
+                                     e[-1] * (1.0 + data.draw(st.floats(0.001, 1.0)))]))
+    with pytest.raises(el.DomainError, match="off its node table"):
+        J(np.array([J.nodes[0], 0.5 * e[0], off]))
 
 
 # ---------------------------------------------------------------------------
